@@ -31,8 +31,6 @@ class RunConfig:
     cap_subsets: int = 24      # exact toughness/scattering enumeration
     cap_independence: int = 64
     cap_oracle: int = 32       # Hamilton-cycle backtracking
-    seed: int = 0
-    trace_detail: bool = True
 
     def __post_init__(self):
         self.t = Fraction(self.t)
@@ -76,7 +74,7 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
     """Revalidate a certificate against the graph; returns (ok, reason)."""
     if isinstance(cert, HamiltonCycle):
         order = cert.cycle.order
-        if len(order) != g.n or len(set(order)) != g.n:
+        if len(order) != g.n or set(order) != set(range(g.n)):
             return False, f"cycle is not a permutation of 0..{g.n - 1}"
         if g.n < 3:
             return False, "cycles need at least three vertices"
@@ -101,6 +99,8 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
         w = cert.witness
         if w.pattern != FORBIDDEN_PATTERN:
             return False, f"witness pattern {w.pattern} is not {FORBIDDEN_PATTERN}"
+        if any(not 0 <= v < g.n for v in w.vertices):
+            return False, "witness has out-of-range vertices"
         if not induces_pattern(g, w.vertices, FORBIDDEN_PATTERN):
             return False, f"vertices {w.vertices} do not induce {FORBIDDEN_PATTERN}"
         return True, "forbidden induced pattern verified"
@@ -202,10 +202,8 @@ def certificate_from_record(line: str) -> Certificate:
 class Trace:
     """Accumulates the structured per-stage records of one pipeline run."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.lines: list[str] = []
 
     def add(self, name: str, ids=None, **fields):
-        if self.enabled:
-            self.lines.append(record_line(name, sorted(fields.items()), ids=ids))
+        self.lines.append(record_line(name, sorted(fields.items()), ids=ids))

@@ -26,7 +26,7 @@ EXIT_ORACLE_LIMIT = 3
 
 
 def _config_from_args(args, t: Fraction) -> RunConfig:
-    cfg = RunConfig(t=t, seed=args.seed)
+    cfg = RunConfig(t=t)
     if args.cap_toughness:
         cfg.cap_subsets = args.cap_toughness
     if args.cap_oracle:
@@ -130,7 +130,7 @@ def cmd_survey(args, out) -> int:
     graphs = [generate(args.gen, {"n": args.n, "p": 0.5}, seed=args.seed + i)
               for i in range(args.count)]
     for t in grid:
-        cfg = RunConfig(t=t, seed=args.seed)
+        cfg = RunConfig(t=t)
         counts = {"hamilton-cycle": 0, "toughness-witness": 0,
                   "forbidden-witness": 0, "oracle-limit": 0}
         for g in graphs:
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="-", help="certificate file (default stdout)")
     p_run.add_argument("--cap-toughness", type=int, default=None)
     p_run.add_argument("--cap-oracle", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="validate a certificate file")

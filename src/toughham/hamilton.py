@@ -117,7 +117,7 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
 
     def feasible(last: int, rest: int) -> bool:
         blob = rest | bit(last) | 1
-        if not g.is_connected_within(blob):
+        if g.component_count(full & ~blob) != 1:
             return False
         lonely = 0
         for v in bits(rest):

@@ -55,9 +55,27 @@ class ScatteringSet:
     value: int
 
 
-def _multipartition_or_none(g: Graph) -> Multipartition | None:
+def _largest_part(g: Graph) -> int | None:
+    """Largest part of a complete multipartite graph; None for other graphs."""
     mp = multipartite_decompose(g)
-    return mp if isinstance(mp, Multipartition) else None
+    return mp.largest_part() if isinstance(mp, Multipartition) else None
+
+
+def _cutsets(g: Graph, cap: int, stage: str, stop):
+    """Every cutset S of g as (|S|, S, c(G - S)), by size and then in
+    lexicographic order.  ``stop(k)`` is asked before each size k and ends
+    the enumeration when true.  Graphs past the size cap raise."""
+    n = g.n
+    if n > cap:
+        raise OracleLimitExceeded(stage)
+    for k in range(0, n - 1):
+        if stop(k):
+            return
+        for combo in combinations(range(n), k):
+            s = mask_of(combo)
+            c = g.component_count(s)
+            if c >= 2:
+                yield k, s, c
 
 
 def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
@@ -70,29 +88,19 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     n = g.n
     if g.is_complete():
         return INF, None
-    mp = _multipartition_or_none(g)
-    if mp is not None:
-        part = mp.largest_part()
+    part = _largest_part(g)
+    if part is not None:
         c = part.bit_count()
         witness = ToughnessWitness(cutset=g.full & ~part, component_count=c)
         return Fraction(n - c, c), witness
-    if n > cap:
-        raise OracleLimitExceeded("toughness")
     best: Fraction | None = None
     best_witness: ToughnessWitness | None = None
-    verts = range(n)
-    for k in range(0, n - 1):
-        if best is not None and Fraction(k, n - k) >= best:
-            break
-        for combo in combinations(verts, k):
-            s = mask_of(combo)
-            c = g.component_count(s)
-            if c < 2:
-                continue
-            ratio = Fraction(k, c)
-            if best is None or ratio < best:
-                best = ratio
-                best_witness = ToughnessWitness(s, c)
+    for k, s, c in _cutsets(g, cap, "toughness",
+                            lambda k: best is not None and Fraction(k, n - k) >= best):
+        ratio = Fraction(k, c)
+        if best is None or ratio < best:
+            best = ratio
+            best_witness = ToughnessWitness(s, c)
     assert best is not None  # noncomplete graphs always have a cutset
     return best, best_witness
 
@@ -113,9 +121,8 @@ def probe_tough(g: Graph, t) -> ToughnessWitness | None:
         c = g.component_count(s)
         if c >= 2 and Fraction(s.bit_count(), c) < t:
             return ToughnessWitness(s, c)
-    mp = _multipartition_or_none(g)
-    if mp is not None:
-        part = mp.largest_part()
+    part = _largest_part(g)
+    if part is not None:
         c = part.bit_count()
         if Fraction(g.n - c, c) < t:
             return ToughnessWitness(g.full & ~part, c)
@@ -133,20 +140,13 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     probe = probe_tough(g, t)
     if probe is not None:
         return probe
-    if _multipartition_or_none(g) is not None:
+    if _largest_part(g) is not None:
         return None  # the probe's closed form was exhaustive
     n = g.n
-    if n > cap:
-        raise OracleLimitExceeded("verify-tough")
-    for k in range(0, n - 1):
-        # a violator of size k needs c > k/t, so k/(n-k) >= t rules it out
-        if Fraction(k, n - k) >= t:
-            break
-        for combo in combinations(range(n), k):
-            s = mask_of(combo)
-            c = g.component_count(s)
-            if c >= 2 and Fraction(k, c) < t:
-                return ToughnessWitness(s, c)
+    # a violator of size k needs c > k/t, so k/(n-k) >= t rules it out
+    for k, s, c in _cutsets(g, cap, "verify-tough", lambda k: Fraction(k, n - k) >= t):
+        if Fraction(k, c) < t:
+            return ToughnessWitness(s, c)
     return None
 
 
@@ -158,28 +158,19 @@ def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     n = g.n
     if g.is_complete():
         return INF, None
-    mp = _multipartition_or_none(g)
-    if mp is not None:
-        part = mp.largest_part()
+    part = _largest_part(g)
+    if part is not None:
         c = part.bit_count()
         cutset = g.full & ~part
         return 2 * c - n, ScatteringSet(cutset, 2 * c - n)
-    if n > cap:
-        raise OracleLimitExceeded("scattering")
     best: int | None = None
     best_set: ScatteringSet | None = None
-    for k in range(0, n - 1):
-        if best is not None and (n - k) - k <= best:
-            break
-        for combo in combinations(range(n), k):
-            s = mask_of(combo)
-            c = g.component_count(s)
-            if c < 2:
-                continue
-            val = c - k
-            if best is None or val > best:
-                best = val
-                best_set = ScatteringSet(s, val)
+    for k, s, c in _cutsets(g, cap, "scattering",
+                            lambda k: best is not None and (n - k) - k <= best):
+        val = c - k
+        if best is None or val > best:
+            best = val
+            best_set = ScatteringSet(s, val)
     assert best is not None
     return best, best_set
 
@@ -242,11 +233,10 @@ def connectivity(g: Graph):
     n = g.n
     if g.is_complete():
         return max(n - 1, 0), None
-    if len(g.components()) >= 2:
+    if g.component_count() >= 2:
         return 0, 0
-    mp = _multipartition_or_none(g)
-    if mp is not None:
-        part = mp.largest_part()
+    part = _largest_part(g)
+    if part is not None:
         return n - part.bit_count(), g.full & ~part
     best_cut = None
     for s in range(n):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from . import metrics
 from .certificates import (Certificate, ForbiddenWitness, HamiltonCycle, OracleLimit,
@@ -53,6 +54,7 @@ class Decomposition:
     uv: tuple[int, int] | None = None   # case 1 only
     d1_mask: int = 0                    # case 1 only
     d2_mask: int = 0                    # case 1 only
+    g1_structure: Multipartition | None = None  # case 1 only, in the ids of induced G1
 
     def violations(self, g: Graph) -> list[str]:
         bad = []
@@ -72,6 +74,8 @@ class Decomposition:
                 bad.append("V(G2) is not S2 plus V(D2)")
             if self.s_mask | self.d1_mask | self.d2_mask != g.full:
                 bad.append("S, D1, D2 do not cover the graph")
+            if self.g1_structure is None:
+                bad.append("G1 has no multipartition")
         else:
             if not metrics.is_independent(g, self.s_mask):
                 bad.append("S is not independent")
@@ -151,6 +155,21 @@ def _tough_or_dead_end(g, cfg, trace, stage, witness,
     return _salvage_or_limit(g, cfg, trace, stage, regime_impossible)
 
 
+def _lift(mask: int, vmap) -> int:
+    """A vertex set of an induced subgraph, in the ids of the parent graph."""
+    return mask_of(vmap[i] for i in bits(mask))
+
+
+def _lifted_witness(g: Graph, indep: int, vmap, cfg: RunConfig, trace: Trace,
+                    stage: str) -> ToughnessWitness | None:
+    """Toughness witness from an independent set of an induced subgraph,
+    lifted to g and traced; None when it fails validation."""
+    w = witness_from_independent_set(g, _lift(indep, vmap), cfg.t)
+    if w is not None:
+        trace.add("witness", stage=stage, ratio=w.ratio, ids=bits(w.cutset))
+    return w
+
+
 def _forbidden(g: Graph, vertices, trace: Trace, stage: str) -> Certificate:
     vs = tuple(sorted(vertices))
     if not induces_pattern(g, vs, "2p2+p1"):
@@ -183,7 +202,7 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
         cfg = RunConfig()
     if g.n < 3:
         raise GraphError("certification needs at least three vertices")
-    trace = Trace(enabled=cfg.trace_detail)
+    trace = Trace()
     trace.add("config", t=cfg.t, n=g.n, cap_oracle=cfg.cap_oracle,
               cap_subsets=cfg.cap_subsets, regime=(cfg.t >= PROVEN_T))
 
@@ -351,6 +370,7 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         trace.add("block-structure", result="violated", ids=triple)
         return _block_structure_replay(g, dec, triple, cfg, trace)
     trace.add("block-structure", result="free", parts=len(structure.parts))
+    dec.g1_structure = structure
     return dec
 
 
@@ -386,17 +406,13 @@ def build_path_cover(g: Graph, dec: Decomposition, cfg: RunConfig,
     if bad:
         raise GraphError(f"malformed decomposition: {bad}")
     g1, map1 = g.induced(dec.g1_mask)
-    inv1 = {orig: i for i, orig in enumerate(map1)}
-    structure = multipartite_decompose(g1)
-    if not isinstance(structure, Multipartition):
-        raise PipelineInternalError("path cover ran on a non-multipartite G1")
     s_value, _ = scattering(g1, cap=cfg.cap_subsets)
     trace.add("cover-plan", s=("inf" if s_value == INF else s_value), g1_size=g1.n)
 
     if s_value == INF or s_value <= -1:
-        got = _cover_connected(g, dec, g1, map1, inv1, structure, cfg, trace)
+        got = _cover_connected(g, dec, g1, map1, cfg, trace)
     else:
-        got = _cover_scattered(g, dec, g1, map1, inv1, structure, cfg, trace)
+        got = _cover_scattered(g, dec, g1, map1, cfg, trace)
     if not isinstance(got, PathCover):
         return got
     bad = got.violations(g, dec.g1_mask, dec.g2_mask, expected_cover_size(s_value))
@@ -406,29 +422,38 @@ def build_path_cover(g: Graph, dec: Decomposition, cfg: RunConfig,
     return got
 
 
-def _anchor_pair(g: Graph, xs, v2: int):
-    """First pair (by vertex order) of distinct x,y in xs with distinct
-    outside anchors z,w; None when no such system exists."""
-    cands = [(x, g.adj[x] & v2) for x in xs if g.adj[x] & v2]
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            (x, nx), (y, ny) = cands[i], cands[j]
-            if (nx | ny).bit_count() < 2:
-                continue
-            z = _min_bit(nx)
-            if ny & ~bit(z):
-                w = _min_bit(ny & ~bit(z))
-            else:
-                w = z
-                z = _min_bit(nx & ~bit(w))
-            return x, y, z, w
+def _anchor_pair(g: Graph, pairs, v2: int):
+    """First of the candidate pairs x,y with distinct outside anchors z,w
+    (neighbors in v2 of x and of y); None when no such system exists."""
+    for x, y in pairs:
+        nx, ny = g.adj[x] & v2, g.adj[y] & v2
+        if not nx or not ny or (nx | ny).bit_count() < 2:
+            continue
+        z = _min_bit(nx)
+        if ny & ~bit(z):
+            return x, y, z, _min_bit(ny & ~bit(z))
+        return x, y, _min_bit(nx & ~bit(z)), z
     return None
 
 
-def _cover_connected(g, dec, g1, map1, inv1, structure, cfg, trace):
+def _one_path_cover(h: Graph, structure: Multipartition, vmap, x: int, y: int, z: int,
+                    w: int, missing: str) -> PathCover:
+    """The path z, (Hamiltonian x-y path of the multipartite h), w as a cover.
+
+    h is an induced subgraph with relabeling map vmap; x, y, z, w are ids of
+    the parent graph.  A missing x-y path raises with the given message.
+    """
+    path = multipartite_ham_path(h, structure, vmap.index(x), vmap.index(y))
+    if path is None:
+        raise PipelineInternalError(missing)
+    order = (z,) + tuple(vmap[i] for i in path.order) + (w,)
+    return PathCover([PathCert(order)], bit(z) | bit(w))
+
+
+def _cover_connected(g, dec, g1, map1, cfg, trace):
     """Single path through a Hamiltonian-connected G1, anchored outside."""
     v1, v2 = dec.g1_mask, dec.g2_mask
-    got = _anchor_pair(g, bits(v1), v2)
+    got = _anchor_pair(g, combinations(bits(v1), 2), v2)
     if got is None:
         # no two independently anchored vertices: a tiny cutset shatters G
         linked = [x for x in bits(v1) if g.adj[x] & v2]
@@ -443,21 +468,17 @@ def _cover_connected(g, dec, g1, map1, inv1, structure, cfg, trace):
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.anchors", w,
                                   regime_impossible=True)
     x, y, z, w = got
-    path = multipartite_ham_path(g1, structure, inv1[x], inv1[y])
-    if path is None:
-        raise PipelineInternalError("Hamiltonian-connected G1 refused a path")
-    order = (z,) + tuple(map1[i] for i in path.order) + (w,)
-    return PathCover([PathCert(order)], bit(z) | bit(w))
+    return _one_path_cover(g1, dec.g1_structure, map1, x, y, z, w,
+                           "Hamiltonian-connected G1 refused a path")
 
 
-def _cover_scattered(g, dec, g1, map1, inv1, structure, cfg, trace):
+def _cover_scattered(g, dec, g1, map1, cfg, trace):
     """The s(G1) >= 0 branch: minimum cutset T, star anchors, three subcases."""
     v1, v2 = dec.g1_mask, dec.g2_mask
+    structure = dec.g1_structure
     part_local = structure.largest_part()
-    centers_local = part_local
-    t_local = g1.full & ~part_local
-    centers = mask_of(map1[i] for i in bits(centers_local))
-    t_set = mask_of(map1[i] for i in bits(t_local))
+    centers = _lift(part_local, map1)
+    t_set = _lift(g1.full & ~part_local, map1)
     size_t = t_set.bit_count()
     size_c = centers.bit_count()
     if size_t > size_c:
@@ -483,40 +504,31 @@ def _cover_scattered(g, dec, g1, map1, inv1, structure, cfg, trace):
             raise PipelineInternalError("star-matching left under two outside anchors")
         x, y = anchored[0], anchored[1]
         z, w = outside_leaves(x)[0], outside_leaves(y)[0]
-        sub_mask = t_set | mask_of(ustar)
-        sub, smap = g.induced(sub_mask)
-        sinv = {orig: i for i, orig in enumerate(smap)}
+        sub, smap = g.induced(t_set | mask_of(ustar))
         sub_structure = multipartite_decompose(sub)
         if not isinstance(sub_structure, Multipartition):
             raise PipelineInternalError("T plus U* lost the multipartite structure")
-        path = multipartite_ham_path(sub, sub_structure, sinv[x], sinv[y])
-        if path is None:
-            raise PipelineInternalError("alternating path through T and U* missing")
-        main = (z,) + tuple(smap[i] for i in path.order) + (w,)
-        paths = [PathCert(main)]
-        w_mask = bit(z) | bit(w)
+        cover = _one_path_cover(sub, sub_structure, smap, x, y, z, w,
+                                "alternating path through T and U* missing")
         for c in sorted(stars):
             if c in set(ustar):
                 continue
             ls = stars[c]
             if not all(v2 >> l & 1 for l in ls):
                 raise PipelineInternalError("unanchored center holds a cutset partner")
-            paths.append(PathCert((ls[0], c, ls[1])))
-            w_mask |= bit(ls[0]) | bit(ls[1])
-        return PathCover(paths, w_mask)
+            cover.paths.append(PathCert((ls[0], c, ls[1])))
+            cover.w_mask |= bit(ls[0]) | bit(ls[1])
+        return cover
 
     # |T| equals the number of centers
     n1 = v1.bit_count()
     if n1 <= 21:
-        got = _anchor_pair_cross(g, t_set, centers, v2)
+        got = _anchor_pair(g, product(bits(t_set), bits(centers)), v2)
         if got is None:
             return _salvage_or_limit(g, cfg, trace, "case1.cover.balanced-small")
         x, y, z, w = got
-        path = multipartite_ham_path(g1, structure, inv1[x], inv1[y])
-        if path is None:
-            raise PipelineInternalError("cross path through balanced G1 missing")
-        order = (z,) + tuple(map1[i] for i in path.order) + (w,)
-        return PathCover([PathCert(order)], bit(z) | bit(w))
+        return _one_path_cover(g1, structure, map1, x, y, z, w,
+                               "cross path through balanced G1 missing")
 
     anchored = [c for c in sorted(stars) if outside_leaves(c)]
     if len(anchored) < 2:
@@ -524,11 +536,8 @@ def _cover_scattered(g, dec, g1, map1, inv1, structure, cfg, trace):
     x, y = anchored[0], anchored[1]
     z, w = outside_leaves(x)[0], outside_leaves(y)[0]
     if _min_edge_within(g, t_set) is not None:
-        path = multipartite_ham_path(g1, structure, inv1[x], inv1[y])
-        if path is None:
-            raise PipelineInternalError("same-part path missing despite edged cutset")
-        order = (z,) + tuple(map1[i] for i in path.order) + (w,)
-        return PathCover([PathCert(order)], bit(z) | bit(w))
+        return _one_path_cover(g1, structure, map1, x, y, z, w,
+                               "same-part path missing despite edged cutset")
     # T independent: some cutset vertex must reach outside past z
     xstar = zstar = -1
     for cand in bits(t_set):
@@ -541,28 +550,8 @@ def _cover_scattered(g, dec, g1, map1, inv1, structure, cfg, trace):
         w_cert = ToughnessWitness(cut, g.component_count(cut))
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.starved-cutset",
                                   w_cert, regime_impossible=True)
-    path = multipartite_ham_path(g1, structure, inv1[x], inv1[xstar])
-    if path is None:
-        raise PipelineInternalError("cross path missing in the balanced independent case")
-    order = (z,) + tuple(map1[i] for i in path.order) + (zstar,)
-    return PathCover([PathCert(order)], bit(z) | bit(zstar))
-
-
-def _anchor_pair_cross(g: Graph, t_set: int, centers: int, v2: int):
-    """Anchored pair with x from the cutset and y from the centers."""
-    for x in bits(t_set):
-        nx = g.adj[x] & v2
-        if not nx:
-            continue
-        for y in bits(centers):
-            ny = g.adj[y] & v2
-            if not ny or (nx | ny).bit_count() < 2:
-                continue
-            z = _min_bit(nx)
-            if ny & ~bit(z):
-                return x, y, z, _min_bit(ny & ~bit(z))
-            return x, y, _min_bit(nx & ~bit(_min_bit(ny))), _min_bit(ny)
-    return None
+    return _one_path_cover(g1, structure, map1, x, xstar, z, zstar,
+                           "cross path missing in the balanced independent case")
 
 
 def _splice(order, cover_paths) -> tuple[int, ...]:
@@ -583,6 +572,41 @@ def _splice(order, cover_paths) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: str,
+            precondition) -> CycleCert | Certificate:
+    """The step both cases end with: a Hamilton cycle of G2* (G2 plus one
+    forced edge joining the ends of each path) with the paths spliced in.
+
+    ``precondition(g2, g2star, map2, l_size)`` verifies the oracle's
+    precondition along the case's own route and writes its records; it
+    returns None when the precondition holds, else the certificate its
+    failure replays into.  Returns the spliced cycle or a certificate.
+    """
+    g2, map2 = g.induced(g2_mask)
+    if g2.n < 3:
+        return _salvage_or_limit(g, cfg, trace, f"{case}.connectivity.tiny")
+    inv2 = {orig: i for i, orig in enumerate(map2)}
+    l_local = [edge(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
+    g2star = g2.add_edges(l_local)
+    try:
+        failed = precondition(g2, g2star, map2, len(l_local))
+        if failed is not None:
+            return failed
+        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
+    except OracleLimitExceeded as exc:
+        return OracleLimit(f"{case}.{exc.stage}:cap")
+    if cyc is None:
+        raise PipelineInternalError("forced-edge oracle failed with its precondition met")
+    return CycleCert(_splice(tuple(map2[i] for i in cyc.order), paths))
+
+
+def _finish(g: Graph, cyc: CycleCert, trace: Trace, case: str) -> Certificate:
+    if not validate_cycle(g, cyc):
+        raise PipelineInternalError(f"{case} cycle failed validation")
+    trace.add("cycle", stage=case, length=len(cyc.order))
+    return HamiltonCycle(cyc)
+
+
 def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
                  trace: Trace | None = None) -> Certificate:
     """Connect the cover through G2: forced-edge cycle, then splice.
@@ -595,74 +619,48 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
     if trace is None:
         trace = Trace()
     n, t = g.n, cfg.t
-    l_edges = [edge(*p.ends) for p in cover.paths]
     bound = _threshold(n, t)
 
-    g2, map2 = g.induced(dec.g2_mask)
-    if g2.n < 3:
-        return _salvage_or_limit(g, cfg, trace, "case1.connectivity.tiny")
-    inv2 = {orig: i for i, orig in enumerate(map2)}
-    l_local = [edge(inv2[a], inv2[b]) for a, b in l_edges]
-    g2star = g2.add_edges(l_local)
-    try:
+    def precondition(g2, g2star, map2, l_size):
         alpha2, aset2 = independence(g2, cfg.cap_independence)
         kappa2, cut2 = connectivity(g2)
-        route_ok = (Fraction(len(l_edges)) <= bound and Fraction(alpha2) <= bound
+        route_ok = (Fraction(l_size) <= bound and Fraction(alpha2) <= bound
                     and Fraction(kappa2) >= _threshold(n, t, 2))
-        trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, l_size=len(l_edges),
+        trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, l_size=l_size,
                   bound=bound, route=("counting" if route_ok else "direct"))
         if not route_ok:
             # the counting route failed; check the needed inequality itself before
             # extracting a witness
             alpha_star, _ = independence(g2star, cfg.cap_independence)
             kappa_star, _ = connectivity(g2star)
-            if kappa_star < len(l_edges) + alpha_star:
-                return _case1_connectivity_witness(g, dec, cover, kappa2, cut2, map2,
-                                       alpha2, aset2, cfg, trace)
+            if kappa_star < l_size + alpha_star:
+                return _case1_connectivity_witness(g, dec, l_size, alpha2, aset2, kappa2,
+                                                   cut2, map2, cfg, trace)
             trace.add("bridge-connectivity", kappa_g2star=kappa_star, alpha_g2star=alpha_star)
-    except OracleLimitExceeded as exc:
-        return OracleLimit(f"case1.{exc.stage}:cap")
-    trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2=alpha2,
-              l_size=len(l_edges), stage="case1")
-    try:
-        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
-    except OracleLimitExceeded as exc:
-        return OracleLimit(f"case1.{exc.stage}:cap")
-    if cyc is None:
-        raise PipelineInternalError("forced-edge oracle failed with its precondition met")
-    order = _splice(tuple(map2[i] for i in cyc.order), cover.paths)
-    cert = CycleCert(order)
-    if not validate_cycle(g, cert):
-        raise PipelineInternalError("spliced case-1 cycle failed validation")
-    trace.add("cycle", stage="case1", length=len(order))
-    return HamiltonCycle(cert)
+        trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2=alpha2,
+                  l_size=l_size, stage="case1")
+        return None
+
+    got = _bridge(g, dec.g2_mask, cover.paths, cfg, trace, "case1", precondition)
+    return _finish(g, got, trace, "case1") if isinstance(got, CycleCert) else got
 
 
-def _case1_connectivity_witness(g, dec, cover, kappa2, cut2, map2, alpha2, aset2, cfg,
-                    trace) -> Certificate:
+def _case1_connectivity_witness(g, dec, l_size, alpha2, aset2, kappa2, cut2, map2, cfg,
+                                trace) -> Certificate:
     """The connectivity requirement really fails: replay its counting argument."""
     n, t = g.n, cfg.t
     bound = _threshold(n, t)
-    if Fraction(len(cover.paths)) > bound:
-        g1, map1 = g.induced(dec.g1_mask)
-        structure = multipartite_decompose(g1)
-        if isinstance(structure, Multipartition):
-            part = mask_of(map1[i] for i in bits(structure.largest_part()))
-            w = witness_from_independent_set(g, part, t)
-            if w is not None:
-                trace.add("witness", stage="case1.connectivity.paths", ratio=w.ratio,
-                          ids=bits(w.cutset))
-                return w
-    if Fraction(alpha2) > bound:
-        lifted = mask_of(map2[i] for i in bits(aset2))
-        w = witness_from_independent_set(g, lifted, t)
+    if Fraction(l_size) > bound:
+        w = _lifted_witness(g, dec.g1_structure.largest_part(), tuple(bits(dec.g1_mask)),
+                            cfg, trace, "case1.connectivity.paths")
         if w is not None:
-            trace.add("witness", stage="case1.connectivity.alpha", ratio=w.ratio,
-                      ids=bits(w.cutset))
+            return w
+    if Fraction(alpha2) > bound:
+        w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
+        if w is not None:
             return w
     if Fraction(kappa2) < _threshold(n, t, 2) and cut2 is not None:
-        cut_global = mask_of(map2[i] for i in bits(cut2))
-        return _case1_cut_replay(g, dec, cut_global, cfg, trace)
+        return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
     return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
 
 
@@ -739,73 +737,48 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
         stars = StarMatching(())
     star_paths = [PathCert((leaves[0], center, leaves[1]))
                   for center, leaves in stars.stars]
-    l_edges = [edge(*p.ends) for p in star_paths]
     trace.add("star-matching", centers=s1.bit_count(), stage="case2")
 
-    g2, map2 = g.induced(dec.g2_mask)
-    if g2.n < 3:
-        return _salvage_or_limit(g, cfg, trace, "case2.connectivity.tiny")
-    inv2 = {orig: i for i, orig in enumerate(map2)}
-    l_local = [edge(inv2[a], inv2[b]) for a, b in l_edges]
-    g2star = g2.add_edges(l_local)
-
-    bound = _threshold(n, t)
-    try:
+    def precondition(g2, g2star, map2, l_size):
         alpha_star, aset = independence(g2star, cfg.cap_independence)
         kappa2, cut2 = connectivity(g2)
-        route_ok = (Fraction(alpha_star) <= bound
-                    and Fraction(kappa2) >= Fraction(len(l_edges)) + bound)
+        route_ok = (Fraction(alpha_star) <= thr
+                    and Fraction(kappa2) >= Fraction(l_size) + thr)
         trace.add("bridge-connectivity", alpha_g2star=alpha_star, kappa_g2=kappa2,
-                  l_size=len(l_edges), bound=bound,
+                  l_size=l_size, bound=thr,
                   route=("counting" if route_ok else "direct"))
         if not route_ok:
             kappa_star, _ = connectivity(g2star)
-            if kappa_star < len(l_edges) + alpha_star:
-                if Fraction(alpha_star) > bound:
-                    lifted = mask_of(map2[i] for i in bits(aset))
-                    w = witness_from_independent_set(g, lifted, t)
+            if kappa_star < l_size + alpha_star:
+                if Fraction(alpha_star) > thr:
+                    w = _lifted_witness(g, aset, map2, cfg, trace, "case2.connectivity.alpha")
                     if w is not None:
-                        trace.add("witness", stage="case2.connectivity.alpha",
-                                  ratio=w.ratio, ids=bits(w.cutset))
                         return w
-                if Fraction(kappa2) < Fraction(len(l_edges)) + bound and cut2 is not None:
-                    cut_global = mask_of(map2[i] for i in bits(cut2))
-                    return _case2_cut_replay(g, dec, cut_global, l_edges, cfg, trace)
+                if Fraction(kappa2) < Fraction(l_size) + thr and cut2 is not None:
+                    return _case2_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
                 return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
             trace.add("bridge-connectivity", kappa_g2star=kappa_star)
-    except OracleLimitExceeded as exc:
-        return OracleLimit(f"case2.{exc.stage}:cap")
+        trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2star=alpha_star,
+                  l_size=l_size, stage="case2")
+        return None
 
-    trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2star=alpha_star,
-              l_size=len(l_edges), stage="case2")
-    try:
-        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
-    except OracleLimitExceeded as exc:
-        return OracleLimit(f"case2.{exc.stage}:cap")
-    if cyc is None:
-        raise PipelineInternalError("forced-edge oracle failed with its precondition met")
-    order = _splice(tuple(map2[i] for i in cyc.order), star_paths)
+    got = _bridge(g, dec.g2_mask, star_paths, cfg, trace, "case2", precondition)
+    if not isinstance(got, CycleCert):
+        return got
     pending = s_mask & ~s1
-    fallbacks = 0
     if pending:
         try:
-            grown, fallbacks = insert_vertices(g, CycleCert(order), pending, t,
-                                               cap=cfg.cap_oracle)
+            got, fallbacks = insert_vertices(g, got, pending, t, cap=cfg.cap_oracle)
         except CannotInsert:
             return _salvage_or_limit(g, cfg, trace, "case2.insert")
         except OracleLimitExceeded as exc:
             return OracleLimit(f"case2.{exc.stage}:cap")
-        order = grown.order
         trace.add("insertion", inserted=pending.bit_count(), fallbacks=fallbacks)
-    cert = CycleCert(order)
-    if not validate_cycle(g, cert):
-        raise PipelineInternalError("case-2 cycle failed validation")
-    trace.add("cycle", stage="case2", length=len(order))
-    return HamiltonCycle(cert)
+    return _finish(g, got, trace, "case2")
 
 
-def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, l_edges,
-                       cfg: RunConfig, trace: Trace) -> Certificate:
+def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfig,
+                      trace: Trace) -> Certificate:
     """A small cutset of G2 replays the case-2 connectivity analysis."""
     n, t = g.n, cfg.t
     comps = g.components(dec.s_mask | w_global)
@@ -834,8 +807,7 @@ def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, l_edges,
             return _forbidden(g, lifted + e, trace, "case2.connectivity.component-pattern")
         part = structure.largest_part()
         if Fraction(part.bit_count()) > _threshold(n, t):
-            lifted = mask_of(smap[i] for i in bits(part))
-            w = witness_from_independent_set(g, lifted, t)
+            w = witness_from_independent_set(g, _lift(part, smap), t)
             return _tough_or_dead_end(g, cfg, trace, "case2.connectivity.component-alpha",
                                       w, regime_impossible=True)
         if 2 * sub.min_degree() < sub.n:
@@ -853,8 +825,3 @@ def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, l_edges,
             return _forbidden(g, (a, b, c, d, x), trace, "case2.connectivity.pairing")
     return _salvage_or_limit(g, cfg, trace, "case2.connectivity.pairing-exhausted")
 
-
-def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool, str]:
-    from .certificates import check_certificate as _check
-
-    return _check(g, cert, cfg)

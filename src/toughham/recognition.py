@@ -202,35 +202,3 @@ def multipartite_decompose(g: Graph) -> Multipartition | InducedWitness:
         raise AssertionError("graph is not complete multipartite yet has no induced p2+p1")
     return witness
 
-
-@dataclass(frozen=True)
-class StructureReport:
-    kappa: int
-    delta: int
-    alpha: int
-    n: int
-
-    @property
-    def kappa_equals_delta(self) -> bool:
-        return self.kappa == self.delta
-
-    @property
-    def delta_dominates(self) -> bool:
-        return self.delta >= self.n - self.alpha
-
-    @property
-    def passed(self) -> bool:
-        return self.kappa_equals_delta and self.delta_dominates
-
-
-def structure_report(g: Graph) -> StructureReport:
-    """Connectivity, minimum degree, and independence of a complete
-    multipartite graph; passes when kappa = delta and delta >= n - alpha."""
-    mp = multipartite_decompose(g)
-    if isinstance(mp, InducedWitness):
-        raise GraphError(f"input is not (p2+p1)-free; witness {mp.vertices}")
-    from . import metrics  # local import: metrics depends on this module
-
-    kappa, _ = metrics.connectivity(g)
-    alpha, _ = metrics.independence(g)
-    return StructureReport(kappa=kappa, delta=g.min_degree(), alpha=alpha, n=g.n)

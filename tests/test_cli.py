@@ -40,6 +40,19 @@ def test_check_flags_corrupted_cycle(tmp_path):
     assert "edge-0-2-missing" in report
 
 
+def test_check_out_of_range_ids_fail_and_go_on(tmp_path):
+    inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(5)])
+    cert_path = tmp_path / "certs.txt"
+    cert_path.write_text("graph index=0 n=5 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1 2 3 9\n"
+                         "graph index=1 n=5 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1 2 3 4\n")
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert code == 1
+    assert "check index=0 result=fail" in report
+    assert "check index=1 result=pass" in report
+
+
 def test_check_missing_certificate(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(6)])
     cert_path = tmp_path / "certs.txt"

@@ -349,6 +349,11 @@ def test_check_certificate_rejects_bad_cycle():
     ok, reason = check_certificate(c5, HamiltonCycle(CycleCert((0, 2, 4, 1, 3))),
                                    RunConfig())
     assert not ok and "0-2" in reason
+    # ids outside 0..n-1 are a failed check, not an error
+    for bad in (HamiltonCycle(CycleCert((0, 1, 2, 3, 9))),
+                ForbiddenWitness(InducedWitness((0, 1, 2, 3, 9), "2p2+p1"))):
+        ok, reason = check_certificate(c5, bad, RunConfig())
+        assert not ok, reason
 
 
 def test_check_certificate_toughness_and_limit():

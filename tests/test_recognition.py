@@ -7,7 +7,7 @@ from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.metrics import independence
 from toughham.recognition import (InducedWitness, Multipartition, PATTERNS,
                                   find_induced, induces_pattern,
-                                  multipartite_decompose, structure_report)
+                                  multipartite_decompose)
 
 
 def brute_find(g, pattern):
@@ -117,20 +117,6 @@ def test_minimal_cutsets_join_completely():
             outside = g.full & ~code
             for v in bits(code):
                 assert g.adj[v] & outside == outside
-
-
-def test_structure_report_examples():
-    rep = structure_report(Graph.complete_multipartite([3, 3]))
-    assert (rep.kappa, rep.delta, rep.alpha) == (3, 3, 3) and rep.passed
-    rep = structure_report(Graph.complete(5))
-    assert (rep.kappa, rep.delta, rep.alpha) == (4, 4, 1) and rep.passed
-    rep = structure_report(Graph.complete_multipartite([2, 2, 2]))
-    assert (rep.kappa, rep.delta, rep.alpha) == (4, 4, 2) and rep.passed
-
-
-def test_structure_report_rejects_pattern():
-    with pytest.raises(GraphError):
-        structure_report(Graph.path(4))
 
 
 def test_pattern_library_shapes():
