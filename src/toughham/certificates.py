@@ -191,6 +191,8 @@ def certificate_from_record(line: str) -> Certificate:
     if kind == "hamilton-cycle":
         return HamiltonCycle(CycleCert(ids or ()))
     if kind == "toughness-witness":
+        if any(v < 0 for v in ids or ()):
+            raise ValueError("toughness witness names a negative vertex id")
         return ToughnessWitness(mask_of(ids or ()), int(fields["components"]))
     if kind == "forbidden-witness":
         return ForbiddenWitness(InducedWitness(ids or (), fields["pattern"]))

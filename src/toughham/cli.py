@@ -72,7 +72,11 @@ def _certificates_by_index(path: str):
             elif name == "cert":
                 if current is None:
                     raise ValueError("certificate record before any graph record")
-                found[current] = (current_t, certificate_from_record(line))
+                try:
+                    cert = certificate_from_record(line)
+                except (KeyError, ValueError) as exc:
+                    cert = exc  # fails the check of this graph only
+                found[current] = (current_t, cert)
     return found
 
 
@@ -86,7 +90,10 @@ def cmd_check(args, out) -> int:
             failures += 1
             continue
         t, cert = certs[index]
-        ok, reason = check_certificate(g, cert, RunConfig(t=t))
+        if isinstance(cert, Exception):
+            ok, reason = False, f"unreadable certificate: {cert}"
+        else:
+            ok, reason = check_certificate(g, cert, RunConfig(t=t))
         out.write(f"check index={index} result={'pass' if ok else 'fail'}"
                   f" reason={reason.replace(' ', '-')}\n")
         if not ok:

@@ -105,14 +105,8 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     return best, best_witness
 
 
-def probe_tough(g: Graph, t) -> ToughnessWitness | None:
-    """Cheap, incomplete violator search: the empty set, every open
-    neighborhood, and the closed multipartite form when it applies.
-
-    None means nothing was found, not that the graph is t-tough.
-    """
-    if g.is_complete():
-        return None
+def _probe_cuts(g: Graph, t) -> ToughnessWitness | None:
+    """The empty set and every open neighbourhood, as violator candidates."""
     c = g.component_count(0)
     if c >= 2 and Fraction(0, c) < t:
         return ToughnessWitness(0, c)
@@ -121,27 +115,48 @@ def probe_tough(g: Graph, t) -> ToughnessWitness | None:
         c = g.component_count(s)
         if c >= 2 and Fraction(s.bit_count(), c) < t:
             return ToughnessWitness(s, c)
-    part = _largest_part(g)
-    if part is not None:
-        c = part.bit_count()
-        if Fraction(g.n - c, c) < t:
-            return ToughnessWitness(g.full & ~part, c)
     return None
+
+
+def _part_violator(g: Graph, t, part: int) -> ToughnessWitness | None:
+    """Closed form on a complete multipartite graph with largest part
+    ``part``: removing everything else is the cheapest cut."""
+    c = part.bit_count()
+    if Fraction(g.n - c, c) < t:
+        return ToughnessWitness(g.full & ~part, c)
+    return None
+
+
+def probe_tough(g: Graph, t) -> ToughnessWitness | None:
+    """Cheap, incomplete violator search: the empty set, every open
+    neighborhood, and the closed multipartite form when it applies.
+
+    None means nothing was found, not that the graph is t-tough.
+    """
+    if g.is_complete():
+        return None
+    probe = _probe_cuts(g, t)
+    if probe is not None:
+        return probe
+    part = _largest_part(g)
+    return None if part is None else _part_violator(g, t, part)
 
 
 def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     """None if no cutset S has |S|/c(G-S) < t; otherwise a violating witness.
 
     Probes run before the cap check, so a violator can be reported even on
-    graphs too large for the exhaustive sweep.
+    graphs too large for the exhaustive sweep.  The probes are those of
+    ``probe_tough``, with the multipartite decomposition done once.
     """
     if g.is_complete():
         return None
-    probe = probe_tough(g, t)
+    probe = _probe_cuts(g, t)
     if probe is not None:
         return probe
-    if _largest_part(g) is not None:
-        return None  # the probe's closed form was exhaustive
+    part = _largest_part(g)
+    if part is not None:
+        return _part_violator(g, t, part)  # the closed form is exhaustive
     n = g.n
     # a violator of size k needs c > k/t, so k/(n-k) >= t rules it out
     for k, s, c in _cutsets(g, cap, "verify-tough", lambda k: Fraction(k, n - k) >= t):

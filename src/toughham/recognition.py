@@ -2,17 +2,34 @@
 
 A graph with no induced edge-plus-isolated-vertex is exactly a complete
 multipartite graph (its complement is a disjoint union of cliques), which is
-the structural fact the whole pipeline leans on.  Pattern search is an
-exhaustive backtracking over ascending vertex tuples, pruned by partial
-induced-embedding feasibility, so the returned witness is always the
-lexicographically smallest one.
+the structural fact the whole pipeline leans on.  Every search returns the
+lexicographically smallest ascending vertex tuple inducing its pattern.
+
+The two patterns the pipeline scans for, ``2p2+p1`` and ``p2+p1``, are
+linear forests: disjoint edges plus at most one isolated vertex.  G[X] holds
+an induced ``p2+p1`` exactly when it is not complete multipartite, which one
+pass over the non-adjacency classes of X decides in O(|X|) mask operations.
+G holds an induced ``2p2+p1`` exactly when some edge ab leaves such a G[X]
+in X = V - (N(a) u N(b)), so deciding freeness costs O(n*m) mask
+operations.  The ``p2+p1`` witness is built greedily: each position takes
+the smallest vertex above the previous one for which an exact completion
+test (a role for every chosen vertex, then the missing edges, partners and
+isolated vertex inside masks) still finds a witness, at most n completion
+tests per position.  The same greedy finds ``2p2+p1`` witnesses and is
+tested on them, but ``find_induced`` still takes those from the
+backtracker once the bitset test has found that one exists (routing them
+through the greedy is open work, ROADMAP item 2).  Every other
+pattern-library entry is searched by exhaustive backtracking over
+ascending tuples, pruned by partial induced-embedding feasibility, O(n^k)
+for a k-vertex pattern; it is also the reference the scans are tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, lex_key
+from .graph import Graph, GraphError, bits, lex_key, mask_of
 
 
 def _disjoint_union(*graphs: Graph) -> Graph:
@@ -115,17 +132,12 @@ def _is_isomorphic_small(rows: list[int], pg: Graph) -> bool:
     return _partial_embeddable(rows, pg.n, pg)
 
 
-def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
-    """Lexicographically smallest vertex tuple inducing the pattern, or None.
-
-    Exhaustive backtracking over ascending vertex tuples; a partial tuple is
-    pruned as soon as its induced subgraph no longer embeds into the pattern.
-    """
-    pg = _pattern_graph(pattern)
+def _backtrack(g: Graph, pg: Graph) -> tuple[int, ...] | None:
+    """Smallest ascending tuple inducing pg, by exhaustive backtracking; a
+    partial tuple is pruned as soon as its induced subgraph no longer embeds
+    into the pattern.  O(n^k) for a k-vertex pattern."""
     k = pg.n
     n = g.n
-    if k > n:
-        return None
     adj = g.adj
     chosen: list[int] = []
     rows: list[int] = []  # induced adjacency among chosen, little-endian in choice order
@@ -155,7 +167,143 @@ def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
                 rows[j] &= ~(1 << depth)
         return None
 
-    hit = rec(0)
+    return rec(0)
+
+
+def _parts(adj, x: int) -> list[int] | None:
+    """Parts of G[x], ordered by minimum vertex, if G[x] is complete
+    multipartite; None when it holds an induced p2+p1.
+
+    Non-adjacency must be an equivalence on x whose classes are the closed
+    non-neighbourhoods: if v and w are non-adjacent and some u is adjacent
+    to exactly one of them, {u, v, w} induces p2+p1.
+    """
+    parts = []
+    rest = x
+    while rest:
+        part = x & ~adj[(rest & -rest).bit_length() - 1]
+        for w in bits(part):
+            if x & ~adj[w] != part:
+                return None
+        parts.append(part)
+        rest &= ~part
+    return parts
+
+
+def _holds(adj, x: int, edges: int, solo: int) -> bool:
+    """Does G[x] induce `edges` disjoint edges plus `solo` (0 or 1) more
+    vertices, with no other edge among them?"""
+    if edges == 0:
+        return not solo or x != 0
+    if edges == 1 and solo:
+        return _parts(adj, x) is None
+    if edges == 1:
+        return any(adj[v] & x for v in bits(x))
+    rest = x
+    for a in bits(x):
+        rest ^= 1 << a
+        # the other pieces lie outside N[a] and N[b]
+        outside = x & ~adj[a] & ~(1 << a)
+        if not outside:
+            continue
+        for b in bits(adj[a] & rest):
+            if _holds(adj, outside & ~adj[b], edges - 1, solo):
+                return True
+    return False
+
+
+def _place(adj, partners: list[int], x: int, edges: int, solo: int) -> bool:
+    """Pick one vertex from each partner mask, then `edges` edges and `solo`
+    vertices inside x, all pairwise non-adjacent apart from those edges."""
+    if not partners:
+        return _holds(adj, x, edges, solo)
+    for r in bits(partners[0]):
+        keep = ~adj[r]
+        if _place(adj, [p & keep for p in partners[1:]], x & keep, edges, solo):
+            return True
+    return False
+
+
+def _extends(adj, prefix: list[int], above: int, edges: int, solo: int) -> bool:
+    """Is there a witness of the forest (`edges` edges, `solo` isolated
+    vertices) made of the prefix plus vertices of `above`, which holds no
+    prefix vertex?
+
+    Each prefix vertex with a neighbour in the prefix ends a whole edge; each
+    other one either is the isolated vertex or waits for a partner in
+    `above` that sees no other witness vertex.
+    """
+    inside = mask_of(prefix)
+    seen = 0
+    whole = 0
+    loose = []
+    for p in prefix:
+        seen |= adj[p]
+        d = (adj[p] & inside).bit_count()
+        if d > 1:
+            return False
+        if d:
+            whole += 1
+        else:
+            loose.append(p)
+    whole //= 2
+    free = above & ~seen
+    # the prefix vertex playing the isolated vertex, if any
+    for lone in [None] + (loose if solo else []):
+        halves = [u for u in loose if u != lone]
+        need = edges - whole - len(halves)
+        if need < 0:
+            continue
+        partners = []
+        for u in halves:
+            others = 0
+            for p in prefix:
+                if p != u:
+                    others |= adj[p]
+            partners.append(above & adj[u] & ~others)
+        if _place(adj, partners, free, need, solo - (lone is not None)):
+            return True
+    return False
+
+
+def _forest_witness(g: Graph, edges: int, solo: int) -> tuple[int, ...] | None:
+    """Smallest ascending tuple inducing `edges` disjoint edges plus `solo`
+    isolated vertices, by a greedy over positions with an exact completion
+    test; O(n*m) mask operations when there is none."""
+    adj = g.adj
+    if not _extends(adj, [], g.full, edges, solo):
+        return None
+    prefix: list[int] = []
+    for _ in range(2 * edges + solo):
+        for v in range(prefix[-1] + 1 if prefix else 0, g.n):
+            if _extends(adj, prefix + [v], g.full & ~((2 << v) - 1), edges, solo):
+                prefix.append(v)
+                break
+        else:
+            raise AssertionError("a witness exists but no prefix of it extends")
+    return tuple(prefix)
+
+
+def _scan_2p2p1(g: Graph, pg: Graph) -> tuple[int, ...] | None:
+    """Bitset freeness test; on a graph holding the pattern the backtracker,
+    which stops at its first complete tuple, returns the witness."""
+    return _backtrack(g, pg) if _holds(g.adj, g.full, 2, 1) else None
+
+
+def _scan_p2p1(g: Graph, pg: Graph) -> tuple[int, ...] | None:
+    return _forest_witness(g, 1, 1)
+
+
+# the patterns with a polynomial scan; every other one goes to the backtracker
+_SCANNERS = {"2p2+p1": _scan_2p2p1, "p2+p1": _scan_p2p1}
+
+
+def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
+    """Lexicographically smallest vertex tuple inducing the pattern, or None."""
+    pg = _pattern_graph(pattern)
+    if pg.n > g.n:
+        return None
+    hit = _SCANNERS.get(pattern, _backtrack)(g, pg)
     return InducedWitness(hit, pattern) if hit is not None else None
 
 
@@ -176,29 +324,13 @@ def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
 
 
 def multipartite_decompose(g: Graph) -> Multipartition | InducedWitness:
-    """Complete-multipartite structure of the graph, or an induced p2+p1 witness.
+    """Complete-multipartite structure of the graph, or its lexicographically
+    smallest induced p2+p1 witness.
 
-    The parts are the components of the complement; the graph is complete
-    multipartite exactly when each such component is independent in g and
-    completely joined to the rest.
+    The parts are the non-adjacency classes, which are also the components
+    of the complement.
     """
-    comp = g.complement()
-    parts = comp.components()
-    ok = True
-    for part in parts:
-        for v in bits(part):
-            if g.adj[v] & part:
-                ok = False
-                break
-            if g.adj[v] != g.full & ~part:
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
+    parts = _parts(g.adj, g.full)
+    if parts is not None:
         return Multipartition(tuple(parts))
-    witness = find_induced(g, "p2+p1")
-    if witness is None:
-        raise AssertionError("graph is not complete multipartite yet has no induced p2+p1")
-    return witness
-
+    return InducedWitness(_forest_witness(g, 1, 1), "p2+p1")

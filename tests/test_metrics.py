@@ -179,6 +179,17 @@ def test_caps_raise():
     assert verify_tough(g, Fraction(11), cap=24) is not None
 
 
+def test_verify_tough_decomposes_once(monkeypatch):
+    from toughham import metrics
+
+    calls = []
+    real = metrics.multipartite_decompose
+    monkeypatch.setattr(metrics, "multipartite_decompose",
+                        lambda g: calls.append(g) or real(g))
+    assert verify_tough(Graph.complete_multipartite([3, 3, 3]), Fraction(1)) is None
+    assert len(calls) == 1
+
+
 def test_probe_tough_is_sound():
     rng = random.Random(8)
     for _ in range(40):

@@ -342,6 +342,16 @@ def test_theorem_conformance_on_tough_free_instances():
         assert check_certificate(g, cert, cfg)[0]
 
 
+def test_large_split_join_runs_to_a_checked_cycle():
+    # n = 200: the forbidden-pattern scan must be polynomial for this to be
+    # quick (an O(n^5) scan spends about 30 s here)
+    g = complete_split_join(190, 10)
+    cfg = RunConfig(t=Fraction(11))
+    cert, _ = run_theorem(g, cfg)
+    assert isinstance(cert, HamiltonCycle)
+    assert check_certificate(g, cert, cfg)[0]
+
+
 def test_check_certificate_rejects_bad_cycle():
     c5 = Graph.cycle(5)
     ok, _ = check_certificate(c5, HamiltonCycle(CycleCert((0, 1, 2, 3, 4))), RunConfig())

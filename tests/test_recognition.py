@@ -3,11 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from toughham.graph import Graph, GraphError, bits, mask_of
+from toughham.generators import random_in_class
+from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
 from toughham.metrics import independence
 from toughham.recognition import (InducedWitness, Multipartition, PATTERNS,
-                                  find_induced, induces_pattern,
+                                  _backtrack, _forest_witness, find_induced,
+                                  induces_pattern,
                                   multipartite_decompose)
+
+# the bitset-scanned patterns, as (edges, isolated vertices)
+FORESTS = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
 
 
 def brute_find(g, pattern):
@@ -53,6 +58,51 @@ def test_find_induced_oracle_equivalence_n10():
         g = random_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
         for pattern in ("2p2+p1", "p5", "p4+p1"):
             assert (find_induced(g, pattern) is None) == (brute_find(g, pattern) is None)
+
+
+def assert_scan_agrees(g):
+    """find_induced and the greedy forest search return the backtracker's
+    witness, which is brute force's."""
+    for pattern, shape in FORESTS.items():
+        pg = PATTERNS[pattern]
+        want = _backtrack(g, pg) if pg.n <= g.n else None
+        assert want == brute_find(g, pattern), (g.adj, pattern)
+        hit = find_induced(g, pattern)
+        assert (hit.vertices if hit is not None else None) == want, (g.adj, pattern)
+        assert _forest_witness(g, *shape) == want, (g.adj, pattern)
+        if pattern == "p2+p1":
+            mp = multipartite_decompose(g)
+            assert (mp.vertices if isinstance(mp, InducedWitness) else None) == want
+
+
+def test_scan_agrees_on_every_graph_up_to_six_vertices():
+    for n in range(7):
+        for g in all_graphs(n):
+            assert_scan_agrees(g)
+
+
+def toggled(rng, g):
+    """g with one random vertex pair toggled between edge and non-edge."""
+    u, v = rng.sample(range(g.n), 2)
+    rows = list(g.adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph(g.n, rows)
+
+
+def test_scan_agrees_on_random_and_near_free_graphs():
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randrange(7, 17)
+        assert_scan_agrees(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
+    # near-free: one pair away from a complete multipartite or a sampled
+    # pattern-free graph, so witnesses are rare and sit anywhere
+    for seed in range(40):
+        sizes = [rng.randrange(1, 5) for _ in range(rng.randrange(2, 7))]
+        assert_scan_agrees(toggled(rng, Graph.complete_multipartite(sizes)))
+        free = random_in_class(rng.randrange(7, 14), rng.choice([0.5, 0.7]), seed)
+        assert_scan_agrees(free)
+        assert_scan_agrees(toggled(rng, free))
 
 
 def test_find_induced_rejects_unknown_pattern():
