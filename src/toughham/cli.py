@@ -1,7 +1,9 @@
 """Command-line surface: batch runs, certificate checking, metrics, surveys.
 
 Machine-parsable line records first, human-readable second.  Exit codes:
-0 success, 1 check failure, 2 usage error, 3 oracle limit encountered.
+0 success, 1 check failure, 2 usage error, 3 oracle limit encountered,
+4 some graph of a ``run`` batch could not be certified (it gets an
+``error`` record and the batch goes on); 4 takes precedence over 3.
 """
 
 from __future__ import annotations
@@ -15,21 +17,29 @@ from .certificates import (OracleLimit, RunConfig, certificate_from_record,
                            certificate_kind, certificate_to_record, check_certificate,
                            fmt_q, parse_q, parse_record, record_line)
 from .generators import GenerationError, generate
-from .graph import Graph
-from .graph6 import Graph6Error, read_graph6_file
-from .pipeline import run_theorem
+from .graph import Graph, GraphError
+from .graph6 import Graph6Error, read_graph6_file, write_graph6
+from .pipeline import PipelineInternalError, run_theorem
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_LIMIT = 3
+EXIT_GRAPH_ERROR = 4
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _config_from_args(args, t: Fraction) -> RunConfig:
     cfg = RunConfig(t=t)
-    if args.cap_toughness:
+    if args.cap_toughness is not None:
         cfg.cap_subsets = args.cap_toughness
-    if args.cap_oracle:
+    if args.cap_oracle is not None:
         cfg.cap_oracle = args.cap_oracle
     return cfg
 
@@ -38,10 +48,18 @@ def cmd_run(args, out) -> int:
     t = parse_q(args.t)
     cfg = _config_from_args(args, t)
     graphs = read_graph6_file(args.input)
-    limit_hit = False
+    limit_hit = errors = False
     records: list[str] = []
     for index, g in enumerate(graphs):
-        cert, trace = run_theorem(g, cfg)
+        try:
+            cert, trace = run_theorem(g, cfg)
+        except (GraphError, PipelineInternalError) as exc:
+            kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
+            records.append(record_line("error", [
+                ("index", index), ("n", g.n), ("kind", kind),
+                ("reason", str(exc).replace(" ", "-")), ("graph6", write_graph6(g))]))
+            errors = True
+            continue
         records.append(record_line("graph", [("index", index), ("n", g.n), ("t", t)]))
         records.extend(trace)
         records.append(certificate_to_record(cert))
@@ -53,6 +71,8 @@ def cmd_run(args, out) -> int:
             fh.write(text)
     else:
         out.write(text)
+    if errors:
+        return EXIT_GRAPH_ERROR
     return EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
 
 
@@ -159,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--t", default="11", help="toughness parameter, NUM/DEN")
     p_run.add_argument("--input", required=True, help="graph6 file, one graph per line")
     p_run.add_argument("--out", default="-", help="certificate file (default stdout)")
-    p_run.add_argument("--cap-toughness", type=int, default=None)
-    p_run.add_argument("--cap-oracle", type=int, default=None)
+    p_run.add_argument("--cap-toughness", type=_positive_int, default=None)
+    p_run.add_argument("--cap-oracle", type=_positive_int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="validate a certificate file")

@@ -11,6 +11,17 @@ cutset leaves a remainder inside a single part and the optima are attained
 at full parts.  That structured route is what makes the 11-tough acceptance
 instance (clique joined to two isolated vertices, n = 24) tractable, where
 blind subset enumeration would pay for 2^24 masks.
+
+Vertex connectivity runs unit max flows on the vertex-split digraph, whose
+residual graph is held as one int mask per node: a pair's flow starts from
+its paths through common neighbours, augmenting paths come from a BFS over
+masks, and augmenting flips bits.  Even's bound limits the flows to pairs
+whose smaller vertex is among the first kappa + 1, and a pair stops once
+its flow reaches the best cut so far.  None of this changes the cut that is
+returned: each pair's cut is the one nearest to its smaller vertex, which
+every maximum flow determines alike, and the pair that supplies the answer
+is still the first pair, in lexicographic order, whose cut has kappa
+vertices (see ``connectivity``).
 """
 
 from __future__ import annotations
@@ -192,59 +203,99 @@ def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
 
 # --- vertex connectivity via max flow ----------------------------------------
 
-def _min_vertex_cut_pair(g: Graph, s: int, t: int) -> int:
-    """Mask of a minimum vertex cut separating non-adjacent s and t.
+def _split_residual(g: Graph) -> list[int]:
+    """Residual arcs of the flow-free vertex-split digraph, one mask per node.
 
-    Vertex-split digraph: node 2v is v_in, 2v+1 is v_out; v_in->v_out has
-    capacity one, edge arcs are effectively uncapacitated so the min cut
-    crosses vertex arcs only.  Max flow equals the number of internally
-    disjoint s-t paths (Menger).
+    Node 2v is v_in and 2v+1 is v_out.  v_in -> v_out has capacity one and
+    v_out -> w_in, for every edge vw, is uncapacitated, so a minimum cut
+    crosses vertex arcs only.
     """
-    n = g.n
-    big = n + 1
-    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
-    for v in range(n):
-        cap[2 * v][2 * v + 1] = 1
-        for w in bits(g.adj[v]):
-            cap[2 * v + 1][2 * w] = big
+    res = []
+    for v in range(g.n):
+        res.append(1 << (2 * v + 1))
+        res.append(sum(1 << (2 * w) for w in bits(g.adj[v])))
+    return res
+
+
+def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | None:
+    """Mask of the minimum vertex cut separating non-adjacent s and t that
+    lies nearest to s, or None once ``limit`` disjoint s-t paths are found.
+
+    ``base`` is ``_split_residual`` of the graph.  The flow starts with one
+    unit on each path s - w - t through a common neighbour w; these paths
+    are disjoint.  Augmenting paths come from a BFS over residual masks, and
+    augmenting flips bits: a unit arc (vertex arcs, and reversed edge arcs)
+    moves to the other direction, while an uncapacitated edge arc stays and
+    gains its reverse.  Each vertex carries at most one unit, so one bit per
+    direction holds the whole residual.  The cut is the set of vertices
+    whose in-node is reachable from s in the final residual graph and whose
+    out-node is not; that set is the same for every maximum flow, whatever
+    flow it started from and whatever order the augmentations take.
+    """
+    res = base[:]
     source, sink = 2 * s + 1, 2 * t
+    sink_bit = 1 << sink
+    common = base[source] & base[sink + 1]  # in-nodes of common neighbours
+    flow = common.bit_count()
+    if flow >= limit:
+        return None
+    res[sink] |= common << 1
+    while common:
+        low = common & -common
+        w_in = low.bit_length() - 1
+        res[w_in] = 1 << source
+        res[w_in + 1] |= low
+        common ^= low
     while True:
-        prev = {source: -1}
-        queue = [source]
-        qi = 0
-        while qi < len(queue) and sink not in prev:
-            x = queue[qi]
-            qi += 1
-            for y, c in cap[x].items():
-                if c > 0 and y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        if sink not in prev:
+        layers = []
+        seen = frontier = 1 << source
+        while frontier and not seen & sink_bit:
+            layers.append(frontier)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= res[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if not seen & sink_bit:
             break
-        # augment one unit (every s-t path crosses some vertex arc)
+        flow += 1
+        if flow >= limit:
+            return None
         y = sink
-        while y != source:
-            x = prev[y]
-            cap[x][y] -= 1
-            cap[y][x] = cap[y].get(x, 0) + 1
+        for layer in reversed(layers):
+            while True:  # a node of the previous layer with an arc into y
+                low = layer & -layer
+                x = low.bit_length() - 1
+                if res[x] >> y & 1:
+                    break
+                layer ^= low
+            res[y] |= low
+            if not x & 1 or y == x - 1:  # a unit arc; edge arcs v_out -> w_in stay
+                res[x] &= ~(1 << y)
             y = x
-    reach = {source}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        for y, c in cap[x].items():
-            if c > 0 and y not in reach:
-                reach.add(y)
-                stack.append(y)
     cut = 0
-    for v in range(n):
-        if 2 * v in reach and 2 * v + 1 not in reach:
+    for v in range(len(base) // 2):
+        if seen >> (2 * v) & 3 == 1:
             cut |= bit(v)
     return cut
 
 
 def connectivity(g: Graph):
-    """(kappa, minimum cutset mask) with the n-1 convention for complete graphs."""
+    """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
+
+    The cut is that of the first non-adjacent pair (s, t), in lexicographic
+    order, whose pair cut has kappa vertices.  Even's bound (SIAM J.
+    Comput. 1975) ends the pair loop once s exceeds the best cut size.
+    That first pair has s <= kappa: a minimum cut C has kappa vertices, so
+    some i <= kappa lies outside it, and i with a vertex of another
+    component of G - C is a pair with smaller vertex at most i whose cut
+    has kappa vertices.  A pair stops augmenting once its flow reaches the
+    best cut size, since it can then no longer beat it.  The best cut is
+    replaced only on a strict improvement, so the cut returned is the one
+    a loop over every non-adjacent pair would return.
+    """
     n = g.n
     if g.is_complete():
         return max(n - 1, 0), None
@@ -253,15 +304,18 @@ def connectivity(g: Graph):
     part = _largest_part(g)
     if part is not None:
         return n - part.bit_count(), g.full & ~part
-    best_cut = None
+    base = _split_residual(g)
+    best_cut, size = None, n
     for s in range(n):
+        if s > size:
+            break
         others = (g.full & ~g.adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
         for t in bits(others):
-            cut = _min_vertex_cut_pair(g, s, t)
-            if best_cut is None or cut.bit_count() < best_cut.bit_count():
-                best_cut = cut
+            cut = _min_vertex_cut_pair(base, s, t, size)
+            if cut is not None:
+                best_cut, size = cut, cut.bit_count()
     assert best_cut is not None
-    return best_cut.bit_count(), best_cut
+    return size, best_cut
 
 
 def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):

@@ -115,6 +115,50 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
 
 
+def test_run_batch_goes_on_past_an_invalid_graph(tmp_path):
+    k3, k2, c5 = Graph.complete(3), Graph.complete(2), Graph.cycle(5)
+    code, out = run_cli(["run", "--input", write_inputs(tmp_path, [k3, k2, c5])])
+    assert code == 4
+    lines = out.splitlines()
+    assert ("error index=1 n=2 kind=input "
+            "reason=certification-needs-at-least-three-vertices graph6=A_") in lines
+    # the valid graphs' records are those of a batch without the bad graph
+    code, clean = run_cli(["run", "--input", write_inputs(tmp_path, [k3, c5], "clean.g6")])
+    assert code == 0
+    kept = [line.replace("graph index=2 ", "graph index=1 ") for line in lines
+            if not line.startswith("error ")]
+    assert kept == clean.splitlines()
+
+
+def test_run_internal_error_record_beats_oracle_limit(tmp_path, monkeypatch):
+    from toughham import cli
+    from toughham.certificates import OracleLimit
+    from toughham.pipeline import PipelineInternalError
+
+    def fake(g, cfg):
+        if g.n == 4:
+            raise PipelineInternalError("unreachable state at test")
+        return OracleLimit("gate.ham-cycle-forced:cap"), []
+
+    monkeypatch.setattr(cli, "run_theorem", fake)
+    inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(4), Graph.cycle(6)])
+    code, out = run_cli(["run", "--input", inp])
+    assert code == 4
+    assert out.count("cert kind=oracle-limit") == 2
+    assert ("error index=1 n=4 kind=internal reason=unreachable-state-at-test "
+            "graph6=Cl") in out.splitlines()
+
+
+def test_run_rejects_caps_that_are_not_positive(tmp_path):
+    inp = write_inputs(tmp_path, [Graph.cycle(5)])
+    for flag in ("--cap-oracle", "--cap-toughness"):
+        for value in ("0", "-3"):
+            code, out = run_cli(["run", "--input", inp, flag, value])
+            assert code == 2 and out == "", (flag, value)
+        code, _ = run_cli(["run", "--input", inp, flag, "1"])
+        assert code != 2, flag
+
+
 def test_oracle_limit_exit_code(tmp_path):
     # pattern-free, min degree above the gate threshold but below n/2, and
     # too many vertices for the default oracle cap: the run is inconclusive

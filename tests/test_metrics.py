@@ -4,13 +4,14 @@ The naive oracles below use plain sets and itertools, sharing no code with
 the bitset solvers they check.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from toughham.graph import Graph, bits
+from toughham.graph import Graph, all_graphs, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
                               validate_scattering_set, validate_toughness_witness,
@@ -33,6 +34,16 @@ def naive_components(n, edge_set, removed):
     return comps
 
 
+def naive_kappa(n, edge_set):
+    """Size of the smallest vertex set whose removal disconnects the graph,
+    with the n-1 convention for complete graphs."""
+    for k in range(n):
+        if any(naive_components(n, edge_set, set(c)) >= 2
+               for c in combinations(range(n), k)):
+            return k
+    return max(n - 1, 0)
+
+
 def naive_metrics(g):
     """(toughness, scattering, kappa, alpha) by full enumeration."""
     n = g.n
@@ -48,13 +59,7 @@ def naive_metrics(g):
             scat = c - k if scat is None else max(scat, c - k)
     if tough is None:
         tough = scat = INF
-    kappa = n - 1
-    for k in range(n):
-        found = any(naive_components(n, edge_set, set(c)) >= 2
-                    for c in combinations(range(n), k))
-        if found:
-            kappa = k
-            break
+    kappa = naive_kappa(n, edge_set)
     alpha = max(len(c) for k in range(n + 1) for c in combinations(range(n), k)
                 if all(frozenset(p) not in edge_set for p in combinations(c, 2)))
     return tough, scat, kappa, alpha
@@ -148,16 +153,50 @@ def test_kappa_at_most_delta():
 
 
 def test_connectivity_cutset_is_minimum():
+    # kappa against subset enumeration on n <= 8
     rng = random.Random(17)
-    for _ in range(40):
-        n = rng.randrange(2, 9)
-        g = random_graph(rng, n, rng.choice([0.4, 0.7]))
+    graphs = [random_graph(rng, rng.randrange(2, 9), rng.choice([0.4, 0.7]))
+              for _ in range(40)]
+    graphs += [random_graph(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.95))
+               for _ in range(260)]
+    for g in graphs:
         kappa, cut = connectivity(g)
-        _, _, naive_kappa, _ = naive_metrics(g)
-        assert kappa == naive_kappa
+        assert kappa == naive_kappa(g.n, {frozenset(e) for e in g.edges()}), g.adj
         if cut is not None:
             assert cut.bit_count() == kappa
             assert len(g.components(cut)) >= 2
+
+
+def _cut_corpus():
+    """Every graph on n <= 6, then seeded random graphs on n 7..24."""
+    for n in range(7):
+        yield from all_graphs(n)
+    rng = random.Random(4242)
+    for _ in range(300):
+        yield random_graph(rng, rng.randrange(7, 25), rng.uniform(0.2, 0.85))
+
+
+def test_connectivity_cuts_are_pinned():
+    # the case-1 and case-2 cut replays build their witnesses from the exact
+    # cut, so the cut itself is pinned, not only its size; the digest was
+    # taken from the per-pair max flow over every non-adjacent pair
+    h = hashlib.sha256()
+    for g in _cut_corpus():
+        h.update(f"{connectivity(g)}\n".encode())
+    assert h.hexdigest() == (
+        "902b0bef20bac178f84b9ce71b3d5660c35e2da0a37d591277e475e56559eb82")
+
+
+def test_connectivity_flows_start_only_below_kappa(monkeypatch):
+    # Even's bound: pairs whose smaller vertex is past kappa are never solved
+    from toughham import metrics
+
+    starts = []
+    real = metrics._min_vertex_cut_pair
+    monkeypatch.setattr(metrics, "_min_vertex_cut_pair",
+                        lambda base, s, t, limit: starts.append(s) or real(base, s, t, limit))
+    assert connectivity(Graph.cycle(12)) == (2, 0b100000000010)
+    assert starts and max(starts) <= 2
 
 
 def test_independence_witness_is_independent():
