@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, bits, mask_of
-from .hamilton import CycleCert
-from .metrics import ToughnessWitness
+from .hamilton import DEFAULT_ORACLE_CAP, CycleCert
+from .metrics import DEFAULT_SUBSET_CAP, ToughnessWitness
 from .recognition import InducedWitness, induces_pattern
 
 FORBIDDEN_PATTERN = "2p2+p1"
@@ -28,15 +28,14 @@ class RunConfig:
     """Knobs for one pipeline run; defaults mirror the proven regime."""
 
     t: Fraction = Fraction(11)
-    cap_subsets: int = 24      # exact toughness/scattering enumeration
-    cap_independence: int = 64
-    cap_oracle: int = 32       # Hamilton-cycle backtracking
+    cap_subsets: int = DEFAULT_SUBSET_CAP   # exact toughness/scattering enumeration
+    cap_oracle: int = DEFAULT_ORACLE_CAP    # Hamilton-cycle backtracking
 
     def __post_init__(self):
         self.t = Fraction(self.t)
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if min(self.cap_subsets, self.cap_independence, self.cap_oracle) < 1:
+        if min(self.cap_subsets, self.cap_oracle) < 1:
             raise ValueError("solver caps must be positive")
 
 

@@ -4,6 +4,11 @@ Machine-parsable line records first, human-readable second.  Exit codes:
 0 success, 1 check failure, 2 usage error, 3 oracle limit encountered,
 4 some graph of a ``run`` batch could not be certified (it gets an
 ``error`` record and the batch goes on); 4 takes precedence over 3.
+
+A malformed graph6 line ends no ``run`` or ``check`` batch: ``run`` gives
+it an ``error`` record, ``check`` fails it (``unreadable-graph``), as it
+fails unreadable ``cert`` records and graphs ``run`` gave an ``error``
+record (``run-error``).  ``metrics`` stops at the first malformed line.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .certificates import (OracleLimit, RunConfig, certificate_from_record,
                            fmt_q, parse_q, parse_record, record_line)
 from .generators import GenerationError, generate
 from .graph import Graph, GraphError
-from .graph6 import Graph6Error, read_graph6_file, write_graph6
+from .graph6 import Graph6Error, read_graph6_lines, write_graph6
 from .pipeline import PipelineInternalError, run_theorem
 
 EXIT_OK = 0
@@ -44,20 +49,31 @@ def _config_from_args(args, t: Fraction) -> RunConfig:
     return cfg
 
 
+def _error_record(index: int, exc: Exception, g: Graph | None = None) -> str:
+    """The ``error`` record of a graph that cannot be certified; a line that
+    does not parse (no ``g``) has no ``n`` and no ``graph6`` field."""
+    kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
+    reason = ("reason", str(exc).replace(" ", "-"))
+    if g is None:
+        return record_line("error", [("index", index), ("kind", kind), reason])
+    return record_line("error", [("index", index), ("n", g.n), ("kind", kind), reason,
+                                 ("graph6", write_graph6(g))])
+
+
 def cmd_run(args, out) -> int:
     t = parse_q(args.t)
     cfg = _config_from_args(args, t)
-    graphs = read_graph6_file(args.input)
     limit_hit = errors = False
     records: list[str] = []
-    for index, g in enumerate(graphs):
+    for index, g in enumerate(read_graph6_lines(args.input)):
+        if isinstance(g, Graph6Error):
+            records.append(_error_record(index, g))
+            errors = True
+            continue
         try:
             cert, trace = run_theorem(g, cfg)
         except (GraphError, PipelineInternalError) as exc:
-            kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
-            records.append(record_line("error", [
-                ("index", index), ("n", g.n), ("kind", kind),
-                ("reason", str(exc).replace(" ", "-")), ("graph6", write_graph6(g))]))
+            records.append(_error_record(index, exc, g))
             errors = True
             continue
         records.append(record_line("graph", [("index", index), ("n", g.n), ("t", t)]))
@@ -77,7 +93,9 @@ def cmd_run(args, out) -> int:
 
 
 def _certificates_by_index(path: str):
-    found: dict[int, tuple[Fraction, object]] = {}
+    """Per graph index, (t, certificate), or the reason its check fails
+    without one: an unreadable ``cert`` record or a ``run`` error record."""
+    found: dict[int, tuple[Fraction, object] | str] = {}
     current = None
     current_t = Fraction(11)
     with open(path, encoding="ascii") as fh:
@@ -93,27 +111,30 @@ def _certificates_by_index(path: str):
                 if current is None:
                     raise ValueError("certificate record before any graph record")
                 try:
-                    cert = certificate_from_record(line)
+                    found[current] = (current_t, certificate_from_record(line))
                 except (KeyError, ValueError) as exc:
-                    cert = exc  # fails the check of this graph only
-                found[current] = (current_t, cert)
+                    found[current] = f"unreadable certificate: {exc}"
+            elif name == "error":
+                found[int(fields["index"])] = f"run error:{fields.get('reason', '')}"
     return found
 
 
 def cmd_check(args, out) -> int:
-    graphs = read_graph6_file(args.graph)
+    graphs = read_graph6_lines(args.graph)
     certs = _certificates_by_index(args.cert)
     failures = 0
     for index, g in enumerate(graphs):
-        if index not in certs:
+        got = certs.get(index)
+        if isinstance(g, Graph6Error):
+            ok, reason = False, f"unreadable graph: {g}"
+        elif got is None:
             out.write(f"check index={index} result=missing\n")
             failures += 1
             continue
-        t, cert = certs[index]
-        if isinstance(cert, Exception):
-            ok, reason = False, f"unreadable certificate: {cert}"
+        elif isinstance(got, str):
+            ok, reason = False, got
         else:
-            ok, reason = check_certificate(g, cert, RunConfig(t=t))
+            ok, reason = check_certificate(g, got[1], RunConfig(t=got[0]))
         out.write(f"check index={index} result={'pass' if ok else 'fail'}"
                   f" reason={reason.replace(' ', '-')}\n")
         if not ok:
@@ -143,7 +164,11 @@ def _metrics_line(g: Graph) -> tuple[str, bool]:
 
 def cmd_metrics(args, out) -> int:
     limit_hit = False
-    for g in read_graph6_file(args.input):
+    graphs = read_graph6_lines(args.input)
+    for g in graphs:
+        if isinstance(g, Graph6Error):
+            raise g  # before any output: metrics stops at the first malformed line
+    for g in graphs:
         line, limited = _metrics_line(g)
         out.write(line + "\n")
         limit_hit = limit_hit or limited

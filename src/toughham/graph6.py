@@ -92,11 +92,16 @@ def write_graph6(g: Graph) -> str:
     return head + "".join(chunks)
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    graphs = []
+def read_graph6_lines(path: str) -> list[Graph | Graph6Error]:
+    """Per non-empty line of a graph6 file, its graph or the Graph6Error it
+    raised, so that a malformed line fails only its own graph."""
+    graphs: list[Graph | Graph6Error] = []
     with open(path, encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                graphs.append(parse_graph6(line))
+                try:
+                    graphs.append(parse_graph6(line))
+                except Graph6Error as exc:
+                    graphs.append(exc)
     return graphs

@@ -49,7 +49,7 @@ class CannotInsert(Exception):
         self.vertex = vertex
 
 
-def validate_cycle(g: Graph, cert: CycleCert, cover: int | None = None) -> bool:
+def validate_cycle(g: Graph, cert: CycleCert) -> bool:
     order = cert.order
     if len(order) < 3 or len(set(order)) != len(order):
         return False
@@ -58,7 +58,7 @@ def validate_cycle(g: Graph, cert: CycleCert, cover: int | None = None) -> bool:
         if not 0 <= v < g.n:
             return False
         m |= bit(v)
-    if m != (cover if cover is not None else g.full):
+    if m != g.full:
         return False
     return all(g.has_edge(order[i], order[(i + 1) % len(order)]) for i in range(len(order)))
 

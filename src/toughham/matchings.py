@@ -25,14 +25,6 @@ class StarMatching:
 
     stars: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def vertices(self) -> int:
-        m = 0
-        for center, leaves in self.stars:
-            m |= bit(center)
-            for leaf in leaves:
-                m |= bit(leaf)
-        return m
-
     def centers(self) -> int:
         m = 0
         for center, _ in self.stars:

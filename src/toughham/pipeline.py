@@ -4,8 +4,12 @@ One run either builds a Hamilton cycle, or returns a machine-checkable
 counter-witness (a toughness-violating cutset or an induced forbidden
 pattern) extracted by replaying the failed step's own counting argument,
 or reports an oracle limit.  The dispatcher order is: forbidden-pattern
-scan, minimum-degree gate, the low-union-neighborhood edge case, then the
-no-such-edge case.
+scan, minimum-degree gate, then the proof's two cases.  Case 1: some edge
+uv has a small union neighborhood; its split (a ``Decomposition``) yields
+a path cover of G1 through outside anchors.  Case 2: no edge does; the
+low-degree vertices form an independent set S, those of lowest degree are
+starred out, and the rest are inserted afterwards.  Both cases end in one
+bridge step: a forced-edge Hamilton cycle of G2 with the paths spliced in.
 
 With t below 11 a replay can reach a genuinely inconclusive state (the
 proven-regime arithmetic no longer forces a contradiction); those runs end
@@ -27,7 +31,7 @@ from .graph import Graph, GraphError, bit, bits, edge, lex_key, mask_of
 from .hamilton import (CannotInsert, CycleCert, PathCert, dirac_cycle, ham_cycle_forced,
                        insert_vertices, multipartite_ham_path, validate_cycle,
                        validate_path)
-from .matchings import StarMatching, k1t_matching
+from .matchings import k1t_matching
 from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       independence, scattering, validate_toughness_witness,
                       verify_tough, witness_from_independent_set)
@@ -43,18 +47,22 @@ class PipelineInternalError(RuntimeError):
 
 @dataclass
 class Decomposition:
-    """Vertex-set split driving one case of the engine."""
+    """The case-1 split around an edge uv with a small union neighborhood.
 
-    case: int
+    S is N(u) ∪ N(v) minus u, v; D1 = {u, v} and D2 are the two components
+    of G - S; S1 holds the vertices of S with few neighbors in D2.  G1 is
+    S1 plus D1 and G2 is S2 plus D2.
+    """
+
+    uv: tuple[int, int]
     s_mask: int
     s1_mask: int
     s2_mask: int
     g1_mask: int
     g2_mask: int
-    uv: tuple[int, int] | None = None   # case 1 only
-    d1_mask: int = 0                    # case 1 only
-    d2_mask: int = 0                    # case 1 only
-    g1_structure: Multipartition | None = None  # case 1 only, in the ids of induced G1
+    d1_mask: int
+    d2_mask: int
+    g1_structure: Multipartition  # in the ids of induced G1
 
     def violations(self, g: Graph) -> list[str]:
         bad = []
@@ -62,27 +70,19 @@ class Decomposition:
             bad.append("S1 and S2 overlap")
         if self.s1_mask | self.s2_mask != self.s_mask:
             bad.append("S1 and S2 do not partition S")
-        if self.case == 1:
-            u, v = self.uv
-            if g.set_neighborhood(bit(u) | bit(v)) != self.s_mask:
-                bad.append("S is not the punctured union neighborhood of uv")
-            if self.d1_mask != bit(u) | bit(v):
-                bad.append("D1 is not {u,v}")
-            if self.g1_mask != self.s1_mask | self.d1_mask:
-                bad.append("V(G1) is not S1 plus {u,v}")
-            if self.g2_mask != self.s2_mask | self.d2_mask:
-                bad.append("V(G2) is not S2 plus V(D2)")
-            if self.s_mask | self.d1_mask | self.d2_mask != g.full:
-                bad.append("S, D1, D2 do not cover the graph")
-            if self.g1_structure is None:
-                bad.append("G1 has no multipartition")
-        else:
-            if not metrics.is_independent(g, self.s_mask):
-                bad.append("S is not independent")
-            if self.s1_mask & ~self.s_mask:
-                bad.append("S1 is not inside S")
-            if self.g2_mask != g.full & ~self.s_mask:
-                bad.append("V(G2) is not V minus S")
+        u, v = self.uv
+        if g.set_neighborhood(bit(u) | bit(v)) != self.s_mask:
+            bad.append("S is not the punctured union neighborhood of uv")
+        if self.d1_mask != bit(u) | bit(v):
+            bad.append("D1 is not {u,v}")
+        if self.g1_mask != self.s1_mask | self.d1_mask:
+            bad.append("V(G1) is not S1 plus {u,v}")
+        if self.g2_mask != self.s2_mask | self.d2_mask:
+            bad.append("V(G2) is not S2 plus V(D2)")
+        if self.s_mask | self.d1_mask | self.d2_mask != g.full:
+            bad.append("S, D1, D2 do not cover the graph")
+        if self.g1_structure is None:
+            bad.append("G1 has no multipartition")
         return bad
 
 
@@ -94,7 +94,7 @@ class PathCover:
     w_mask: int
 
     def violations(self, g: Graph, g1_mask: int, g2_mask: int,
-                   expected_count: int | None = None) -> list[str]:
+                   expected_count: int) -> list[str]:
         bad = []
         seen = 0
         for p in self.paths:
@@ -114,7 +114,7 @@ class PathCover:
             bad.append("W is not inside G2")
         if g1_mask & ~seen:
             bad.append("G1 is not covered")
-        if expected_count is not None and len(self.paths) != expected_count:
+        if len(self.paths) != expected_count:
             bad.append(f"{len(self.paths)} paths, expected {expected_count}")
         return bad
 
@@ -147,11 +147,16 @@ def _salvage_or_limit(g: Graph, cfg: RunConfig, trace: Trace, stage: str,
     return OracleLimit(stage)
 
 
+def _witness(trace: Trace, stage: str, w: ToughnessWitness) -> ToughnessWitness:
+    """Write the trace record of a toughness witness and return it."""
+    trace.add("witness", stage=stage, ratio=w.ratio, ids=bits(w.cutset))
+    return w
+
+
 def _tough_or_dead_end(g, cfg, trace, stage, witness,
                        regime_impossible=False) -> Certificate:
     if witness is not None and validate_toughness_witness(g, witness, cfg.t):
-        trace.add("witness", stage=stage, ratio=witness.ratio, ids=bits(witness.cutset))
-        return witness
+        return _witness(trace, stage, witness)
     return _salvage_or_limit(g, cfg, trace, stage, regime_impossible)
 
 
@@ -165,9 +170,7 @@ def _lifted_witness(g: Graph, indep: int, vmap, cfg: RunConfig, trace: Trace,
     """Toughness witness from an independent set of an induced subgraph,
     lifted to g and traced; None when it fails validation."""
     w = witness_from_independent_set(g, _lift(indep, vmap), cfg.t)
-    if w is not None:
-        trace.add("witness", stage=stage, ratio=w.ratio, ids=bits(w.cutset))
-    return w
+    return None if w is None else _witness(trace, stage, w)
 
 
 def _forbidden(g: Graph, vertices, trace: Trace, stage: str) -> Certificate:
@@ -188,10 +191,6 @@ def _min_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
 
 def _min_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _min_degree_vertex(g: Graph) -> int:
-    return min(range(g.n), key=lambda v: (g.adj[v].bit_count(), v))
 
 
 # --- dispatcher ---------------------------------------------------------------
@@ -230,16 +229,16 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
     return case2_run(g, cfg, trace), trace.lines
 
 
+def _small_union(g: Graph, size: int) -> bool:
+    """The case-1 edge test on the size of N(u) ∪ N(v): at most 5n/12."""
+    return 12 * size <= 5 * g.n
+
+
 def _case1_edge(g: Graph) -> tuple[int, int] | None:
     """Qualifying edge minimizing the union neighborhood, lex-smallest on ties."""
-    best = None
-    for u, v in g.edges():
-        size = (g.adj[u] | g.adj[v]).bit_count()
-        if 12 * size <= 5 * g.n:
-            key = (size, u, v)
-            if best is None or key < best:
-                best = key
-    return None if best is None else (best[1], best[2])
+    keys = (((g.adj[u] | g.adj[v]).bit_count(), u, v) for u, v in g.edges())
+    best = min((key for key in keys if _small_union(g, key[0])), default=None)
+    return None if best is None else best[1:]
 
 
 def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace | None = None
@@ -279,19 +278,17 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace | None = None
         if witness is None:
             raise PipelineInternalError(
                 "non-Hamiltonian t-tough graph above the degree threshold")
-        trace.add("witness", stage="gate", ratio=witness.ratio,
-                  ids=bits(witness.cutset))
-        return witness
+        return _witness(trace, "gate", witness)
     trace.add("gate", fired=False, delta=delta, threshold=thr)
     if Fraction(delta) < 2 * cfg.t:
-        v = _min_degree_vertex(g)
+        v = min(range(n), key=lambda x: (g.adj[x].bit_count(), x))
         w = ToughnessWitness(g.adj[v], g.component_count(g.adj[v]))
         trace.add("gate-fact", fact="min-degree-below-2t", vertex=v)
         return _tough_or_dead_end(g, cfg, trace, "gate.low-degree", w,
                                   regime_impossible=True)
     trace.add("gate-fact", fact="delta-at-least-2t", delta=delta)
     try:
-        alpha, aset = independence(g, cfg.cap_independence)
+        alpha, aset = independence(g)
     except OracleLimitExceeded:
         trace.add("gate-fact", fact="alpha", alpha="skipped")
         return None
@@ -322,7 +319,7 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         raise GraphError(f"({u},{v}) is not an edge")
     n, t = g.n, cfg.t
     union = g.adj[u] | g.adj[v]
-    if 12 * union.bit_count() > 5 * n:
+    if not _small_union(g, union.bit_count()):
         raise GraphError("edge does not satisfy the case-1 precondition")
     s_mask = union & ~bit(u) & ~bit(v)
     d1 = bit(u) | bit(v)
@@ -359,34 +356,30 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         if Fraction((g.adj[x] & d2).bit_count()) < thr2:
             s1 |= bit(x)
     s2 = s_mask & ~s1
-    dec = Decomposition(case=1, s_mask=s_mask, s1_mask=s1, s2_mask=s2,
-                        g1_mask=s1 | d1, g2_mask=s2 | d2, uv=(u, v),
-                        d1_mask=d1, d2_mask=d2)
 
-    g1, map1 = g.induced(dec.g1_mask)
+    g1, map1 = g.induced(s1 | d1)
     structure = multipartite_decompose(g1)
     if isinstance(structure, InducedWitness):
         triple = tuple(map1[i] for i in structure.vertices)
         trace.add("block-structure", result="violated", ids=triple)
-        return _block_structure_replay(g, dec, triple, cfg, trace)
+        return _block_structure_replay(g, d2, triple, cfg, trace)
     trace.add("block-structure", result="free", parts=len(structure.parts))
-    dec.g1_structure = structure
-    return dec
+    return Decomposition(uv=(u, v), s_mask=s_mask, s1_mask=s1, s2_mask=s2, g1_mask=s1 | d1,
+                         g2_mask=s2 | d2, d1_mask=d1, d2_mask=d2, g1_structure=structure)
 
 
-def _block_structure_replay(g: Graph, dec: Decomposition, triple, cfg: RunConfig,
-                   trace: Trace) -> Certificate:
+def _block_structure_replay(g: Graph, d2: int, triple, cfg: RunConfig,
+                            trace: Trace) -> Certificate:
     """An induced edge-plus-vertex inside G1 escalates: the part of D2 its
     neighborhoods miss is too large to be independent in a tough graph, and
     an edge in there completes the five-vertex forbidden pattern."""
-    missed = dec.d2_mask & ~g.set_neighborhood(mask_of(triple))
+    missed = d2 & ~g.set_neighborhood(mask_of(triple))
     e = _min_edge_within(g, missed)
     if e is not None:
         return _forbidden(g, tuple(triple) + e, trace, "case1.block-structure")
     w = witness_from_independent_set(g, missed, cfg.t)
     if w is not None and Fraction(missed.bit_count()) > _threshold(g.n, cfg.t):
-        trace.add("witness", stage="case1.block-structure", ratio=w.ratio, ids=bits(w.cutset))
-        return w
+        return _witness(trace, "case1.block-structure", w)
     return _salvage_or_limit(g, cfg, trace, "case1.block-structure", regime_impossible=True)
 
 
@@ -458,13 +451,12 @@ def _cover_connected(g, dec, g1, map1, cfg, trace):
         # no two independently anchored vertices: a tiny cutset shatters G
         linked = [x for x in bits(v1) if g.adj[x] & v2]
         if not linked:
-            w = ToughnessWitness(0, g.component_count(0))
+            cut = 0
         elif len(linked) == 1:
             cut = bit(linked[0])
-            w = ToughnessWitness(cut, g.component_count(cut))
         else:
-            z0 = _min_bit(g.adj[linked[0]] & v2)
-            w = ToughnessWitness(bit(z0), g.component_count(bit(z0)))
+            cut = bit(_min_bit(g.adj[linked[0]] & v2))
+        w = ToughnessWitness(cut, g.component_count(cut))
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.anchors", w,
                                   regime_impossible=True)
     x, y, z, w = got
@@ -490,8 +482,14 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
     stars = {center: leaves for center, leaves in got.stars}
     trace.add("star-matching", centers=size_c, stage="case1")
 
-    def outside_leaves(c):
-        return [l for l in stars[c] if v2 >> l & 1]
+    def anchored_pair(candidates, missing):
+        """The first two candidate centers with a leaf in G2, and those leaves."""
+        anchored = [(c, ls[0]) for c in candidates
+                    if (ls := [l for l in stars[c] if v2 >> l & 1])]
+        if len(anchored) < 2:
+            raise PipelineInternalError(missing)
+        (x, z), (y, w) = anchored[:2]
+        return x, y, z, w
 
     if size_t < size_c:
         u_set = [c for c in sorted(stars) if any(t_set >> l & 1 for l in stars[c])]
@@ -499,11 +497,7 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
         if len(u_set) > size_t:
             raise PipelineInternalError("more anchored centers than cutset vertices")
         ustar = sorted(u_set + fillers[: size_t + 1 - len(u_set)])
-        anchored = [c for c in ustar if outside_leaves(c)]
-        if len(anchored) < 2:
-            raise PipelineInternalError("star-matching left under two outside anchors")
-        x, y = anchored[0], anchored[1]
-        z, w = outside_leaves(x)[0], outside_leaves(y)[0]
+        x, y, z, w = anchored_pair(ustar, "star-matching left under two outside anchors")
         sub, smap = g.induced(t_set | mask_of(ustar))
         sub_structure = multipartite_decompose(sub)
         if not isinstance(sub_structure, Multipartition):
@@ -530,11 +524,7 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
         return _one_path_cover(g1, structure, map1, x, y, z, w,
                                "cross path through balanced G1 missing")
 
-    anchored = [c for c in sorted(stars) if outside_leaves(c)]
-    if len(anchored) < 2:
-        raise PipelineInternalError("balanced case lost its two outside anchors")
-    x, y = anchored[0], anchored[1]
-    z, w = outside_leaves(x)[0], outside_leaves(y)[0]
+    x, y, z, w = anchored_pair(sorted(stars), "balanced case lost its two outside anchors")
     if _min_edge_within(g, t_set) is not None:
         return _one_path_cover(g1, structure, map1, x, y, z, w,
                                "same-part path missing despite edged cutset")
@@ -619,23 +609,34 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
     if trace is None:
         trace = Trace()
     n, t = g.n, cfg.t
-    bound = _threshold(n, t)
+    bound, kappa_bound = _threshold(n, t), _threshold(n, t, 2)
 
     def precondition(g2, g2star, map2, l_size):
-        alpha2, aset2 = independence(g2, cfg.cap_independence)
+        alpha2, aset2 = independence(g2)
         kappa2, cut2 = connectivity(g2)
         route_ok = (Fraction(l_size) <= bound and Fraction(alpha2) <= bound
-                    and Fraction(kappa2) >= _threshold(n, t, 2))
+                    and Fraction(kappa2) >= kappa_bound)
         trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, l_size=l_size,
                   bound=bound, route=("counting" if route_ok else "direct"))
         if not route_ok:
             # the counting route failed; check the needed inequality itself before
-            # extracting a witness
-            alpha_star, _ = independence(g2star, cfg.cap_independence)
+            # replaying the counting argument into a witness
+            alpha_star, _ = independence(g2star)
             kappa_star, _ = connectivity(g2star)
             if kappa_star < l_size + alpha_star:
-                return _case1_connectivity_witness(g, dec, l_size, alpha2, aset2, kappa2,
-                                                   cut2, map2, cfg, trace)
+                if Fraction(l_size) > bound:
+                    w = _lifted_witness(g, dec.g1_structure.largest_part(),
+                                        tuple(bits(dec.g1_mask)), cfg, trace,
+                                        "case1.connectivity.paths")
+                    if w is not None:
+                        return w
+                if Fraction(alpha2) > bound:
+                    w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
+                    if w is not None:
+                        return w
+                if Fraction(kappa2) < kappa_bound and cut2 is not None:
+                    return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
+                return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
             trace.add("bridge-connectivity", kappa_g2star=kappa_star, alpha_g2star=alpha_star)
         trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2=alpha2,
                   l_size=l_size, stage="case1")
@@ -643,25 +644,6 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
 
     got = _bridge(g, dec.g2_mask, cover.paths, cfg, trace, "case1", precondition)
     return _finish(g, got, trace, "case1") if isinstance(got, CycleCert) else got
-
-
-def _case1_connectivity_witness(g, dec, l_size, alpha2, aset2, kappa2, cut2, map2, cfg,
-                                trace) -> Certificate:
-    """The connectivity requirement really fails: replay its counting argument."""
-    n, t = g.n, cfg.t
-    bound = _threshold(n, t)
-    if Fraction(l_size) > bound:
-        w = _lifted_witness(g, dec.g1_structure.largest_part(), tuple(bits(dec.g1_mask)),
-                            cfg, trace, "case1.connectivity.paths")
-        if w is not None:
-            return w
-    if Fraction(alpha2) > bound:
-        w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
-        if w is not None:
-            return w
-    if Fraction(kappa2) < _threshold(n, t, 2) and cut2 is not None:
-        return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
-    return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
 
 
 def _case1_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfig,
@@ -703,9 +685,9 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
     if trace is None:
         trace = Trace()
     n, t = g.n, cfg.t
-    for a, b in g.edges():
-        if 12 * (g.adj[a] | g.adj[b]).bit_count() <= 5 * n:
-            raise GraphError(f"case 2 ran but edge ({a},{b}) satisfies case 1")
+    pick = _case1_edge(g)
+    if pick is not None:
+        raise GraphError(f"case 2 ran but edge {pick} satisfies case 1")
 
     s_mask = 0
     for x in range(n):
@@ -718,8 +700,6 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
     for x in bits(s_mask):
         if Fraction(g.adj[x].bit_count()) < thr:
             s1 |= bit(x)
-    dec = Decomposition(case=2, s_mask=s_mask, s1_mask=s1, s2_mask=s_mask & ~s1,
-                        g1_mask=s_mask, g2_mask=g.full & ~s_mask)
     trace.add("case2-setup", s_size=s_mask.bit_count(), s1_size=s1.bit_count(),
               threshold=thr)
 
@@ -728,19 +708,17 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
         return _tough_or_dead_end(g, cfg, trace, "case2.s-bound", w,
                                   regime_impossible=True)
 
+    stars = ()
     if s1:
         got = k1t_matching(g, s1, Fraction(2))
         if isinstance(got, ToughnessWitness):
             return _tough_or_dead_end(g, cfg, trace, "case2.star", got)
-        stars = got
-    else:
-        stars = StarMatching(())
-    star_paths = [PathCert((leaves[0], center, leaves[1]))
-                  for center, leaves in stars.stars]
+        stars = got.stars
+    star_paths = [PathCert((leaves[0], center, leaves[1])) for center, leaves in stars]
     trace.add("star-matching", centers=s1.bit_count(), stage="case2")
 
     def precondition(g2, g2star, map2, l_size):
-        alpha_star, aset = independence(g2star, cfg.cap_independence)
+        alpha_star, aset = independence(g2star)
         kappa2, cut2 = connectivity(g2)
         route_ok = (Fraction(alpha_star) <= thr
                     and Fraction(kappa2) >= Fraction(l_size) + thr)
@@ -755,14 +733,14 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
                     if w is not None:
                         return w
                 if Fraction(kappa2) < Fraction(l_size) + thr and cut2 is not None:
-                    return _case2_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
+                    return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), cfg, trace)
                 return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
             trace.add("bridge-connectivity", kappa_g2star=kappa_star)
         trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2star=alpha_star,
                   l_size=l_size, stage="case2")
         return None
 
-    got = _bridge(g, dec.g2_mask, star_paths, cfg, trace, "case2", precondition)
+    got = _bridge(g, g.full & ~s_mask, star_paths, cfg, trace, "case2", precondition)
     if not isinstance(got, CycleCert):
         return got
     pending = s_mask & ~s1
@@ -777,11 +755,11 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certifica
     return _finish(g, got, trace, "case2")
 
 
-def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfig,
+def _case2_cut_replay(g: Graph, s_mask: int, s1: int, w_global: int, cfg: RunConfig,
                       trace: Trace) -> Certificate:
     """A small cutset of G2 replays the case-2 connectivity analysis."""
     n, t = g.n, cfg.t
-    comps = g.components(dec.s_mask | w_global)
+    comps = g.components(s_mask | w_global)
     if any(c.bit_count() == 1 for c in comps):
         # both trivial-component subcases contradict verified degree facts
         # once t reaches the proven regime
@@ -816,9 +794,9 @@ def _case2_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfi
         pairs = [(smap[cyc.order[2 * i]], smap[cyc.order[2 * i + 1]])
                  for i in range(len(cyc.order) // 2)]
         matchings.append(pairs)
-    if not dec.s1_mask:
+    if not s1:
         return _salvage_or_limit(g, cfg, trace, "case2.connectivity.no-low-vertex")
-    x = _min_bit(dec.s1_mask)
+    x = _min_bit(s1)
     for (a, b), (c, d) in zip(*matchings):
         four = bit(a) | bit(b) | bit(c) | bit(d)
         if g.adj[x] & four == 0:

@@ -373,7 +373,7 @@ CASE1_SHAPES = [
 
 
 def test_criterion_9_stage_level_suite():
-    cfg = RunConfig(cap_oracle=128, cap_independence=128)
+    cfg = RunConfig(cap_oracle=128)
     instances = 0
     for shape_index, (g1p, s2, d2p) in enumerate(CASE1_SHAPES):
         for seed in range(9):

@@ -130,6 +130,46 @@ def test_run_batch_goes_on_past_an_invalid_graph(tmp_path):
     assert kept == clean.splitlines()
 
 
+def test_run_and_check_go_on_past_an_unreadable_line(tmp_path):
+    k3, c5 = Graph.complete(3), Graph.cycle(5)
+    inp = tmp_path / "in.g6"
+    inp.write_text(f"{write_graph6(k3)}\nC~~\n{write_graph6(c5)}\n")
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--input", str(inp), "--out", cert_path])
+    assert code == 4
+    lines = (tmp_path / "certs.txt").read_text().splitlines()
+    bad = [line for line in lines if line.startswith("error ")]
+    assert bad == ["error index=1 kind=input "
+                   "reason=expected-1-adjacency-bytes-for-n=4,-got-2-(byte-1)"]
+    # the valid graphs' records are those of a batch without the bad line
+    code, clean = run_cli(["run", "--input", write_inputs(tmp_path, [k3, c5], "clean.g6")])
+    assert code == 0
+    kept = [line.replace("graph index=2 ", "graph index=1 ") for line in lines
+            if not line.startswith("error ")]
+    assert kept == clean.splitlines()
+    code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
+    assert code == 1
+    assert report.splitlines() == [
+        "check index=0 result=pass reason=hamilton-cycle-verified",
+        "check index=1 result=fail "
+        "reason=unreadable-graph:-expected-1-adjacency-bytes-for-n=4,-got-2-(byte-1)",
+        "check index=2 result=pass reason=hamilton-cycle-verified"]
+    code, out = run_cli(["metrics", "--input", str(inp)])
+    assert code == 2 and out == ""
+
+
+def test_check_fails_a_graph_that_run_rejected(tmp_path):
+    inp = write_inputs(tmp_path, [Graph.complete(3), Graph.complete(2), Graph.cycle(5)])
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--input", inp, "--out", cert_path])
+    assert code == 4
+    code, report = run_cli(["check", "--graph", inp, "--cert", cert_path])
+    assert code == 1
+    assert report.splitlines()[1] == ("check index=1 result=fail "
+                                      "reason=run-error:certification-needs-at-least-three-vertices")
+    assert report.count("result=pass") == 2
+
+
 def test_run_internal_error_record_beats_oracle_limit(tmp_path, monkeypatch):
     from toughham import cli
     from toughham.certificates import OracleLimit

@@ -1,0 +1,28 @@
+"""The traced benchmark patches engine functions by name; this guards that
+wiring without touching ``perfbench/``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def test_install_wrappers_finds_and_restores_every_name(monkeypatch):
+    run = _load_harness(monkeypatch)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    owners = [getattr(tk, m) for m in run.MODULES] + [tk.graph.Graph]
+    before = [dict(vars(owner)) for owner in owners]
+    with run.spans.Tracer().installed(lambda tr: run.install_wrappers(tr, tk)):
+        during = [dict(vars(owner)) for owner in owners]
+    assert tk.pipeline.connectivity is not during[run.MODULES.index("pipeline")]["connectivity"]
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -206,7 +206,7 @@ def test_path_cover_variants(label, g1p, s2, d2p):
 ])
 def test_path_cover_large_balanced(label, g1p, s2, d2p):
     g = case1_synthetic(g1p, s2, d2p)
-    cfg = RunConfig(cap_oracle=128, cap_independence=128)
+    cfg = RunConfig(cap_oracle=128)
     dec = case1_decompose(g, _case1_edge(g), cfg)
     cover = build_path_cover(g, dec, cfg)
     assert isinstance(cover, PathCover), label
