@@ -2,13 +2,13 @@
 
 Machine-parsable line records first, human-readable second.  Exit codes:
 0 success, 1 check failure, 2 usage error, 3 oracle limit encountered,
-4 some graph of a ``run`` batch could not be certified (it gets an
-``error`` record and the batch goes on); 4 takes precedence over 3.
+4 some graph of a ``run`` or ``metrics`` batch could not be handled (it
+gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 
-A malformed graph6 line ends no ``run`` or ``check`` batch: ``run`` gives
-it an ``error`` record, ``check`` fails it (``unreadable-graph``), as it
-fails unreadable ``cert`` records and graphs ``run`` gave an ``error``
-record (``run-error``).  ``metrics`` stops at the first malformed line.
+A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
+``error`` record, ``check`` fails it (``unreadable-graph``), as it fails
+unreadable ``cert`` records and graphs ``run`` gave an ``error`` record
+(``run-error``).
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ def _certificates_by_index(path: str):
             if not line:
                 continue
             name, fields, _ids = parse_record(line)
+            if name in ("graph", "error") and "index" not in fields:
+                raise ValueError(f"{name} record without an index")
             if name == "graph":
                 current = int(fields["index"])
                 current_t = parse_q(fields.get("t", "11"))
@@ -163,15 +165,17 @@ def _metrics_line(g: Graph) -> tuple[str, bool]:
 
 
 def cmd_metrics(args, out) -> int:
-    limit_hit = False
-    graphs = read_graph6_lines(args.input)
-    for g in graphs:
+    limit_hit = errors = False
+    for index, g in enumerate(read_graph6_lines(args.input)):
         if isinstance(g, Graph6Error):
-            raise g  # before any output: metrics stops at the first malformed line
-    for g in graphs:
+            out.write(_error_record(index, g) + "\n")
+            errors = True
+            continue
         line, limited = _metrics_line(g)
         out.write(line + "\n")
         limit_hit = limit_hit or limited
+    if errors:
+        return EXIT_GRAPH_ERROR
     return EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
 
 

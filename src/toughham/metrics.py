@@ -12,6 +12,13 @@ at full parts.  That structured route is what makes the 11-tough acceptance
 instance (clique joined to two isolated vertices, n = 24) tractable, where
 blind subset enumeration would pay for 2^24 masks.
 
+Every other graph goes through one cutset sweep, shared by toughness,
+scattering and ``verify_tough``.  It counts components by subset size from
+kappa up, as no smaller set is a cutset, and it stops at the first size
+where even min(n - k, alpha) components, the most any set of size k can
+leave, could not beat the incumbent.  The witness is still the first
+optimal cutset in (size, lexicographic) order.
+
 Vertex connectivity runs unit max flows on the vertex-split digraph, whose
 residual graph is held as one int mask per node: a pair's flow starts from
 its paths through common neighbours, augmenting paths come from a BFS over
@@ -73,14 +80,21 @@ def _largest_part(g: Graph) -> int | None:
 
 
 def _cutsets(g: Graph, cap: int, stage: str, stop):
-    """Every cutset S of g as (|S|, S, c(G - S)), by size and then in
-    lexicographic order.  ``stop(k)`` is asked before each size k and ends
-    the enumeration when true.  Graphs past the size cap raise."""
+    """Every cutset S of a non-complete g as (|S|, S, c(G - S)), by size and
+    then in lexicographic order.  Graphs past the size cap raise before
+    anything is computed.  No cutset has fewer than kappa vertices, so the
+    sizes start at kappa.  ``stop(k, room)`` is asked before each size k and
+    ends the enumeration when true; room = min(n - k, alpha) bounds
+    c(G - S) for every S of size k, since one vertex from each component of
+    G - S is an independent set (Chvatal 1973).  Both bounds grow weaker
+    with k, so a stop test that holds at k holds at every larger size."""
     n = g.n
     if n > cap:
         raise OracleLimitExceeded(stage)
-    for k in range(0, n - 1):
-        if stop(k):
+    kappa, _ = _pair_flows(g)
+    alpha, _ = independence(g, cap=n)
+    for k in range(kappa, n - 1):
+        if stop(k, min(n - k, alpha)):
             return
         for combo in combinations(range(n), k):
             s = mask_of(combo)
@@ -93,8 +107,11 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     """Exact min of |S|/c(G-S) over cutsets, with an optimal witness.
 
     Returns (math.inf, None) for complete graphs.  Enumeration runs by
-    cutset size with the standard bound: once k/(n-k) cannot beat the
-    incumbent no larger size can either.
+    cutset size from kappa up, since no smaller set is a cutset, and a set
+    of size k leaves at most room = min(n - k, alpha) components: once
+    k/room cannot beat the incumbent no larger size can either.  Only a
+    strict improvement replaces the incumbent, so the witness is the first
+    optimal cutset in (size, lexicographic) order.
     """
     n = g.n
     if g.is_complete():
@@ -107,7 +124,7 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     best: Fraction | None = None
     best_witness: ToughnessWitness | None = None
     for k, s, c in _cutsets(g, cap, "toughness",
-                            lambda k: best is not None and Fraction(k, n - k) >= best):
+                            lambda k, room: best is not None and Fraction(k, room) >= best):
         ratio = Fraction(k, c)
         if best is None or ratio < best:
             best = ratio
@@ -168,9 +185,8 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     part = _largest_part(g)
     if part is not None:
         return _part_violator(g, t, part)  # the closed form is exhaustive
-    n = g.n
-    # a violator of size k needs c > k/t, so k/(n-k) >= t rules it out
-    for k, s, c in _cutsets(g, cap, "verify-tough", lambda k: Fraction(k, n - k) >= t):
+    # a violator of size k needs c > k/t, so k/room >= t rules it out
+    for k, s, c in _cutsets(g, cap, "verify-tough", lambda k, room: Fraction(k, room) >= t):
         if Fraction(k, c) < t:
             return ToughnessWitness(s, c)
     return None
@@ -192,7 +208,7 @@ def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     best: int | None = None
     best_set: ScatteringSet | None = None
     for k, s, c in _cutsets(g, cap, "scattering",
-                            lambda k: best is not None and (n - k) - k <= best):
+                            lambda k, room: best is not None and room - k <= best):
         val = c - k
         if best is None or val > best:
             best = val
@@ -282,28 +298,21 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
     return cut
 
 
-def connectivity(g: Graph):
-    """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
+def _pair_flows(g: Graph):
+    """(kappa, cut) of a non-complete graph: the cut is that of the first
+    non-adjacent pair (s, t), in lexicographic order, whose pair cut has
+    kappa vertices.
 
-    The cut is that of the first non-adjacent pair (s, t), in lexicographic
-    order, whose pair cut has kappa vertices.  Even's bound (SIAM J.
-    Comput. 1975) ends the pair loop once s exceeds the best cut size.
-    That first pair has s <= kappa: a minimum cut C has kappa vertices, so
-    some i <= kappa lies outside it, and i with a vertex of another
-    component of G - C is a pair with smaller vertex at most i whose cut
-    has kappa vertices.  A pair stops augmenting once its flow reaches the
-    best cut size, since it can then no longer beat it.  The best cut is
-    replaced only on a strict improvement, so the cut returned is the one
-    a loop over every non-adjacent pair would return.
+    Even's bound (SIAM J. Comput. 1975) ends the pair loop once s exceeds
+    the best cut size.  That first pair has s <= kappa: a minimum cut C has
+    kappa vertices, so some i <= kappa lies outside it, and i with a vertex
+    of another component of G - C is a pair with smaller vertex at most i
+    whose cut has kappa vertices.  A pair stops augmenting once its flow
+    reaches the best cut size, since it can then no longer beat it.  The
+    best cut is replaced only on a strict improvement, so the cut returned
+    is the one a loop over every non-adjacent pair would return.
     """
     n = g.n
-    if g.is_complete():
-        return max(n - 1, 0), None
-    if g.component_count() >= 2:
-        return 0, 0
-    part = _largest_part(g)
-    if part is not None:
-        return n - part.bit_count(), g.full & ~part
     base = _split_residual(g)
     best_cut, size = None, n
     for s in range(n):
@@ -316,6 +325,23 @@ def connectivity(g: Graph):
                 best_cut, size = cut, cut.bit_count()
     assert best_cut is not None
     return size, best_cut
+
+
+def connectivity(g: Graph):
+    """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
+
+    Disconnected graphs give the empty cut and complete multipartite graphs
+    the closed form; every other graph gives the cut of ``_pair_flows``.
+    """
+    n = g.n
+    if g.is_complete():
+        return max(n - 1, 0), None
+    if g.component_count() >= 2:
+        return 0, 0
+    part = _largest_part(g)
+    if part is not None:
+        return n - part.bit_count(), g.full & ~part
+    return _pair_flows(g)
 
 
 def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from toughham.cli import main
 from toughham.generators import complete_split_join
@@ -109,9 +113,7 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
     code, _ = run_cli(["frobnicate"])
     assert code == 2
-    bad = tmp_path / "bad.g6"
-    bad.write_text("C~~\n")
-    code, _ = run_cli(["metrics", "--input", str(bad)])
+    code, _ = run_cli(["metrics", "--input", str(tmp_path / "nope.g6")])
     assert code == 2
 
 
@@ -155,7 +157,50 @@ def test_run_and_check_go_on_past_an_unreadable_line(tmp_path):
         "reason=unreadable-graph:-expected-1-adjacency-bytes-for-n=4,-got-2-(byte-1)",
         "check index=2 result=pass reason=hamilton-cycle-verified"]
     code, out = run_cli(["metrics", "--input", str(inp)])
-    assert code == 2 and out == ""
+    assert code == 4
+    assert out.splitlines()[1] == bad[0]
+
+
+def test_metrics_goes_on_past_an_unreadable_line(tmp_path):
+    # the error record takes the bad line's place; the other lines are those
+    # of a batch without it, and exit 4 takes precedence over the cap's 3
+    from toughham.generators import case1_synthetic
+
+    c6, capped = Graph.cycle(6), case1_synthetic([2, 1, 2], 6, [2] * 8)
+    inp = tmp_path / "in.g6"
+    inp.write_text(f"{write_graph6(c6)}\nC~~\n{write_graph6(capped)}\n")
+    code, out = run_cli(["metrics", "--input", str(inp)])
+    assert code == 4
+    code, clean = run_cli(["metrics", "--input",
+                           write_inputs(tmp_path, [c6, capped], "clean.g6")])
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[1] == ("error index=1 kind=input "
+                        "reason=expected-1-adjacency-bytes-for-n=4,-got-2-(byte-1)")
+    assert [lines[0], lines[2]] == clean.splitlines()
+
+
+def test_check_rejects_records_without_an_index(tmp_path, capsys):
+    inp = write_inputs(tmp_path, [Graph.complete(3)])
+    cert_path = tmp_path / "certs.txt"
+    for record in ("graph n=3", "error kind=input reason=bad"):
+        cert_path.write_text(f"{record}\ncert kind=hamilton-cycle -- 0 1 2\n")
+        code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+        assert code == 2 and report == ""
+        name = record.split()[0]
+        assert capsys.readouterr().err == f"error: {name} record without an index\n"
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    # python -m toughham from a checkout, with the exit code the shell sees
+    inp = tmp_path / "in.g6"
+    inp.write_text(f"{write_graph6(Graph.cycle(6))}\nC~~\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "toughham", "metrics", "--input", str(inp)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 4
+    assert done.stdout.splitlines()[0] == "tau=1/1 kappa=2 alpha=3 delta=2 s=0"
 
 
 def test_check_fails_a_graph_that_run_rejected(tmp_path):

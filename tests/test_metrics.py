@@ -199,6 +199,49 @@ def test_connectivity_flows_start_only_below_kappa(monkeypatch):
     assert starts and max(starts) <= 2
 
 
+def _witness_corpus():
+    """Every graph on n <= 5, then seeded random graphs on n 7..14."""
+    for n in range(6):
+        yield from all_graphs(n)
+    rng = random.Random(6161)
+    for _ in range(300):
+        yield random_graph(rng, rng.randrange(7, 15), rng.uniform(0.1, 0.95))
+
+
+def test_cutset_witnesses_are_pinned():
+    # the witnesses, not only the values: each is the first optimal cutset
+    # in (size, lexicographic) order; the digest was taken from the sweep
+    # that starts at size 0 and bounds c(G - S) by n - k alone
+    grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(11)]
+    h = hashlib.sha256()
+    for g in _witness_corpus():
+        h.update(f"{toughness(g)} {scattering(g)}".encode())
+        for t in grid:
+            h.update(f" {verify_tough(g, t)}".encode())
+        h.update(b"\n")
+    assert h.hexdigest() == (
+        "6355561d0822210781f84c660c93cd9d548e5066e66b64858a03c92ce31081a4")
+
+
+def test_cutset_sweep_starts_at_kappa(monkeypatch):
+    # no set smaller than kappa is a cutset, so none is ever counted, and the
+    # sweep's own kappa runs no second multipartite decomposition
+    from toughham import metrics
+
+    g = Graph.cycle(11).complement()  # 8-regular, kappa 8, not multipartite
+    sizes, decompositions = [], []
+    real_count = Graph.component_count
+    monkeypatch.setattr(Graph, "component_count",
+                        lambda self, removed=0: sizes.append(removed.bit_count())
+                        or real_count(self, removed))
+    real_decompose = metrics.multipartite_decompose
+    monkeypatch.setattr(metrics, "multipartite_decompose",
+                        lambda g: decompositions.append(g) or real_decompose(g))
+    assert toughness(g)[0] == 4
+    assert sizes and min(sizes) == 8
+    assert len(decompositions) == 1
+
+
 def test_independence_witness_is_independent():
     rng = random.Random(31)
     for _ in range(40):
@@ -210,10 +253,18 @@ def test_independence_witness_is_independent():
             assert g.adj[v] & aset == 0
 
 
-def test_caps_raise():
+def test_caps_raise(monkeypatch):
+    from toughham import metrics
+
     g = Graph.cycle(30)
-    with pytest.raises(OracleLimitExceeded):
+    calls = []
+    real = metrics.independence
+    monkeypatch.setattr(metrics, "independence",
+                        lambda g, cap: calls.append(g) or real(g, cap))
+    with pytest.raises(OracleLimitExceeded) as exc:
         toughness(g, cap=24)
+    assert exc.value.stage == "toughness"
+    assert calls == []  # the cap is checked before alpha is computed
     # probes still find early violators past the cap
     assert verify_tough(g, Fraction(11), cap=24) is not None
 
