@@ -118,6 +118,8 @@ def fmt_q(x) -> str:
 def parse_q(s: str) -> Fraction:
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

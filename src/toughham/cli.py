@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser("survey", help="sweep t over a grid and tabulate outcomes")
     p_survey.add_argument("--t-grid", required=True, help="comma-separated rationals")
-    p_survey.add_argument("--gen", default="random_in_class")
+    p_survey.add_argument("--gen", default="random_in_class",
+                          choices=("random_in_class", "random", "complete"))
     p_survey.add_argument("--n", type=int, required=True)
     p_survey.add_argument("--count", type=int, required=True)
     p_survey.add_argument("--seed", type=int, default=0)

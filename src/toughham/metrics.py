@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graph import Graph, bit, bits, mask_of
+from .graph import Graph, bit, bits, mask_of, reach
 from .recognition import Multipartition, multipartite_decompose
 
 INF = math.inf
@@ -348,43 +348,38 @@ def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):
     """Exact independence number and one maximum independent set (as a mask).
 
     An independent set of g is a clique of the complement, so it lives
-    inside one connected component of the complement; the solver therefore
-    decomposes along complement components (for dense graphs these are
-    tiny) and only runs branch-and-bound within each.  The size cap applies
-    to the irreducible subproblems.
+    inside one connected component of the complement.  Those components
+    come from ``reach`` over the complement's rows, in order of minimum
+    vertex, and branch-and-bound runs on g's own rows within each one (for
+    dense graphs they are tiny).  The size cap applies to each component.
     """
-    comp_parts = g.complement().components()
+    co = [g.full & ~row & ~bit(v) for v, row in enumerate(g.adj)]
     best_size, best_set = 0, 0
-    for part in comp_parts:
+    remaining = g.full
+    while remaining:
+        part = reach(co, remaining & -remaining, remaining)
+        remaining ^= part
         if part.bit_count() <= best_size:
             continue
-        sub, vmap = g.induced(part)
-        size, local = _mis_branch_bound(sub, cap)
+        size, found = _mis_branch_bound(g.adj, part, cap)
         if size > best_size:
-            best_size = size
-            best_set = mask_of(vmap[i] for i in bits(local))
+            best_size, best_set = size, found
     return best_size, best_set
 
 
-def _mis_branch_bound(g: Graph, cap: int):
-    n = g.n
-    if n > cap:
+def _mis_branch_bound(adj, part: int, cap: int):
+    """(size, mask) of a maximum independent set inside the vertex mask
+    ``part``, with ``adj`` the graph's neighbour masks; past ``cap`` vertices
+    it raises with stage "independence".  The incumbent starts as the greedy
+    set over ascending ids, and each branch takes a maximum-degree candidate
+    (smallest id on ties), which fixes the set returned."""
+    if part.bit_count() > cap:
         raise OracleLimitExceeded("independence")
-    if g.edge_count() == 0:
-        return n, g.full
-    adj = g.adj
-    best_size = 0
-    best_set = 0
-
-    def greedy(candidates: int) -> int:
-        chosen = 0
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            chosen |= bit(v)
-            candidates &= ~(adj[v] | bit(v))
-        return chosen
-
-    seed = greedy(g.full)
+    seed, candidates = 0, part
+    while candidates:
+        low = candidates & -candidates
+        seed |= low
+        candidates &= ~(adj[low.bit_length() - 1] | low)
     best_size, best_set = seed.bit_count(), seed
 
     def cover_bound(candidates: int) -> int:
@@ -421,7 +416,7 @@ def _mis_branch_bound(g: Graph, cap: int):
         expand(candidates & ~(adj[pivot] | bit(pivot)), current | bit(pivot), size + 1)
         expand(candidates & ~bit(pivot), current, size)
 
-    expand(g.full, 0, 0)
+    expand(part, 0, 0)
     return best_size, best_set
 
 

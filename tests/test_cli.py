@@ -115,6 +115,20 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
     code, _ = run_cli(["metrics", "--input", str(tmp_path / "nope.g6")])
     assert code == 2
+    # a zero denominator, wherever a t is read
+    inp = write_inputs(tmp_path, [Graph.complete(3)])
+    code, _ = run_cli(["run", "--t", "1/0", "--input", inp])
+    assert code == 2
+    code, _ = run_cli(["survey", "--t-grid", "11,1/0", "--n", "5", "--count", "1"])
+    assert code == 2
+    cert = tmp_path / "certs.txt"
+    cert.write_text("graph index=0 n=3 t=1/0\n")
+    code, _ = run_cli(["check", "--graph", inp, "--cert", str(cert)])
+    assert code == 2
+    # survey builds graphs from --n alone
+    code, _ = run_cli(["survey", "--t-grid", "11", "--gen", "complete_multipartite",
+                       "--n", "5", "--count", "1"])
+    assert code == 2
 
 
 def test_run_batch_goes_on_past_an_invalid_graph(tmp_path):
@@ -195,12 +209,25 @@ def test_module_entry_point_exit_code(tmp_path):
     # python -m toughham from a checkout, with the exit code the shell sees
     inp = tmp_path / "in.g6"
     inp.write_text(f"{write_graph6(Graph.cycle(6))}\nC~~\n")
+    k3 = write_inputs(tmp_path, [Graph.complete(3)], "k3.g6")
+    cert = tmp_path / "certs.txt"
+    cert.write_text("graph index=0 n=3 t=1/0\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "toughham", "metrics", "--input", str(inp)],
-                          capture_output=True, text=True, env=env, check=False)
-    assert done.returncode == 4
-    assert done.stdout.splitlines()[0] == "tau=1/1 kappa=2 alpha=3 delta=2 s=0"
+    # (arguments, exit code, first line of stdout)
+    cases = [
+        (["metrics", "--input", str(inp)], 4, ["tau=1/1 kappa=2 alpha=3 delta=2 s=0"]),
+        (["check", "--graph", k3, "--cert", str(cert)], 2, []),
+        (["run", "--t", "1/0", "--input", k3], 2, []),
+        (["survey", "--t-grid", "11", "--gen", "case1_synthetic", "--n", "5",
+          "--count", "1"], 2, []),
+    ]
+    for argv, code, first in cases:
+        done = subprocess.run([sys.executable, "-m", "toughham", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == code, argv
+        assert "Traceback" not in done.stderr, argv
+        assert done.stdout.splitlines()[:1] == first, argv
 
 
 def test_check_fails_a_graph_that_run_rejected(tmp_path):

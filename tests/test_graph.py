@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
+from toughham.graph import Graph, GraphError, all_graphs, bit, bits, mask_of, reach
 
 
 def test_neighbors_examples():
@@ -91,6 +91,29 @@ def test_construction_rejects_asymmetry_and_loops():
         Graph.from_edges(3, [(0, 0)])
 
 
+def naive_components(n, edges, removed):
+    """Components by a plain adjacency-list BFS, ordered by minimum vertex."""
+    nbrs = {v: [] for v in range(n)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    left = [v for v in range(n) if not removed >> v & 1]
+    seen, comps = set(), []
+    for root in left:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue, comp = [root], 0
+        for x in queue:
+            comp |= 1 << x
+            for y in nbrs[x]:
+                if y not in seen and not removed >> y & 1:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(comp)
+    return comps
+
+
 def test_random_invariants():
     rng = random.Random(7)
     for _ in range(60):
@@ -111,15 +134,15 @@ def test_random_invariants():
             # no edge leaves a component
             assert g.set_neighborhood(comp) & (g.full & ~removed) & ~comp == 0
         assert union == g.full & ~removed
-
-
-def test_complement_involution():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randrange(1, 9)
-        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                 if rng.random() < 0.5])
-        assert g.complement().complement() == g
+        assert comps == naive_components(n, edges, removed)
+        assert g.component_count(removed) == len(comps)
+        # a start of several bits reaches the union of its single-bit reaches
+        allowed = g.full & ~removed
+        start = rng.getrandbits(n) & allowed
+        union = 0
+        for v in bits(start):
+            union |= reach(g.adj, bit(v), allowed)
+        assert reach(g.adj, start, allowed) == union
 
 
 def test_all_graphs_count():

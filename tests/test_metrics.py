@@ -228,7 +228,9 @@ def test_cutset_sweep_starts_at_kappa(monkeypatch):
     # sweep's own kappa runs no second multipartite decomposition
     from toughham import metrics
 
-    g = Graph.cycle(11).complement()  # 8-regular, kappa 8, not multipartite
+    # the complement of C11: 8-regular, kappa 8, not multipartite
+    g = Graph.from_edges(11, [(u, v) for u in range(11) for v in range(u + 2, 11)
+                              if (u, v) != (0, 10)])
     sizes, decompositions = [], []
     real_count = Graph.component_count
     monkeypatch.setattr(Graph, "component_count",
@@ -251,6 +253,31 @@ def test_independence_witness_is_independent():
         assert aset.bit_count() == alpha
         for v in bits(aset):
             assert g.adj[v] & aset == 0
+
+
+def _independence_corpus():
+    """Every graph on n <= 6, then seeded random graphs on n 7..40."""
+    for n in range(7):
+        yield from all_graphs(n)
+    rng = random.Random(7373)
+    for _ in range(1000):
+        yield random_graph(rng, rng.randrange(7, 41), rng.uniform(0.05, 0.95))
+
+
+def test_independence_sets_are_pinned():
+    # the maximum set, not only alpha: the gate and the bridge turn it into
+    # toughness witnesses; a cap hit is recorded with its stage
+    def attempt(g, cap):
+        try:
+            return independence(g, cap=cap)
+        except OracleLimitExceeded as exc:
+            return f"limit:{exc.stage}"
+
+    h = hashlib.sha256()
+    for g in _independence_corpus():
+        h.update(f"{attempt(g, 64)} {attempt(g, 3)}\n".encode())
+    assert h.hexdigest() == (
+        "f4a6f99a7f3b099084aa7e6409917e05f84c5d7c821362e84d7137b807e83988")
 
 
 def test_caps_raise(monkeypatch):
