@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--t-grid", required=True, help="comma-separated rationals")
     p_survey.add_argument("--gen", default="random_in_class",
                           choices=("random_in_class", "random", "complete"))
-    p_survey.add_argument("--n", type=int, required=True)
-    p_survey.add_argument("--count", type=int, required=True)
+    p_survey.add_argument("--n", type=_positive_int, required=True)
+    p_survey.add_argument("--count", type=_positive_int, required=True)
     p_survey.add_argument("--seed", type=int, default=0)
     p_survey.set_defaults(func=cmd_survey)
     return parser

@@ -12,12 +12,19 @@ at full parts.  That structured route is what makes the 11-tough acceptance
 instance (clique joined to two isolated vertices, n = 24) tractable, where
 blind subset enumeration would pay for 2^24 masks.
 
-Every other graph goes through one cutset sweep, shared by toughness,
-scattering and ``verify_tough``.  It counts components by subset size from
-kappa up, as no smaller set is a cutset, and it stops at the first size
+Every other graph goes through one cutset enumerator, by subset size from
+kappa up, as no smaller set is a cutset; a sweep stops at the first size
 where even min(n - k, alpha) components, the most any set of size k can
-leave, could not beat the incumbent.  The witness is still the first
-optimal cutset in (size, lexicographic) order.
+leave, could not beat the incumbent.  Toughness and scattering share one
+sweep that keeps both incumbents and stops where both stop rules hold;
+``verify_tough`` runs its own.  Each witness is the first optimal cutset in
+(size, lexicographic) order.
+
+The shared sweep, kappa's pair flows, the multipartite decomposition and
+alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
+line computes each once.  That is sound: a ``Graph`` is immutable and
+hashes by value, the key is every argument, graph and cap alike, caps are
+checked before a memo is read, and exceptions are never cached.
 
 Vertex connectivity runs unit max flows on the vertex-split digraph, whose
 residual graph is held as one int mask per node: a pair's flow starts from
@@ -36,9 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .graph import Graph, bit, bits, mask_of, reach
+from .graph import Graph, bit, bits, reach
 from .recognition import Multipartition, multipartite_decompose
 
 INF = math.inf
@@ -73,45 +81,66 @@ class ScatteringSet:
     value: int
 
 
+@lru_cache(maxsize=1)
 def _largest_part(g: Graph) -> int | None:
     """Largest part of a complete multipartite graph; None for other graphs."""
     mp = multipartite_decompose(g)
     return mp.largest_part() if isinstance(mp, Multipartition) else None
 
 
-def _cutsets(g: Graph, cap: int, stage: str, stop):
+def _cutsets(g: Graph, stop):
     """Every cutset S of a non-complete g as (|S|, S, c(G - S)), by size and
-    then in lexicographic order.  Graphs past the size cap raise before
-    anything is computed.  No cutset has fewer than kappa vertices, so the
-    sizes start at kappa.  ``stop(k, room)`` is asked before each size k and
-    ends the enumeration when true; room = min(n - k, alpha) bounds
+    then in lexicographic order.  No cutset has fewer than kappa vertices, so
+    the sizes start at kappa.  ``stop(k, room)`` is asked before each size k
+    and ends the enumeration when true; room = min(n - k, alpha) bounds
     c(G - S) for every S of size k, since one vertex from each component of
     G - S is an independent set (Chvatal 1973).  Both bounds grow weaker
-    with k, so a stop test that holds at k holds at every larger size."""
+    with k, so a stop test that holds at k holds at every larger size.
+    Callers check their size caps first; alpha's cap cannot bind, and up to
+    n = 64 it keeps the key of a plain ``independence(g)``."""
     n = g.n
-    if n > cap:
-        raise OracleLimitExceeded(stage)
     kappa, _ = _pair_flows(g)
-    alpha, _ = independence(g, cap=n)
+    alpha, _ = independence(g) if n <= DEFAULT_INDEPENDENCE_CAP else independence(g, cap=n)
+    singletons = [1 << v for v in range(n)]
     for k in range(kappa, n - 1):
         if stop(k, min(n - k, alpha)):
             return
-        for combo in combinations(range(n), k):
-            s = mask_of(combo)
+        for s in map(sum, combinations(singletons, k)):
             c = g.component_count(s)
             if c >= 2:
                 yield k, s, c
 
 
+@lru_cache(maxsize=1)
+def _optima(g: Graph):
+    """(toughness, witness, scattering, set) of a non-complete,
+    non-multipartite g from one sweep.  An incumbent is replaced only on a
+    strict improvement: a smaller |S|/c, by cross-multiplication, or a
+    larger c - |S|.  Each stop rule rules out a strict improvement at its
+    size and every later one, so stopping where both hold leaves each
+    incumbent the first optimal cutset in (size, lexicographic) order."""
+    tk = tc = ts = 0  # toughness incumbent tk/tc, cutset ts
+    sv = ss = None  # scattering incumbent c - |S|, cutset ss
+
+    def stop(k, room):
+        return sv is not None and k * tc >= room * tk and room - k <= sv
+
+    for k, s, c in _cutsets(g, stop):
+        if sv is None or k * tc < tk * c:
+            tk, tc, ts = k, c, s
+        if sv is None or c - k > sv:
+            sv, ss = c - k, s
+    assert sv is not None  # noncomplete graphs always have a cutset
+    return Fraction(tk, tc), ToughnessWitness(ts, tc), sv, ScatteringSet(ss, sv)
+
+
 def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     """Exact min of |S|/c(G-S) over cutsets, with an optimal witness.
 
-    Returns (math.inf, None) for complete graphs.  Enumeration runs by
-    cutset size from kappa up, since no smaller set is a cutset, and a set
-    of size k leaves at most room = min(n - k, alpha) components: once
-    k/room cannot beat the incumbent no larger size can either.  Only a
-    strict improvement replaces the incumbent, so the witness is the first
-    optimal cutset in (size, lexicographic) order.
+    Returns (math.inf, None) for complete graphs and the closed form for
+    complete multipartite ones; past the size cap it raises.  Every other
+    graph reads the memoized sweep of ``_optima``, shared with ``scattering``,
+    whose witness is the first optimal cutset in (size, lexicographic) order.
     """
     n = g.n
     if g.is_complete():
@@ -121,16 +150,9 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
         c = part.bit_count()
         witness = ToughnessWitness(cutset=g.full & ~part, component_count=c)
         return Fraction(n - c, c), witness
-    best: Fraction | None = None
-    best_witness: ToughnessWitness | None = None
-    for k, s, c in _cutsets(g, cap, "toughness",
-                            lambda k, room: best is not None and Fraction(k, room) >= best):
-        ratio = Fraction(k, c)
-        if best is None or ratio < best:
-            best = ratio
-            best_witness = ToughnessWitness(s, c)
-    assert best is not None  # noncomplete graphs always have a cutset
-    return best, best_witness
+    if n > cap:
+        raise OracleLimitExceeded("toughness")
+    return _optima(g)[:2]
 
 
 def _probe_cuts(g: Graph, t) -> ToughnessWitness | None:
@@ -185,8 +207,10 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     part = _largest_part(g)
     if part is not None:
         return _part_violator(g, t, part)  # the closed form is exhaustive
+    if g.n > cap:
+        raise OracleLimitExceeded("verify-tough")
     # a violator of size k needs c > k/t, so k/room >= t rules it out
-    for k, s, c in _cutsets(g, cap, "verify-tough", lambda k, room: Fraction(k, room) >= t):
+    for k, s, c in _cutsets(g, lambda k, room: Fraction(k, room) >= t):
         if Fraction(k, c) < t:
             return ToughnessWitness(s, c)
     return None
@@ -195,7 +219,9 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
 def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     """Exact max of c(G-S) - |S| over cutsets, with a scattering set.
 
-    Returns (math.inf, None) for complete graphs.
+    Returns (math.inf, None) for complete graphs and the closed form for
+    complete multipartite ones; past the size cap it raises.  Every other
+    graph reads the memoized sweep of ``_optima``, shared with ``toughness``.
     """
     n = g.n
     if g.is_complete():
@@ -205,16 +231,9 @@ def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
         c = part.bit_count()
         cutset = g.full & ~part
         return 2 * c - n, ScatteringSet(cutset, 2 * c - n)
-    best: int | None = None
-    best_set: ScatteringSet | None = None
-    for k, s, c in _cutsets(g, cap, "scattering",
-                            lambda k, room: best is not None and room - k <= best):
-        val = c - k
-        if best is None or val > best:
-            best = val
-            best_set = ScatteringSet(s, val)
-    assert best is not None
-    return best, best_set
+    if n > cap:
+        raise OracleLimitExceeded("scattering")
+    return _optima(g)[2:]
 
 
 # --- vertex connectivity via max flow ----------------------------------------
@@ -298,6 +317,7 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
     return cut
 
 
+@lru_cache(maxsize=1)
 def _pair_flows(g: Graph):
     """(kappa, cut) of a non-complete graph: the cut is that of the first
     non-adjacent pair (s, t), in lexicographic order, whose pair cut has
@@ -330,20 +350,19 @@ def _pair_flows(g: Graph):
 def connectivity(g: Graph):
     """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
 
-    Disconnected graphs give the empty cut and complete multipartite graphs
-    the closed form; every other graph gives the cut of ``_pair_flows``.
+    Complete multipartite graphs give the closed form, every other graph the
+    cut of ``_pair_flows``, which is empty on a disconnected graph.
     """
     n = g.n
     if g.is_complete():
         return max(n - 1, 0), None
-    if g.component_count() >= 2:
-        return 0, 0
     part = _largest_part(g)
     if part is not None:
         return n - part.bit_count(), g.full & ~part
     return _pair_flows(g)
 
 
+@lru_cache(maxsize=1)
 def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):
     """Exact independence number and one maximum independent set (as a mask).
 
@@ -351,7 +370,8 @@ def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):
     inside one connected component of the complement.  Those components
     come from ``reach`` over the complement's rows, in order of minimum
     vertex, and branch-and-bound runs on g's own rows within each one (for
-    dense graphs they are tiny).  The size cap applies to each component.
+    dense graphs they are tiny).  The size cap applies to each component,
+    and the last result is kept, keyed by the arguments as passed.
     """
     co = [g.full & ~row & ~bit(v) for v, row in enumerate(g.adj)]
     best_size, best_set = 0, 0

@@ -108,7 +108,7 @@ def test_metrics_reports_caps(tmp_path):
     assert "tau=limit" in out and "s=limit" in out and "kappa=6" in out
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     code, _ = run_cli(["run", "--input", str(tmp_path / "nope.g6")])
     assert code == 2
     code, _ = run_cli(["frobnicate"])
@@ -129,6 +129,13 @@ def test_usage_errors_exit_two(tmp_path):
     code, _ = run_cli(["survey", "--t-grid", "11", "--gen", "complete_multipartite",
                        "--n", "5", "--count", "1"])
     assert code == 2
+    # survey sizes must be positive: no empty table
+    for n, count in (("5", "0"), ("5", "-1"), ("0", "1")):
+        capsys.readouterr()
+        code, out = run_cli(["survey", "--t-grid", "11", "--n", n, "--count", count])
+        assert (code, out) == (2, ""), (n, count)
+        err = capsys.readouterr().err
+        assert "must be positive" in err and "Traceback" not in err, (n, count)
 
 
 def test_run_batch_goes_on_past_an_invalid_graph(tmp_path):

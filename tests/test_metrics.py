@@ -5,12 +5,18 @@ the bitset solvers they check.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from toughham import metrics
 from toughham.graph import Graph, all_graphs, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
@@ -316,3 +322,69 @@ def test_probe_tough_is_sound():
             w = probe_tough(g, t)
             if w is not None:
                 assert validate_toughness_witness(g, w, t)
+
+
+PETERSEN = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _fresh(name, g):
+    """repr of ``metrics.<name>(g)`` computed in a new interpreter."""
+    code = ("from toughham import metrics; from toughham.graph import Graph; "
+            f"print(repr(metrics.{name}(Graph({g.n}, {g.adj!r}))))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    return done.stdout.strip()
+
+
+def test_memos_keep_graphs_and_caps_apart():
+    # each graph's last results are memoized: interleaving two graphs of the
+    # same order, in any order, gives the values and witnesses a fresh
+    # process gives, and a lower cap still raises with its own stage
+    a, b = Graph.cycle(10), PETERSEN
+    names = ("toughness", "scattering", "connectivity", "independence")
+    fresh = {(name, g): _fresh(name, g) for name in names for g in (a, b)}
+    assert fresh["toughness", a] != fresh["toughness", b]
+    order = [("scattering", a), ("toughness", a), ("scattering", b), ("toughness", b),
+             ("connectivity", a), ("independence", b), ("connectivity", b),
+             ("independence", a)] * 2
+    for name, g in order:
+        assert repr(getattr(metrics, name)(g)) == fresh[name, g], (name, g.adj)
+    for solver, cap, stage in ((toughness, 5, "toughness"), (scattering, 5, "scattering"),
+                               (independence, 3, "independence")):
+        solver(b)
+        with pytest.raises(OracleLimitExceeded) as exc:
+            solver(b, cap)
+        assert exc.value.stage == stage
+
+
+def test_metrics_line_shares_one_sweep(monkeypatch):
+    # the four quantities of a metrics line, in its order, run the cutset
+    # sweep, kappa's pair flows and the multipartite decomposition once
+    # between them: no more often than toughness alone
+    counts = Counter()
+
+    def spy(name, real):
+        return lambda *args: counts.update([name]) or real(*args)
+
+    monkeypatch.setattr(metrics, "_min_vertex_cut_pair",
+                        spy("flows", metrics._min_vertex_cut_pair))
+    monkeypatch.setattr(metrics, "multipartite_decompose",
+                        spy("decompositions", metrics.multipartite_decompose))
+    monkeypatch.setattr(Graph, "component_count", spy("counts", Graph.component_count))
+
+    def tally(*solvers):
+        counts.clear()
+        for solver in solvers:
+            solver(g)
+        return dict(counts)
+
+    # C11 squared: 4-regular, kappa 4, not complete multipartite, used nowhere else
+    g = Graph.from_edges(11, [(v, (v + d) % 11) for v in range(11) for d in (1, 2)])
+    line = tally(toughness, connectivity, independence, scattering)
+    toughness(Graph.cycle(7))  # a second graph evicts every memo of g
+    alone = tally(toughness)
+    assert set(alone) == {"flows", "decompositions", "counts"}
+    assert line == alone
