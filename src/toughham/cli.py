@@ -8,7 +8,7 @@ gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
 ``error`` record, ``check`` fails it (``unreadable-graph``), as it fails
 unreadable ``cert`` records and graphs ``run`` gave an ``error`` record
-(``run-error``).
+(``run-error``); ``check`` reads no trace line.
 """
 
 from __future__ import annotations
@@ -103,7 +103,10 @@ def _certificates_by_index(path: str):
             line = raw.strip()
             if not line:
                 continue
-            name, fields, _ids = parse_record(line)
+            # only graph and error records are parsed here, so an unreadable
+            # cert or trace line fails no other graph
+            name = line.split()[0]
+            fields = parse_record(line)[1] if name in ("graph", "error") else {}
             if name in ("graph", "error") and "index" not in fields:
                 raise ValueError(f"{name} record without an index")
             if name == "graph":

@@ -157,14 +157,6 @@ class Graph:
         self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
     def min_degree(self) -> int:
         if self.n == 0:
             return 0
@@ -226,22 +218,6 @@ class Graph:
                 row |= 1 << index[w]
             rows.append(row)
         return Graph(len(vmap), rows), vmap
-
-    def bipartite_between(self, a: int, b: int) -> "Graph":
-        """Subgraph on the same vertices keeping only edges with one end in a, one in b."""
-        self._check_mask(a)
-        self._check_mask(b)
-        if a & b:
-            raise GraphError("bipartition sides overlap")
-        rows = []
-        for v in range(self.n):
-            if a >> v & 1:
-                rows.append(self.adj[v] & b)
-            elif b >> v & 1:
-                rows.append(self.adj[v] & a)
-            else:
-                rows.append(0)
-        return Graph(self.n, rows)
 
     def add_edges(self, edges) -> "Graph":
         rows = list(self.adj)

@@ -83,11 +83,17 @@ def f_star_matching(h: Graph, x_side: int, y_side: int, f) -> StarMatching | Def
     for v, d in demand.items():
         if d < 1:
             raise GraphError(f"demand at center {v} must be positive, got {d}")
+    return _stars(h.adj, y_side, demand)
 
+
+def _stars(adj, y_side: int, demand: dict[int, int]) -> StarMatching | DeficiencyWitness:
+    """The augmenting search of ``f_star_matching``, centers ascending; it
+    reads only the edges from each center into ``y_side``, so a host graph
+    serves as well as the bipartite one."""
     match: dict[int, int] = {}  # leaf -> center
 
     def augment(x: int, visited: set[int]) -> bool:
-        for y in bits(h.adj[x] & y_side):
+        for y in bits(adj[x] & y_side):
             if y in visited:
                 continue
             visited.add(y)
@@ -97,8 +103,8 @@ def f_star_matching(h: Graph, x_side: int, y_side: int, f) -> StarMatching | Def
                 return True
         return False
 
-    for x in bits(x_side):
-        for _ in range(demand[x]):
+    for x, d in demand.items():
+        for _ in range(d):
             visited: set[int] = set()
             if not augment(x, visited):
                 subset = bit(x)
@@ -106,7 +112,7 @@ def f_star_matching(h: Graph, x_side: int, y_side: int, f) -> StarMatching | Def
                     subset |= bit(match[y])
                 return DeficiencyWitness(subset=subset, neighborhood_size=len(visited))
 
-    stars: dict[int, list[int]] = {x: [] for x in bits(x_side)}
+    stars: dict[int, list[int]] = {x: [] for x in demand}
     for y, x in match.items():
         stars[x].append(y)
     return StarMatching(tuple((x, tuple(sorted(ls))) for x, ls in stars.items()))
@@ -128,8 +134,7 @@ def k1t_matching(g: Graph, centers: int, t: Fraction) -> StarMatching | Toughnes
     leaves_per_star = t.numerator // t.denominator if isinstance(t, Fraction) else int(t)
     if leaves_per_star < 1:
         raise GraphError(f"floor(t) must be at least 1, got t={t}")
-    h = g.bipartite_between(centers, g.full & ~centers)
-    got = f_star_matching(h, centers, g.full & ~centers, lambda _v: leaves_per_star)
+    got = _stars(g.adj, g.full & ~centers, dict.fromkeys(bits(centers), leaves_per_star))
     if isinstance(got, StarMatching):
         return got
     return _deficiency_to_toughness(g, got, t)

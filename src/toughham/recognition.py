@@ -5,24 +5,24 @@ multipartite graph (its complement is a disjoint union of cliques), which is
 the structural fact the whole pipeline leans on.  Every search returns the
 lexicographically smallest ascending vertex tuple inducing its pattern.
 
-The two patterns the pipeline scans for, ``2p2+p1`` and ``p2+p1``, are
-linear forests: disjoint edges plus at most one isolated vertex.  G[X] holds
-an induced ``p2+p1`` exactly when it is not complete multipartite, which one
-pass over the non-adjacency classes of X decides in O(|X|) mask operations.
-G holds an induced ``2p2+p1`` exactly when some edge ab leaves such a G[X]
-in X = V - (N(a) u N(b)), so deciding freeness costs O(n*m) mask
-operations.  The ``p2+p1`` witness is built greedily: each position takes
-the smallest vertex above the previous one for which an exact completion
-test (a role for every chosen vertex, then the missing edges, partners and
-isolated vertex inside masks) still finds a witness, at most n completion
-tests per position.  The same greedy finds ``2p2+p1`` witnesses and is
-tested on them, but ``find_induced`` still takes those from the
-backtracker once the bitset test has found that one exists (routing them
-through the greedy is open work, ROADMAP item 2).  Every other
-pattern-library entry is searched by exhaustive backtracking over
-ascending tuples, pruned by partial induced-embedding feasibility, O(n^k)
-for a k-vertex pattern; it is also the reference the scans are tested
-against.
+The engine names two patterns, both linear forests (disjoint edges plus at
+most one isolated vertex): ``2p2+p1`` and ``p2+p1``; ``FORESTS`` gives
+each as (edges, isolated vertices), and any other name is a ``GraphError``.
+G[X] holds an induced ``p2+p1`` exactly when it is not complete
+multipartite, which one pass over the non-adjacency classes of X decides in
+O(|X|) mask operations.  G holds an induced ``2p2+p1`` exactly when some
+edge ab leaves such a G[X] in X = V - (N(a) u N(b)), so deciding freeness
+costs O(n*m) mask operations.  The ``p2+p1`` witness is built greedily:
+each position takes the smallest vertex above the previous one for which an
+exact completion test (a role for every chosen vertex, then the missing
+edges, partners and isolated vertex inside masks) still finds a witness, at
+most n completion tests per position.  The same greedy finds ``2p2+p1``
+witnesses and is tested on them, but ``find_induced`` still takes those
+from a backtracker over ascending 5-tuples once the bitset test has found
+that one exists (routing them through the greedy is open work, ROADMAP
+item 4).  Checking a claimed witness needs no search at all: the ids must
+be distinct and of the forest's size, and each must see at most one of the
+others, with twice the edge count of such incidences in all.
 """
 
 from __future__ import annotations
@@ -32,31 +32,11 @@ from dataclasses import dataclass
 from .graph import Graph, GraphError, bits, lex_key, mask_of
 
 
-def _disjoint_union(*graphs: Graph) -> Graph:
-    n = sum(g.n for g in graphs)
-    edges = []
-    off = 0
-    for g in graphs:
-        edges.extend((u + off, v + off) for u, v in g.edges())
-        off += g.n
-    return Graph.from_edges(n, edges)
+# The patterns the engine names, as (edges, isolated vertices).
+FORESTS = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
 
-
-# Pattern library: paths P1..P5 and the small linear forests the pipeline
-# and its experiments care about.
-PATTERNS: dict[str, Graph] = {
-    "p1": Graph.empty(1),
-    "p2": Graph.path(2),
-    "p3": Graph.path(3),
-    "p4": Graph.path(4),
-    "p5": Graph.path(5),
-    "p2+p1": _disjoint_union(Graph.path(2), Graph.empty(1)),
-    "2p2": _disjoint_union(Graph.path(2), Graph.path(2)),
-    "2p2+p1": _disjoint_union(Graph.path(2), Graph.path(2), Graph.empty(1)),
-    "p4+p1": _disjoint_union(Graph.path(4), Graph.empty(1)),
-}
-
-MAX_PATTERN_VERTICES = 5
+# The graph the 2p2+p1 backtracker prunes against.
+_2P2P1 = Graph.from_edges(5, [(0, 1), (2, 3)])
 
 
 @dataclass(frozen=True)
@@ -73,38 +53,30 @@ class Multipartition:
 
     parts: tuple[int, ...]  # vertex masks, ordered by minimum vertex
 
-    def part_sizes(self) -> tuple[int, ...]:
-        return tuple(p.bit_count() for p in self.parts)
-
     def largest_part(self) -> int:
         """Mask of a largest part (ties broken by smallest minimum vertex)."""
         return max(self.parts, key=lambda p: (p.bit_count(), [-v for v in lex_key(p)]))
 
 
-def _pattern_graph(pattern: str) -> Graph:
+def _forest(pattern: str) -> tuple[int, int]:
     try:
-        pg = PATTERNS[pattern]
+        return FORESTS[pattern]
     except KeyError:
         raise GraphError(f"unknown pattern id {pattern!r}") from None
-    if pg.n > MAX_PATTERN_VERTICES:
-        raise GraphError(f"pattern {pattern!r} exceeds {MAX_PATTERN_VERTICES} vertices")
-    return pg
 
 
-def _partial_embeddable(rows: list[int], k: int, pg: Graph) -> bool:
-    """Can the k-vertex graph given by rows map injectively into pg preserving
-    adjacency and non-adjacency?  Tiny backtracking; k and pg.n are <= 5."""
-    pn = pg.n
-    if k > pn:
-        return False
-    used = [False] * pn
+def _partial_embeddable(rows: list[int], k: int) -> bool:
+    """Can the k-vertex graph given by rows map injectively into 2p2+p1
+    preserving adjacency and non-adjacency?  Tiny backtracking; k <= 5."""
+    pg = _2P2P1
+    used = [False] * 5
     assign = [0] * k
 
     def rec(i: int) -> bool:
         if i == k:
             return True
         want = rows[i]
-        for cand in range(pn):
+        for cand in range(5):
             if used[cand]:
                 continue
             ok = True
@@ -125,18 +97,11 @@ def _partial_embeddable(rows: list[int], k: int, pg: Graph) -> bool:
     return rec(0)
 
 
-def _is_isomorphic_small(rows: list[int], pg: Graph) -> bool:
-    """Exact isomorphism of a pg.n-vertex graph (rows) to the pattern."""
-    if sorted(r.bit_count() for r in rows) != sorted(r.bit_count() for r in pg.adj):
-        return False
-    return _partial_embeddable(rows, pg.n, pg)
-
-
-def _backtrack(g: Graph, pg: Graph) -> tuple[int, ...] | None:
-    """Smallest ascending tuple inducing pg, by exhaustive backtracking; a
-    partial tuple is pruned as soon as its induced subgraph no longer embeds
-    into the pattern.  O(n^k) for a k-vertex pattern."""
-    k = pg.n
+def _backtrack(g: Graph) -> tuple[int, ...] | None:
+    """Smallest ascending tuple inducing 2p2+p1, by exhaustive backtracking;
+    a partial tuple is pruned as soon as its induced subgraph no longer
+    embeds into the pattern, so a full tuple that survives induces it.
+    O(n^5)."""
     n = g.n
     adj = g.adj
     chosen: list[int] = []
@@ -144,10 +109,10 @@ def _backtrack(g: Graph, pg: Graph) -> tuple[int, ...] | None:
 
     def rec(start: int) -> tuple[int, ...] | None:
         depth = len(chosen)
-        if depth == k:
-            return tuple(chosen) if _is_isomorphic_small(rows, pg) else None
+        if depth == 5:
+            return tuple(chosen)
         # leave room for the remaining pattern vertices
-        for v in range(start, n - (k - depth - 1)):
+        for v in range(start, n - (4 - depth)):
             row = 0
             av = adj[v]
             for j, u in enumerate(chosen):
@@ -157,7 +122,7 @@ def _backtrack(g: Graph, pg: Graph) -> tuple[int, ...] | None:
             rows.append(row)
             for j in bits(row):
                 rows[j] |= 1 << depth
-            if _partial_embeddable(rows, depth + 1, pg):
+            if _partial_embeddable(rows, depth + 1):
                 hit = rec(v + 1)
                 if hit is not None:
                     return hit
@@ -284,43 +249,34 @@ def _forest_witness(g: Graph, edges: int, solo: int) -> tuple[int, ...] | None:
     return tuple(prefix)
 
 
-def _scan_2p2p1(g: Graph, pg: Graph) -> tuple[int, ...] | None:
-    """Bitset freeness test; on a graph holding the pattern the backtracker,
-    which stops at its first complete tuple, returns the witness."""
-    return _backtrack(g, pg) if _holds(g.adj, g.full, 2, 1) else None
-
-
-def _scan_p2p1(g: Graph, pg: Graph) -> tuple[int, ...] | None:
-    return _forest_witness(g, 1, 1)
-
-
-# the patterns with a polynomial scan; every other one goes to the backtracker
-_SCANNERS = {"2p2+p1": _scan_2p2p1, "p2+p1": _scan_p2p1}
-
-
 def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
     """Lexicographically smallest vertex tuple inducing the pattern, or None."""
-    pg = _pattern_graph(pattern)
-    if pg.n > g.n:
+    edges, solo = _forest(pattern)
+    if 2 * edges + solo > g.n:
         return None
-    hit = _SCANNERS.get(pattern, _backtrack)(g, pg)
+    if edges == 1:
+        hit = _forest_witness(g, 1, 1)
+    else:
+        # the bitset test decides; the backtracker, which stops at its
+        # first complete tuple, returns the witness
+        hit = _backtrack(g) if _holds(g.adj, g.full, 2, 1) else None
     return InducedWitness(hit, pattern) if hit is not None else None
 
 
 def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
-    """Checker-side validation: do these vertices induce the pattern exactly?"""
-    pg = _pattern_graph(pattern)
+    """Checker-side validation: do these vertices induce the pattern exactly?
+    A shape test: distinct ids, each adjacent to at most one other, `edges` pairs."""
+    edges, solo = _forest(pattern)
     vs = list(vertices)
-    if len(vs) != pg.n or len(set(vs)) != pg.n:
+    if len(vs) != 2 * edges + solo or len(set(vs)) != len(vs):
         return False
-    rows = []
+    ends = 0
     for v in vs:
-        row = 0
-        for j, u in enumerate(vs):
-            if u != v and g.has_edge(v, u):
-                row |= 1 << j
-        rows.append(row)
-    return _is_isomorphic_small(rows, pg)
+        seen = sum(g.has_edge(v, u) for u in vs if u != v)
+        if seen > 1:
+            return False
+        ends += seen
+    return ends == 2 * edges
 
 
 def multipartite_decompose(g: Graph) -> Multipartition | InducedWitness:

@@ -74,6 +74,25 @@ def test_check_unreadable_certificates_fail_and_go_on(tmp_path):
     assert "check index=2 result=pass" in report
 
 
+def test_check_ids_that_are_not_integers_fail_one_graph(tmp_path):
+    # a cert whose ids do not parse, then trace lines that do not parse
+    inp = write_inputs(tmp_path, [Graph.cycle(5)] * 3)
+    cert_path = tmp_path / "certs.txt"
+    cert_path.write_text("graph index=0 n=5 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1 x\n"
+                         "graph index=1 n=5 t=11/1\n"
+                         "freeness result=witness -- 0 y\n"
+                         "stray-token\n"
+                         "cert kind=hamilton-cycle -- 0 1 2 3 4\n"
+                         "graph index=2 n=5 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1 2 3 4\n")
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert code == 1
+    assert "check index=0 result=fail reason=unreadable-certificate" in report
+    assert "check index=1 result=pass" in report
+    assert "check index=2 result=pass" in report
+
+
 def test_check_missing_certificate(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(6)])
     cert_path = tmp_path / "certs.txt"

@@ -66,6 +66,8 @@ def test_f_star_matching_rejects_bad_sides():
     g = Graph.complete(4)
     with pytest.raises(GraphError):
         f_star_matching(g, mask_of([0, 1]), mask_of([2, 3]), lambda v: 1)
+    with pytest.raises(GraphError):  # the sides overlap
+        f_star_matching(Graph.empty(4), mask_of([0, 1]), mask_of([1, 2]), lambda v: 1)
 
 
 def test_agreement_with_brute_force():

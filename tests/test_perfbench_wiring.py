@@ -26,3 +26,16 @@ def test_install_wrappers_finds_and_restores_every_name(monkeypatch):
         during = [dict(vars(owner)) for owner in owners]
     assert tk.pipeline.connectivity is not during[run.MODULES.index("pipeline")]["connectivity"]
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_every_workload_runs_pass_zero_without_errors(monkeypatch):
+    # run_pass turns an exception into a failed request, so a name the
+    # harness calls and the program no longer has shows up only here
+    run = _load_harness(monkeypatch)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    for workload, build in run.workloads.WORKLOADS.items():
+        groups = build(tk, run.workloads.pass_seed(7, 0))
+        outputs = run.run_pass(tk, groups, run.configs_for(tk, groups))
+        errors = [out.error for out in outputs if isinstance(out, run.ErrorOut)]
+        assert errors == [], (workload, errors[:3])
+        assert run.output_problems(tk, workload, outputs) == [], workload

@@ -1,24 +1,39 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from toughham.generators import random_in_class
 from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
 from toughham.metrics import independence
-from toughham.recognition import (InducedWitness, Multipartition, PATTERNS,
+from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
                                   _backtrack, _forest_witness, find_induced,
                                   induces_pattern,
                                   multipartite_decompose)
 
-# the bitset-scanned patterns, as (edges, isolated vertices)
-FORESTS = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
+
+def forest_graph(pattern):
+    edges, solo = FORESTS[pattern]
+    return Graph.from_edges(2 * edges + solo, [(2 * i, 2 * i + 1) for i in range(edges)])
+
+
+def induces_by_permutation(g, vertices, pattern):
+    """Reference for the shape test: some bijection of the ids onto the
+    forest's vertices keeps adjacency and non-adjacency of every pair."""
+    pg = forest_graph(pattern)
+    vs = list(vertices)
+    if len(vs) != pg.n or len(set(vs)) != pg.n:
+        return False
+    pairs = list(combinations(range(pg.n), 2))
+    return any(all(g.has_edge(vs[i], vs[j]) == pg.has_edge(perm[i], perm[j]) for i, j in pairs)
+               for perm in permutations(range(pg.n)))
 
 
 def brute_find(g, pattern):
-    """Independent oracle: try every vertex subset in lexicographic order."""
-    pg = PATTERNS[pattern]
-    for combo in combinations(range(g.n), pg.n):
+    """Try every vertex subset in lexicographic order with the checker's
+    shape test, which the permutation reference pins below."""
+    k = forest_graph(pattern).n
+    for combo in combinations(range(g.n), k):
         if induces_pattern(g, combo, pattern):
             return combo
     return None
@@ -44,9 +59,7 @@ def test_find_induced_is_lexicographically_smallest():
     for _ in range(120):
         n = rng.randrange(3, 9)
         g = random_graph(rng, n)
-        for pattern in ("p2+p1", "p4", "2p2", "2p2+p1", "p3"):
-            if PATTERNS[pattern].n > n:
-                continue
+        for pattern in FORESTS:
             hit = find_induced(g, pattern)
             want = brute_find(g, pattern)
             assert (hit.vertices if hit else None) == want
@@ -56,17 +69,17 @@ def test_find_induced_oracle_equivalence_n10():
     rng = random.Random(5)
     for _ in range(25):
         g = random_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
-        for pattern in ("2p2+p1", "p5", "p4+p1"):
+        for pattern in FORESTS:
             assert (find_induced(g, pattern) is None) == (brute_find(g, pattern) is None)
 
 
 def assert_scan_agrees(g):
-    """find_induced and the greedy forest search return the backtracker's
-    witness, which is brute force's."""
+    """find_induced and the greedy forest search return brute force's
+    witness, and so does the backtracker for 2p2+p1."""
     for pattern, shape in FORESTS.items():
-        pg = PATTERNS[pattern]
-        want = _backtrack(g, pg) if pg.n <= g.n else None
-        assert want == brute_find(g, pattern), (g.adj, pattern)
+        want = brute_find(g, pattern)
+        if pattern == "2p2+p1":
+            assert _backtrack(g) == want, g.adj
         hit = find_induced(g, pattern)
         assert (hit.vertices if hit is not None else None) == want, (g.adj, pattern)
         assert _forest_witness(g, *shape) == want, (g.adj, pattern)
@@ -106,15 +119,38 @@ def test_scan_agrees_on_random_and_near_free_graphs():
 
 
 def test_find_induced_rejects_unknown_pattern():
-    with pytest.raises(GraphError):
-        find_induced(Graph.complete(3), "k33")
+    g = Graph.path(5)
+    for name in ("k33", "p1", "p4", "2p2", "p4+p1", "2P2+P1"):
+        with pytest.raises(GraphError):
+            find_induced(g, name)
+        with pytest.raises(GraphError):
+            induces_pattern(g, range(5), name)
+
+
+def test_induces_pattern_matches_isomorphism_reference():
+    # every labelled graph on 3 and 5 vertices, its ids in every order
+    for n in (3, 5):
+        for g in all_graphs(n):
+            for pattern in FORESTS:
+                want = induces_by_permutation(g, range(n), pattern)
+                for order in permutations(range(n)):
+                    assert induces_pattern(g, order, pattern) == want, (g.adj, order, pattern)
+    # repeated ids and wrong counts never pass
+    g = Graph.from_edges(6, [(0, 1), (2, 3)])
+    for vs in [(0, 1, 2, 3, 3), (0, 1, 2, 2, 4), (0, 0, 4), (1, 0, 1), (0, 1, 2, 3),
+               (0, 1, 2, 3, 4, 5), (0, 1), (0, 1, 4, 5), ()]:
+        for pattern in FORESTS:
+            assert not (induces_pattern(g, vs, pattern)
+                        or induces_by_permutation(g, vs, pattern)), (vs, pattern)
+    assert induces_pattern(g, (3, 0, 4, 2, 1), "2p2+p1")
+    assert induces_pattern(g, (4, 0, 1), "p2+p1")
 
 
 def test_multipartite_decompose_examples():
     k23 = Graph.complete_multipartite([2, 3])
     mp = multipartite_decompose(k23)
     assert isinstance(mp, Multipartition)
-    assert sorted(mp.part_sizes()) == [2, 3]
+    assert sorted(p.bit_count() for p in mp.parts) == [2, 3]
     p3 = Graph.path(3)
     mp = multipartite_decompose(p3)
     assert isinstance(mp, Multipartition)
@@ -145,7 +181,7 @@ def test_multipartition_iff_no_pattern():
             assert union == g.full
             # the independence number is the largest part
             alpha, _ = independence(g)
-            assert alpha == max(got.part_sizes())
+            assert alpha == max(p.bit_count() for p in got.parts)
         else:
             assert induces_pattern(g, got.vertices, "p2+p1")
 
@@ -170,8 +206,10 @@ def test_minimal_cutsets_join_completely():
 
 
 def test_pattern_library_shapes():
-    assert PATTERNS["2p2+p1"].n == 5 and PATTERNS["2p2+p1"].edge_count() == 2
-    assert PATTERNS["p2+p1"].n == 3 and PATTERNS["p2+p1"].edge_count() == 1
-    assert PATTERNS["p4+p1"].n == 5 and PATTERNS["p4+p1"].edge_count() == 3
-    for k in range(1, 6):
-        assert PATTERNS[f"p{k}"].n == k
+    # the library is the two forests the engine names
+    assert FORESTS == {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
+    for pattern in FORESTS:
+        pg = forest_graph(pattern)
+        assert find_induced(pg, pattern).vertices == tuple(range(pg.n))
+        assert induces_pattern(pg, range(pg.n), pattern)
+        assert find_induced(Graph.empty(pg.n - 1), pattern) is None
