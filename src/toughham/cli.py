@@ -7,7 +7,8 @@ gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 
 A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
 ``error`` record, ``check`` fails it (``unreadable-graph``), as it fails
-unreadable ``cert`` records and graphs ``run`` gave an ``error`` record
+unreadable ``cert`` records, ``graph`` records whose ``t`` does not parse
+(``unreadable-graph-record``) and graphs ``run`` gave an ``error`` record
 (``run-error``); ``check`` reads no trace line.
 """
 
@@ -94,10 +95,14 @@ def cmd_run(args, out) -> int:
 
 def _certificates_by_index(path: str):
     """Per graph index, (t, certificate), or the reason its check fails
-    without one: an unreadable ``cert`` record or a ``run`` error record."""
-    found: dict[int, tuple[Fraction, object] | str] = {}
+    without one: an unreadable ``cert`` record, a ``graph`` record whose
+    ``t`` does not parse, or a ``run`` error record.  The records after a
+    ``graph`` record whose index does not parse go under None, which no
+    graph reads."""
+    found: dict[int | None, tuple[Fraction, object] | str] = {}
+    started = False
     current = None
-    current_t = Fraction(11)
+    current_t: Fraction | str = Fraction(11)
     with open(path, encoding="ascii") as fh:
         for raw in fh:
             line = raw.strip()
@@ -110,18 +115,30 @@ def _certificates_by_index(path: str):
             if name in ("graph", "error") and "index" not in fields:
                 raise ValueError(f"{name} record without an index")
             if name == "graph":
-                current = int(fields["index"])
-                current_t = parse_q(fields.get("t", "11"))
+                started, current = True, _index(fields)
+                try:
+                    current_t = parse_q(fields.get("t", "11"))
+                except ValueError as exc:
+                    current_t = found[current] = f"unreadable graph record:{exc}"
             elif name == "cert":
-                if current is None:
+                if not started:
                     raise ValueError("certificate record before any graph record")
+                if isinstance(current_t, str):
+                    continue
                 try:
                     found[current] = (current_t, certificate_from_record(line))
                 except (KeyError, ValueError) as exc:
                     found[current] = f"unreadable certificate: {exc}"
             elif name == "error":
-                found[int(fields["index"])] = f"run error:{fields.get('reason', '')}"
+                found[_index(fields)] = f"run error:{fields.get('reason', '')}"
     return found
+
+
+def _index(fields) -> int | None:
+    try:
+        return int(fields["index"])
+    except ValueError:
+        return None
 
 
 def cmd_check(args, out) -> int:

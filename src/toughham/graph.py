@@ -8,10 +8,18 @@ solvers in this package share them freely.
 There is one traversal, ``reach``, over any list of neighbour masks: the
 component methods run it on a graph's rows, ``metrics.independence`` on its
 complement's rows, so no complement graph is ever built.
+
+There is one bit-matrix primitive, ``transpose``, behind the constructor's
+symmetry check, ``induced`` and the graph6 decoder, so none of them loops
+over edges.  It packs an n x n matrix into one int, row i at bit i*w for
+the power-of-two stride w >= n, and swaps the row and column index bits in
+log2(w) word-parallel delta swaps; the (shift, mask) table of each of the
+ten strides up to ``MAX_VERTICES`` is built on first use.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 MAX_VERTICES = 512
@@ -56,6 +64,52 @@ def reach(adj, start: int, allowed: int) -> int:
     return seen
 
 
+def _stride(n: int) -> int:
+    """Row stride of a packed n x n matrix: the least power of two >= n."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
+@cache
+def _swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per delta swap of the w x w transpose: swap j exchanges
+    bit j of the row and of the column index, and its mask marks the
+    positions whose row bit is 0 and column bit is 1."""
+    table = []
+    j = 1
+    while j < w:
+        # most significant bit first: columns, then rows, from w - 1 down
+        row = ("1" * j + "0" * j) * (w // (2 * j))
+        table.append((j * (w - 1), int(("0" * w * j + row * j) * (w // (2 * j)), 2)))
+        j <<= 1
+    return tuple(table)
+
+
+def _pack(rows, w: int) -> int:
+    m = 0
+    for row in reversed(rows):
+        m = m << w | row
+    return m
+
+
+def _flip(m: int, w: int) -> int:
+    """Transpose of the packed w x w matrix m."""
+    for shift, mask in _swaps(w):
+        t = (m ^ m >> shift) & mask
+        m ^= t | t << shift
+    return m
+
+
+def transpose(rows, n: int) -> list[int]:
+    """Columns of the bit matrix with the given rows (a sequence of at most
+    n, each below 2**n): column c has bit i exactly when rows[i] has bit c."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    w = _stride(n)
+    m = _flip(_pack(rows, w), w)
+    row = (1 << w) - 1
+    return [m >> i & row for i in range(0, n * w, w)]
+
+
 def lex_key(mask: int) -> tuple[int, ...]:
     """Sorted vertex tuple of a mask, used as the canonical ordering key."""
     return tuple(bits(mask))
@@ -85,10 +139,13 @@ class Graph:
                 raise GraphError(f"adjacency row {u} has bits beyond n")
             if row >> u & 1:
                 raise GraphError(f"loop at vertex {u}")
-        for u in range(n):
-            for w in bits(adj[u]):
-                if not adj[w] >> u & 1:
-                    raise GraphError(f"asymmetric adjacency between {u} and {w}")
+        w = _stride(n)
+        m = _pack(adj, w)
+        # the lowest one-way bit is the first one-way pair in row-major order
+        oneway = m & ~_flip(m, w)
+        if oneway:
+            u, v = divmod((oneway & -oneway).bit_length() - 1, w)
+            raise GraphError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = adj
         self.full = full
@@ -210,14 +267,9 @@ class Graph:
         """
         self._check_mask(s)
         vmap = tuple(bits(s))
-        index = {v: i for i, v in enumerate(vmap)}
-        rows = []
-        for v in vmap:
-            row = 0
-            for w in bits(self.adj[v] & s):
-                row |= 1 << index[w]
-            rows.append(row)
-        return Graph(len(vmap), rows), vmap
+        # column v of the chosen rows marks the chosen neighbours of v
+        cols = transpose([self.adj[v] for v in vmap], self.n)
+        return Graph(len(vmap), [cols[v] for v in vmap]), vmap
 
     def add_edges(self, edges) -> "Graph":
         rows = list(self.adj)

@@ -2,12 +2,15 @@
 
 Upper-triangle bits in column order (0,1),(0,2),(1,2),(0,3),... packed six
 per byte, each byte offset by 63.  The optional ``>>graph6<<`` header is
-stripped on parse.
+stripped on parse.  Both directions are linear in the line: the parser
+turns the bytes into a bit string with one ``str.translate``, cuts the
+lower-triangle rows out of it and ORs in their transpose; the writer packs
+the lower-triangle rows into one int and formats it once.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, transpose
 
 HEADER = ">>graph6<<"
 
@@ -41,6 +44,12 @@ def _parse_size(line: str) -> tuple[int, int]:
     return c - 63, 1
 
 
+# each adjacency byte as its six bits, most significant first; any other
+# character is left as itself, one character where six were due
+_BITS = {63 + d: format(d, "06b") for d in range(64)}
+_BYTES = {format(d, "06b"): chr(63 + d) for d in range(64)}
+
+
 def parse_graph6(line: str) -> Graph:
     line = line.strip()
     if line.startswith(HEADER):
@@ -52,21 +61,19 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"expected {need_bytes} adjacency bytes for n={n}, got {len(line) - pos}",
             pos)
-    stream = 0
-    for i in range(need_bytes):
-        d = ord(line[pos + i]) - 63
-        if not 0 <= d < 64:
-            raise Graph6Error("adjacency byte out of range", pos + i)
-        stream = stream << 6 | d
-    stream >>= need_bytes * 6 - need_bits  # drop padding
-    edges = []
-    idx = need_bits - 1
+    stream = line[pos:].translate(_BITS)
+    if len(stream) != 6 * need_bytes:
+        for i in range(pos, len(line)):
+            if ord(line[i]) not in _BITS:
+                raise Graph6Error("adjacency byte out of range", i)
+    # reversed and unpadded, the pairs (u, v) of row v run from u = v - 1
+    # down to u = 0, most significant bit first
+    stream = stream[:need_bits][::-1]
+    lower = [0] * n
     for v in range(1, n):
-        for u in range(v):
-            if idx >= 0 and stream >> idx & 1:
-                edges.append((u, v))
-            idx -= 1
-    return Graph.from_edges(n, edges)
+        end = need_bits - v * (v - 1) // 2
+        lower[v] = int(stream[end - v:end], 2)
+    return Graph(n, [a | b for a, b in zip(lower, transpose(lower, n))])
 
 
 def write_graph6(g: Graph) -> str:
@@ -77,19 +84,16 @@ def write_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise Graph6Error("graphs beyond 258047 vertices unsupported")
-    chunks = []
-    acc = 0
-    count = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = acc << 1 | (g.adj[u] >> v & 1)
-            count += 1
-            if count == 6:
-                chunks.append(chr(acc + 63))
-                acc, count = 0, 0
-    if count:
-        chunks.append(chr((acc << (6 - count)) + 63))
-    return head + "".join(chunks)
+    # bit k of the int is pair k in column order, so the lower row of v
+    # starts at bit v(v-1)/2
+    pairs = 0
+    for v in range(n - 1, 0, -1):
+        pairs = pairs << v | g.adj[v] & ((1 << v) - 1)
+    need_bits = n * (n - 1) // 2
+    # pair 0 first: reversed, past a guard bit that keeps the leading zeros
+    stream = format(pairs | 1 << need_bits, "b")[:0:-1]
+    stream += "0" * (-need_bits % 6)
+    return head + "".join([_BYTES[stream[i:i + 6]] for i in range(0, len(stream), 6)])
 
 
 def read_graph6_lines(path: str) -> list[Graph | Graph6Error]:

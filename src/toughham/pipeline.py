@@ -236,7 +236,11 @@ def _small_union(g: Graph, size: int) -> bool:
 
 def _case1_edge(g: Graph) -> tuple[int, int] | None:
     """Qualifying edge minimizing the union neighborhood, lex-smallest on ties."""
-    keys = (((g.adj[u] | g.adj[v]).bit_count(), u, v) for u, v in g.edges())
+    adj = g.adj
+    # the union holds both neighbourhoods: each end passes on its own degree
+    low = mask_of(v for v in range(g.n) if _small_union(g, adj[v].bit_count()))
+    keys = (((adj[u] | adj[v]).bit_count(), u, v)
+            for u in bits(low) for v in bits(adj[u] & low >> (u + 1) << (u + 1)))
     best = min((key for key in keys if _small_union(g, key[0])), default=None)
     return None if best is None else best[1:]
 

@@ -12,8 +12,12 @@ G[X] holds an induced ``p2+p1`` exactly when it is not complete
 multipartite, which one pass over the non-adjacency classes of X decides in
 O(|X|) mask operations.  G holds an induced ``2p2+p1`` exactly when some
 edge ab leaves such a G[X] in X = V - (N(a) u N(b)), so deciding freeness
-costs O(n*m) mask operations.  The ``p2+p1`` witness is built greedily:
-each position takes the smallest vertex above the previous one for which an
+costs O(n*m) mask operations.  Every such X lies inside G - N[a], and a
+superset of a set holding ``p2+p1`` holds it too, so the scan skips a
+after one test when G - N[a] is complete multipartite: on complete
+multipartite graphs and complete split-joins that is one test per vertex,
+O(n^2) mask operations.  The ``p2+p1`` witness is built greedily: each
+position takes the smallest vertex above the previous one for which an
 exact completion test (a role for every chosen vertex, then the missing
 edges, partners and isolated vertex inside masks) still finds a witness, at
 most n completion tests per position.  The same greedy finds ``2p2+p1``
@@ -167,9 +171,10 @@ def _holds(adj, x: int, edges: int, solo: int) -> bool:
     rest = x
     for a in bits(x):
         rest ^= 1 << a
-        # the other pieces lie outside N[a] and N[b]
+        # the other pieces lie outside N[a] and N[b], so inside outside:
+        # if G[outside] holds no smaller forest, no edge at a can help
         outside = x & ~adj[a] & ~(1 << a)
-        if not outside:
+        if not outside or not _holds(adj, outside, edges - 1, solo):
             continue
         for b in bits(adj[a] & rest):
             if _holds(adj, outside & ~adj[b], edges - 1, solo):

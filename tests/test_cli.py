@@ -10,6 +10,10 @@ from toughham.graph import Graph
 from toughham.graph6 import write_graph6
 
 
+UNREADABLE_T = ("check index=0 result=fail"
+                " reason=unreadable-graph-record:zero-denominator-in-'1/0'\n")
+
+
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -93,6 +97,25 @@ def test_check_ids_that_are_not_integers_fail_one_graph(tmp_path):
     assert "check index=2 result=pass" in report
 
 
+def test_check_unreadable_graph_records_fail_and_go_on(tmp_path):
+    # a t that does not parse fails its graph; after an index that does not
+    # parse, records belong to no graph until the next graph record
+    inp = write_inputs(tmp_path, [Graph.cycle(5)] * 3)
+    cert_path = tmp_path / "certs.txt"
+    cycle = "cert kind=hamilton-cycle -- 0 1 2 3 4\n"
+    cert_path.write_text("graph index=0 n=5 t=1/0\n" + cycle
+                         + "graph index=zero n=5 t=11/1\n" + cycle
+                         + "cert kind=hamilton-cycle -- 0 1 2 3 4 5\n"
+                         + "graph index=2 n=5 t=11/1\n" + cycle)
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert code == 1
+    assert report.splitlines() == [
+        UNREADABLE_T.strip(),
+        "check index=1 result=missing",
+        "check index=2 result=pass reason=hamilton-cycle-verified",
+    ]
+
+
 def test_check_missing_certificate(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(6)])
     cert_path = tmp_path / "certs.txt"
@@ -140,10 +163,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(["survey", "--t-grid", "11,1/0", "--n", "5", "--count", "1"])
     assert code == 2
+    # but a t in a certificate file is data: it fails its graph alone
     cert = tmp_path / "certs.txt"
     cert.write_text("graph index=0 n=3 t=1/0\n")
-    code, _ = run_cli(["check", "--graph", inp, "--cert", str(cert)])
-    assert code == 2
+    code, out = run_cli(["check", "--graph", inp, "--cert", str(cert)])
+    assert (code, out) == (1, UNREADABLE_T)
     # survey builds graphs from --n alone
     code, _ = run_cli(["survey", "--t-grid", "11", "--gen", "complete_multipartite",
                        "--n", "5", "--count", "1"])
@@ -243,7 +267,7 @@ def test_module_entry_point_exit_code(tmp_path):
     # (arguments, exit code, first line of stdout)
     cases = [
         (["metrics", "--input", str(inp)], 4, ["tau=1/1 kappa=2 alpha=3 delta=2 s=0"]),
-        (["check", "--graph", k3, "--cert", str(cert)], 2, []),
+        (["check", "--graph", k3, "--cert", str(cert)], 1, UNREADABLE_T.splitlines()),
         (["run", "--t", "1/0", "--input", k3], 2, []),
         (["survey", "--t-grid", "11", "--gen", "case1_synthetic", "--n", "5",
           "--count", "1"], 2, []),

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from toughham.graph import Graph, GraphError, all_graphs, bit, bits, mask_of, reach
+from toughham.graph import (Graph, GraphError, all_graphs, bit, bits, mask_of, reach,
+                            transpose)
 
 
 def test_neighbors_examples():
@@ -76,6 +77,84 @@ def test_construction_rejects_asymmetry_and_loops():
         Graph(2, [0b01, 0b01])
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])
+
+
+# every power-of-two stride from 1 to 512, at and either side of each
+STRIDE_SIZES = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                127, 128, 129, 255, 256, 257, 511, 512)
+
+
+def columns_by_bit(rows, n):
+    """Reference transpose, one bit at a time."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        for c in range(n):
+            if row >> c & 1:
+                cols[c] |= 1 << i
+    return cols
+
+
+def first_one_way_pair(adj):
+    """The symmetry check the constructor made edge by edge."""
+    for u in range(len(adj)):
+        for w in bits(adj[u]):
+            if not adj[w] >> u & 1:
+                return f"asymmetric adjacency between {u} and {w}"
+    return None
+
+
+def induced_by_relabelling(g, s):
+    """Induced subgraph built edge by edge through a relabelling map."""
+    vmap = tuple(bits(s))
+    index = {v: i for i, v in enumerate(vmap)}
+    rows = []
+    for v in vmap:
+        row = 0
+        for w in bits(g.adj[v] & s):
+            row |= 1 << index[w]
+        rows.append(row)
+    return Graph(len(vmap), rows), vmap
+
+
+def test_transpose_matches_per_bit_reference():
+    rng = random.Random(10)
+    for n in STRIDE_SIZES:
+        for p in (0.05, 0.5):
+            # square, then fewer rows than columns (what induced hands it)
+            rows = [sum(1 << c for c in range(n) if rng.random() < p) for _ in range(n)]
+            assert transpose(rows, n) == columns_by_bit(rows, n), (n, p)
+            few = rows[:rng.randrange(n + 1)] if n else []
+            assert transpose(few, n) == columns_by_bit(few, n), (n, p)
+
+
+def test_constructor_reports_the_first_one_way_pair():
+    rng = random.Random(11)
+    for n in (2, 3, 5, 8, 9, 17, 33, 64, 100):
+        for _ in range(20):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < 0.4])
+            rows = list(g.adj)
+            for _ in range(rng.randrange(1, 4)):
+                u, v = rng.sample(range(n), 2)
+                rows[u] ^= 1 << v
+            want = first_one_way_pair(rows)
+            if want is None:
+                assert Graph(n, rows).adj == tuple(rows)
+                continue
+            with pytest.raises(GraphError) as err:
+                Graph(n, rows)
+            assert str(err.value) == want
+
+
+def test_induced_matches_edge_relabelling():
+    rng = random.Random(12)
+    for n in (0, 1, 2, 7, 8, 9, 16, 31, 33, 64, 65, 130):
+        for p in (0.2, 0.5, 0.9):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+            sparse = rng.getrandbits(n) & rng.getrandbits(n)
+            for s in (0, g.full, rng.getrandbits(n), sparse):
+                assert g.induced(s) == induced_by_relabelling(g, s), (n, p, s)
 
 
 def naive_components(n, edges, removed):

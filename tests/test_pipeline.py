@@ -85,6 +85,28 @@ def test_case1_edge_selection():
     assert _case1_edge(complete_split_join(22, 2)) is None
 
 
+def case1_edge_over_all_edges(g):
+    """Reference: the union size of every edge, smallest key first."""
+    keys = [((g.adj[u] | g.adj[v]).bit_count(), u, v) for u, v in g.edges()]
+    best = min((k for k in keys if 12 * k[0] <= 5 * g.n), default=None)
+    return None if best is None else best[1:]
+
+
+def test_case1_edge_matches_the_all_edges_loop():
+    rng = random.Random(40)
+    found = 0
+    for _ in range(400):
+        n = rng.randrange(3, 41)
+        p = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
+        g = random_graph(n, p, rng.randrange(1 << 30))
+        want = case1_edge_over_all_edges(g)
+        assert _case1_edge(g) == want, (n, p)
+        found += want is not None
+    assert found > 100
+    for g in (case1_synthetic([2, 1, 2], 6, [2] * 8), case1_synthetic([6, 6], 10, [10] * 4)):
+        assert _case1_edge(g) == case1_edge_over_all_edges(g) is not None
+
+
 def test_case1_precondition_enforced():
     g = complete_split_join(22, 2)
     with pytest.raises(GraphError):

@@ -3,7 +3,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from toughham.generators import random_in_class
+from toughham import recognition
+from toughham.generators import complete_split_join, random_in_class
 from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
 from toughham.metrics import independence
 from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
@@ -116,6 +117,19 @@ def test_scan_agrees_on_random_and_near_free_graphs():
         free = random_in_class(rng.randrange(7, 14), rng.choice([0.5, 0.7]), seed)
         assert_scan_agrees(free)
         assert_scan_agrees(toggled(rng, free))
+
+
+def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
+    # G - N[a] is complete multipartite at every a, so the scan skips each
+    # vertex after one test instead of testing once per edge
+    calls = []
+    parts = recognition._parts
+    monkeypatch.setattr(recognition, "_parts",
+                        lambda adj, x: calls.append(x) or parts(adj, x))
+    for g in (Graph.complete_multipartite([5, 5, 5]), complete_split_join(20, 10)):
+        calls.clear()
+        assert find_induced(g, "2p2+p1") is None
+        assert len(calls) <= g.n + 1 < g.edge_count()
 
 
 def test_find_induced_rejects_unknown_pattern():
