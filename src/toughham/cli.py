@@ -7,9 +7,10 @@ gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 
 A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
 ``error`` record, ``check`` fails it (``unreadable-graph``), as it fails
-unreadable ``cert`` records, ``graph`` records whose ``t`` does not parse
-(``unreadable-graph-record``) and graphs ``run`` gave an ``error`` record
-(``run-error``); ``check`` reads no trace line.
+unreadable ``cert`` records, ``graph`` records with a malformed field or a
+``t`` that does not parse (``unreadable-graph-record``), ``error`` records
+with a malformed field (``unreadable-error-record``) and graphs ``run`` gave
+an ``error`` record (``run-error``); ``check`` reads no trace line.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ def cmd_run(args, out) -> int:
 
 def _certificates_by_index(path: str):
     """Per graph index, (t, certificate), or the reason its check fails
-    without one: an unreadable ``cert`` record, a ``graph`` record whose
-    ``t`` does not parse, or a ``run`` error record.  The records after a
-    ``graph`` record whose index does not parse go under None, which no
-    graph reads."""
+    without one: an unreadable ``cert`` record, a ``graph`` or ``error``
+    record with a malformed field or a ``t`` that does not parse, or a
+    ``run`` error record.  The records after a ``graph`` record whose index
+    does not parse go under None, which no graph reads."""
     found: dict[int | None, tuple[Fraction, object] | str] = {}
     started = False
     current = None
@@ -111,15 +112,18 @@ def _certificates_by_index(path: str):
             # only graph and error records are parsed here, so an unreadable
             # cert or trace line fails no other graph
             name = line.split()[0]
-            fields = parse_record(line)[1] if name in ("graph", "error") else {}
-            if name in ("graph", "error") and "index" not in fields:
-                raise ValueError(f"{name} record without an index")
-            if name == "graph":
-                started, current = True, _index(fields)
+            if name in ("graph", "error"):
+                index = _index(line)
                 try:
-                    current_t = parse_q(fields.get("t", "11"))
+                    fields = parse_record(line)[1]
+                    value = (parse_q(fields.get("t", "11")) if name == "graph"
+                             else f"run error:{fields.get('reason', '')}")
                 except ValueError as exc:
-                    current_t = found[current] = f"unreadable graph record:{exc}"
+                    value = f"unreadable {name} record:{exc}"
+                if name == "graph":
+                    started, current, current_t = True, index, value
+                if isinstance(value, str):
+                    found[index] = value
             elif name == "cert":
                 if not started:
                     raise ValueError("certificate record before any graph record")
@@ -129,12 +133,16 @@ def _certificates_by_index(path: str):
                     found[current] = (current_t, certificate_from_record(line))
                 except (KeyError, ValueError) as exc:
                     found[current] = f"unreadable certificate: {exc}"
-            elif name == "error":
-                found[_index(fields)] = f"run error:{fields.get('reason', '')}"
     return found
 
 
-def _index(fields) -> int | None:
+def _index(line: str) -> int | None:
+    """The index of a graph or error record, read past any malformed field
+    so that such a field fails only the graph the record names; None when
+    the index does not parse."""
+    fields = dict(tok.partition("=")[::2] for tok in line.split()[1:])
+    if "index" not in fields:
+        raise ValueError(f"{line.split()[0]} record without an index")
     try:
         return int(fields["index"])
     except ValueError:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graph import Graph, GraphError, bit, bits
 from .metrics import OracleLimitExceeded
-from .recognition import Multipartition
+from .recognition import InducedWitness, multipartite_decompose
 
 DEFAULT_ORACLE_CAP = 32
 
@@ -257,10 +257,11 @@ def _interleave_feasible(counts, forbid: int | None, last: int) -> bool:
     return True
 
 
-def multipartite_ham_path(g: Graph, mp: Multipartition, x: int, y: int) -> PathCert | None:
+def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
     """Hamiltonian (x,y)-path of a complete multipartite graph, or None.
 
-    Consecutive path vertices must come from different parts, so this is a
+    The parts come from ``multipartite_decompose``.  Consecutive path
+    vertices must come from different parts, so this is a
     color-interleaving problem; the builder always places a largest
     remaining part next, subject to an exact feasibility lookahead, which
     makes infeasibility detection exact as well.
@@ -269,16 +270,9 @@ def multipartite_ham_path(g: Graph, mp: Multipartition, x: int, y: int) -> PathC
         raise GraphError("path endpoints must differ")
     g._check_vertex(x)
     g._check_vertex(y)
-    covered = 0
-    for part in mp.parts:
-        if part & covered:
-            raise GraphError("partition parts overlap")
-        covered |= part
-        for v in bits(part):
-            if g.adj[v] != g.full & ~part:
-                raise GraphError("graph is not completely multipartite on the given parts")
-    if covered != g.full:
-        raise GraphError("partition does not cover the graph")
+    mp = multipartite_decompose(g)
+    if isinstance(mp, InducedWitness):
+        raise GraphError("graph is not complete multipartite")
 
     part_of = {}
     for idx, part in enumerate(mp.parts):

@@ -2,12 +2,13 @@
 
 A star-matching is a vertex-disjoint union of stars; the demanded-degree
 vertices are its centers and a leaf adjacent to a center is that center's
-partner.  The bipartite builder finds, for a demand f on the X side, a
-subgraph where every X vertex keeps degree exactly f(v) and every used Y
-vertex has degree one; when that is impossible it reads a Hall-type
-deficiency witness off the failed augmentation.  The toughness-backed
-variant turns that deficiency into a cutset certificate: the neighborhood
-of the deficient center set shatters the graph at ratio below t.
+partner.  The augmenting search ``_stars`` finds, for a demand f on the
+centers, stars where every center keeps degree exactly f(v) and every
+leaf is used once; when that is impossible it reads a Hall-type
+deficiency witness off the failed augmentation.  ``k1t_matching``, the
+engine's entry point, turns that deficiency into a cutset certificate:
+the neighborhood of the deficient center set shatters the graph at ratio
+below t.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ class StarMatching:
 
     stars: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def centers(self) -> int:
-        m = 0
-        for center, _ in self.stars:
-            m |= bit(center)
-        return m
-
 
 @dataclass(frozen=True)
 class DeficiencyWitness:
@@ -40,56 +35,17 @@ class DeficiencyWitness:
     neighborhood_size: int
 
 
-def validate_star_matching(g: Graph, m: StarMatching, centers: int | None = None,
-                           degree: int | None = None) -> bool:
-    seen = 0
-    for center, leaves in m.stars:
-        if degree is not None and len(leaves) != degree:
-            return False
-        star = bit(center)
-        for leaf in leaves:
-            if not g.has_edge(center, leaf):
-                return False
-            star |= bit(leaf)
-        if star.bit_count() != 1 + len(leaves):
-            return False
-        if star & seen:
-            return False
-        seen |= star
-    if centers is not None and m.centers() != centers:
-        return False
-    return True
-
-
-def f_star_matching(h: Graph, x_side: int, y_side: int, f) -> StarMatching | DeficiencyWitness:
-    """Stars centered exactly at the X side with degrees f(v), leaves in Y.
-
-    ``h`` must be bipartite between the two given sides.  Implemented as
-    unit-capacity augmenting paths, one per demand slot, processing centers
-    in ascending id and trying leaves in ascending id.  On failure the set
-    of centers reached by the last alternating search is the deficiency
-    witness: all its neighbors are matched into it, yet its total demand
-    strictly exceeds them.
-    """
-    if x_side & y_side:
-        raise GraphError("bipartition sides overlap")
-    for v in bits(x_side):
-        if h.adj[v] & x_side:
-            raise GraphError("X side is not independent in the bipartite instance")
-    for v in bits(y_side):
-        if h.adj[v] & y_side:
-            raise GraphError("Y side is not independent in the bipartite instance")
-    demand = {v: int(f(v)) if callable(f) else int(f[v]) for v in bits(x_side)}
-    for v, d in demand.items():
-        if d < 1:
-            raise GraphError(f"demand at center {v} must be positive, got {d}")
-    return _stars(h.adj, y_side, demand)
-
-
 def _stars(adj, y_side: int, demand: dict[int, int]) -> StarMatching | DeficiencyWitness:
-    """The augmenting search of ``f_star_matching``, centers ascending; it
-    reads only the edges from each center into ``y_side``, so a host graph
-    serves as well as the bipartite one."""
+    """Stars with ``demand[x]`` leaves in ``y_side`` at each center x, or a
+    Hall-type deficiency.
+
+    Unit-capacity augmenting paths, one per demand slot, centers in the
+    order of ``demand`` and leaves in ascending id.  Only the edges from
+    each center into ``y_side`` are read, so a host graph serves as well as
+    a bipartite one.  On failure the centers reached by the last
+    alternating search are the deficiency witness: all their neighbors are
+    matched into them, yet their total demand strictly exceeds them.
+    """
     match: dict[int, int] = {}  # leaf -> center
 
     def augment(x: int, visited: set[int]) -> bool:

@@ -11,6 +11,10 @@ low-degree vertices form an independent set S, those of lowest degree are
 starred out, and the rest are inserted afterwards.  Both cases end in one
 bridge step: a forced-edge Hamilton cycle of G2 with the paths spliced in.
 
+``run_theorem`` is the entry point.  The stage functions are its steps:
+each takes the run's trace and trusts what the dispatcher and the earlier
+stages built (the case-1 edge, the split) instead of checking it again.
+
 With t below 11 a replay can reach a genuinely inconclusive state (the
 proven-regime arithmetic no longer forces a contradiction); those runs end
 in an OracleLimit whose stage string says where.  Where the same state is
@@ -50,40 +54,16 @@ class Decomposition:
     """The case-1 split around an edge uv with a small union neighborhood.
 
     S is N(u) ∪ N(v) minus u, v; D1 = {u, v} and D2 are the two components
-    of G - S; S1 holds the vertices of S with few neighbors in D2.  G1 is
-    S1 plus D1 and G2 is S2 plus D2.
+    of G - S; S1 holds the vertices of S with few neighbors in D2 and S2
+    the rest.  G1 is S1 plus D1 and G2 is S2 plus D2.  Only the sets the
+    later stages read are kept.
     """
 
     uv: tuple[int, int]
-    s_mask: int
-    s1_mask: int
-    s2_mask: int
     g1_mask: int
     g2_mask: int
-    d1_mask: int
     d2_mask: int
     g1_structure: Multipartition  # in the ids of induced G1
-
-    def violations(self, g: Graph) -> list[str]:
-        bad = []
-        if self.s1_mask & self.s2_mask:
-            bad.append("S1 and S2 overlap")
-        if self.s1_mask | self.s2_mask != self.s_mask:
-            bad.append("S1 and S2 do not partition S")
-        u, v = self.uv
-        if g.set_neighborhood(bit(u) | bit(v)) != self.s_mask:
-            bad.append("S is not the punctured union neighborhood of uv")
-        if self.d1_mask != bit(u) | bit(v):
-            bad.append("D1 is not {u,v}")
-        if self.g1_mask != self.s1_mask | self.d1_mask:
-            bad.append("V(G1) is not S1 plus {u,v}")
-        if self.g2_mask != self.s2_mask | self.d2_mask:
-            bad.append("V(G2) is not S2 plus V(D2)")
-        if self.s_mask | self.d1_mask | self.d2_mask != g.full:
-            bad.append("S, D1, D2 do not cover the graph")
-        if self.g1_structure is None:
-            bad.append("G1 has no multipartition")
-        return bad
 
 
 @dataclass
@@ -245,8 +225,7 @@ def _case1_edge(g: Graph) -> tuple[int, int] | None:
     return None if best is None else best[1:]
 
 
-def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace | None = None
-                    ) -> Certificate | None:
+def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | None:
     """Hamilton cycle when the minimum degree is large; None to pass through.
 
     Above the n/(t+1) - 1 threshold a t-tough graph is Hamiltonian; the
@@ -254,10 +233,9 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace | None = None
     exact oracle stands in and a failed search must be matched by a
     toughness witness.  On pass-through the facts a tough graph must
     satisfy are checked: minimum degree at least 2t, independence number
-    at most n/(t+1).  A violation is already a certificate.
+    at most n/(t+1).  A violation is already a certificate.  A step of
+    ``run_theorem``; it writes to that run's trace.
     """
-    if trace is None:
-        trace = Trace()
     n = g.n
     delta = g.min_degree()
     thr = _threshold(n, cfg.t) - 1
@@ -308,28 +286,22 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace | None = None
 # --- case 1 -------------------------------------------------------------------
 
 def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
-                    trace: Trace | None = None) -> Decomposition | Certificate:
+                    trace: Trace) -> Decomposition | Certificate:
     """Build the case-1 split around edge uv, verifying its two structure checks.
 
-    First: removing the punctured union neighborhood of the edge leaves
-    exactly two components.  Second: the low-outside-degree part of the
-    cutset together with u,v induces no edge-plus-isolated-vertex.  Each
-    failure replays the check's own counting argument into a certificate.
+    uv is the edge ``run_theorem`` picked (``_case1_edge``), so it is an
+    edge with a small union neighborhood, and D1 = {u, v} is a component
+    of G - S.  First check: removing S leaves exactly two components.
+    Second: the low-outside-degree part of S together with u,v induces no
+    edge-plus-isolated-vertex.  Each failure replays the check's own
+    counting argument into a certificate.  A step of ``run_theorem``; it
+    writes to that run's trace.
     """
-    if trace is None:
-        trace = Trace()
-    u, v = edge(*uv)
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge")
+    u, v = uv
     n, t = g.n, cfg.t
-    union = g.adj[u] | g.adj[v]
-    if not _small_union(g, union.bit_count()):
-        raise GraphError("edge does not satisfy the case-1 precondition")
-    s_mask = union & ~bit(u) & ~bit(v)
     d1 = bit(u) | bit(v)
+    s_mask = (g.adj[u] | g.adj[v]) & ~d1
     comps = g.components(s_mask)
-    if d1 not in comps:
-        raise PipelineInternalError("the chosen edge is not its own component")
     trace.add("split-check", components=len(comps), s_size=s_mask.bit_count())
     if len(comps) != 2:
         # split check failed; with a second nontrivial component a third
@@ -368,8 +340,8 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         trace.add("block-structure", result="violated", ids=triple)
         return _block_structure_replay(g, d2, triple, cfg, trace)
     trace.add("block-structure", result="free", parts=len(structure.parts))
-    return Decomposition(uv=(u, v), s_mask=s_mask, s1_mask=s1, s2_mask=s2, g1_mask=s1 | d1,
-                         g2_mask=s2 | d2, d1_mask=d1, d2_mask=d2, g1_structure=structure)
+    return Decomposition(uv=(u, v), g1_mask=s1 | d1, g2_mask=s2 | d2, d2_mask=d2,
+                         g1_structure=structure)
 
 
 def _block_structure_replay(g: Graph, d2: int, triple, cfg: RunConfig,
@@ -388,20 +360,17 @@ def _block_structure_replay(g: Graph, d2: int, triple, cfg: RunConfig,
 
 
 def build_path_cover(g: Graph, dec: Decomposition, cfg: RunConfig,
-                     trace: Trace | None = None) -> PathCover | Certificate:
+                     trace: Trace) -> PathCover | Certificate:
     """W-matched path cover of G1 with max(1, s(G1)) paths.
 
     Scattering below zero (or complete G1): G1 is Hamiltonian-connected and
     one outside-anchored path suffices.  Otherwise a minimum cutset T of
     the multipartite G1 doubles as a scattering set; a two-leaf
     star-matching centered off T supplies outside anchors and three
-    balance subcases assemble the cover.
+    balance subcases assemble the cover.  A step of ``run_theorem``; dec
+    is the split ``case1_decompose`` returned in the same run, and the
+    records go to that run's trace.
     """
-    if trace is None:
-        trace = Trace()
-    bad = dec.violations(g)
-    if bad:
-        raise GraphError(f"malformed decomposition: {bad}")
     g1, map1 = g.induced(dec.g1_mask)
     s_value, _ = scattering(g1, cap=cfg.cap_subsets)
     trace.add("cover-plan", s=("inf" if s_value == INF else s_value), g1_size=g1.n)
@@ -433,14 +402,14 @@ def _anchor_pair(g: Graph, pairs, v2: int):
     return None
 
 
-def _one_path_cover(h: Graph, structure: Multipartition, vmap, x: int, y: int, z: int,
-                    w: int, missing: str) -> PathCover:
+def _one_path_cover(h: Graph, vmap, x: int, y: int, z: int, w: int,
+                    missing: str) -> PathCover:
     """The path z, (Hamiltonian x-y path of the multipartite h), w as a cover.
 
     h is an induced subgraph with relabeling map vmap; x, y, z, w are ids of
     the parent graph.  A missing x-y path raises with the given message.
     """
-    path = multipartite_ham_path(h, structure, vmap.index(x), vmap.index(y))
+    path = multipartite_ham_path(h, vmap.index(x), vmap.index(y))
     if path is None:
         raise PipelineInternalError(missing)
     order = (z,) + tuple(vmap[i] for i in path.order) + (w,)
@@ -464,15 +433,13 @@ def _cover_connected(g, dec, g1, map1, cfg, trace):
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.anchors", w,
                                   regime_impossible=True)
     x, y, z, w = got
-    return _one_path_cover(g1, dec.g1_structure, map1, x, y, z, w,
-                           "Hamiltonian-connected G1 refused a path")
+    return _one_path_cover(g1, map1, x, y, z, w, "Hamiltonian-connected G1 refused a path")
 
 
 def _cover_scattered(g, dec, g1, map1, cfg, trace):
     """The s(G1) >= 0 branch: minimum cutset T, star anchors, three subcases."""
     v1, v2 = dec.g1_mask, dec.g2_mask
-    structure = dec.g1_structure
-    part_local = structure.largest_part()
+    part_local = dec.g1_structure.largest_part()
     centers = _lift(part_local, map1)
     t_set = _lift(g1.full & ~part_local, map1)
     size_t = t_set.bit_count()
@@ -502,11 +469,9 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
             raise PipelineInternalError("more anchored centers than cutset vertices")
         ustar = sorted(u_set + fillers[: size_t + 1 - len(u_set)])
         x, y, z, w = anchored_pair(ustar, "star-matching left under two outside anchors")
+        # an induced subgraph of the complete multipartite G1 is one as well
         sub, smap = g.induced(t_set | mask_of(ustar))
-        sub_structure = multipartite_decompose(sub)
-        if not isinstance(sub_structure, Multipartition):
-            raise PipelineInternalError("T plus U* lost the multipartite structure")
-        cover = _one_path_cover(sub, sub_structure, smap, x, y, z, w,
+        cover = _one_path_cover(sub, smap, x, y, z, w,
                                 "alternating path through T and U* missing")
         for c in sorted(stars):
             if c in set(ustar):
@@ -525,12 +490,11 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
         if got is None:
             return _salvage_or_limit(g, cfg, trace, "case1.cover.balanced-small")
         x, y, z, w = got
-        return _one_path_cover(g1, structure, map1, x, y, z, w,
-                               "cross path through balanced G1 missing")
+        return _one_path_cover(g1, map1, x, y, z, w, "cross path through balanced G1 missing")
 
     x, y, z, w = anchored_pair(sorted(stars), "balanced case lost its two outside anchors")
     if _min_edge_within(g, t_set) is not None:
-        return _one_path_cover(g1, structure, map1, x, y, z, w,
+        return _one_path_cover(g1, map1, x, y, z, w,
                                "same-part path missing despite edged cutset")
     # T independent: some cutset vertex must reach outside past z
     xstar = zstar = -1
@@ -544,7 +508,7 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
         w_cert = ToughnessWitness(cut, g.component_count(cut))
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.starved-cutset",
                                   w_cert, regime_impossible=True)
-    return _one_path_cover(g1, structure, map1, x, xstar, z, zstar,
+    return _one_path_cover(g1, map1, x, xstar, z, zstar,
                            "cross path missing in the balanced independent case")
 
 
@@ -602,16 +566,15 @@ def _finish(g: Graph, cyc: CycleCert, trace: Trace, case: str) -> Certificate:
 
 
 def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
-                 trace: Trace | None = None) -> Certificate:
+                 trace: Trace) -> Certificate:
     """Connect the cover through G2: forced-edge cycle, then splice.
 
     The connectivity requirement is verified along the counting route: the path
     count and the independence number of G2 stay below n/(t+1) and the
     connectivity of G2 reaches 2n/(t+1); each failed check replays into a
-    certificate.  The oracle precondition then holds by monotonicity.
+    certificate.  The oracle precondition then holds by monotonicity.  A
+    step of ``run_theorem``; it writes to that run's trace.
     """
-    if trace is None:
-        trace = Trace()
     n, t = g.n, cfg.t
     bound, kappa_bound = _threshold(n, t), _threshold(n, t, 2)
 
@@ -682,17 +645,13 @@ def _case1_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfi
 
 # --- case 2 -------------------------------------------------------------------
 
-def case2_run(g: Graph, cfg: RunConfig, trace: Trace | None = None) -> Certificate:
+def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     """No edge has a small union neighborhood: star out the low-degree
     vertices, cycle through the rest with forced edges, splice, and insert
-    the leftovers."""
-    if trace is None:
-        trace = Trace()
+    the leftovers.  A step of ``run_theorem``, taken once ``_case1_edge``
+    found no edge; it writes to that run's trace.  The low-degree set is
+    still checked to be independent."""
     n, t = g.n, cfg.t
-    pick = _case1_edge(g)
-    if pick is not None:
-        raise GraphError(f"case 2 ran but edge {pick} satisfies case 1")
-
     s_mask = 0
     for x in range(n):
         if 24 * g.adj[x].bit_count() < 5 * n:

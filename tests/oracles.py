@@ -1,0 +1,60 @@
+"""Test-side oracles for values the engine builds and no longer re-checks.
+
+Each one is written from the definitions, not from the producer's code, so
+a test that runs a stage and then an oracle checks the stage.
+"""
+
+from toughham.graph import bit
+
+
+def split_violations(g, dec) -> list[str]:
+    """The relations of a case-1 ``Decomposition``, with S rebuilt from uv.
+
+    S = N(u) ∪ N(v) minus u, v and D1 = {u, v}; G1 holds D1 and G2 holds
+    D2; G1 and G2 are disjoint and split S between them; D2 is a component
+    of G - S; S, D1 and D2 cover the graph.
+    """
+    u, v = dec.uv
+    d1 = bit(u) | bit(v)
+    s = (g.adj[u] | g.adj[v]) & ~d1
+    g1, g2, d2 = dec.g1_mask, dec.g2_mask, dec.d2_mask
+    bad = []
+    if g1 & g2:
+        bad.append("G1 and G2 overlap")
+    if d1 & ~g1 or d2 & ~g2:
+        bad.append("G1 misses D1 or G2 misses D2")
+    if (g1 & ~d1) | (g2 & ~d2) != s:
+        bad.append("G1 - D1 and G2 - D2 do not make up S")
+    if d2 not in g.components(s):
+        bad.append("D2 is not a component of G - S")
+    if s | d1 | d2 != g.full:
+        bad.append("S, D1 and D2 do not cover the graph")
+    return bad
+
+
+def star_centers(m) -> int:
+    """The mask of the centers of a star-matching."""
+    mask = 0
+    for center, _ in m.stars:
+        mask |= bit(center)
+    return mask
+
+
+def validate_star_matching(g, m, centers=None, degree=None) -> bool:
+    """Disjoint stars of g; optionally exactly these centers, each with
+    exactly ``degree`` leaves."""
+    seen = 0
+    for center, leaves in m.stars:
+        if degree is not None and len(leaves) != degree:
+            return False
+        star = bit(center)
+        for leaf in leaves:
+            if not g.has_edge(center, leaf):
+                return False
+            star |= bit(leaf)
+        if star.bit_count() != 1 + len(leaves):
+            return False
+        if star & seen:
+            return False
+        seen |= star
+    return centers is None or star_centers(m) == centers

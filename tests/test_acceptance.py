@@ -9,13 +9,14 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from toughham.certificates import (HamiltonCycle, RunConfig, certificate_kind,
+from oracles import split_violations, validate_star_matching
+from toughham.certificates import (HamiltonCycle, RunConfig, Trace, certificate_kind,
                                    check_certificate)
 from toughham.cli import main as cli_main
 from toughham.generators import case1_synthetic, complete_split_join, random_graph
 from toughham.graph import Graph, bits, mask_of
 from toughham.hamilton import dirac_cycle, ham_cycle_forced, validate_cycle
-from toughham.matchings import StarMatching, f_star_matching
+from toughham.matchings import StarMatching, _stars
 from toughham.metrics import (INF, connectivity, independence, scattering, toughness,
                               validate_toughness_witness, verify_tough)
 from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
@@ -277,7 +278,7 @@ def brute_b_matching(g, x_side, y_side, f):
 
 
 def test_criterion_7_star_matching_suite():
-    from toughham.matchings import k1t_matching, validate_star_matching
+    from toughham.matchings import k1t_matching
     from toughham.metrics import ToughnessWitness
 
     feasible_seen = infeasible_seen = 0
@@ -290,7 +291,7 @@ def test_criterion_7_star_matching_suite():
         g = Graph.from_edges(n, [(u, v) for u in range(nx) for v in range(nx, n)
                                  if rng.random() < rng.choice([0.35, 0.6, 0.9])])
         f = {v: rng.randrange(1, 4) for v in bits(x_side)}
-        got = f_star_matching(g, x_side, y_side, f)
+        got = _stars(g.adj, y_side, f)
         feasible = brute_b_matching(g, x_side, y_side, f)
         assert isinstance(got, StarMatching) == feasible, i
         if feasible:
@@ -387,16 +388,17 @@ def test_criterion_9_stage_level_suite():
             g = case1_synthetic(g1p, s2, d2p, seed=seed * 31 + shape_index)
             pick = _case1_edge(g)
             assert pick is not None
-            dec = case1_decompose(g, pick, cfg)
+            trace = Trace()
+            dec = case1_decompose(g, pick, cfg, trace)
             assert isinstance(dec, Decomposition), (g1p, seed)
-            assert dec.violations(g) == []
-            cover = build_path_cover(g, dec, cfg)
+            assert split_violations(g, dec) == []
+            cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover), (g1p, seed)
             g1, _ = g.induced(dec.g1_mask)
             s_value, _ = scattering(g1)
             assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                                     expected_cover_size(s_value)) == []
-            cert = case1_finish(g, dec, cover, cfg)
+            cert = case1_finish(g, dec, cover, cfg, trace)
             assert isinstance(cert, HamiltonCycle), (g1p, seed)
             assert sorted(cert.cycle.order) == list(range(g.n))
             assert check_certificate(g, cert, cfg)[0]
@@ -405,11 +407,13 @@ def test_criterion_9_stage_level_suite():
     for g1p in ([11, 9, 2], [11, 11]):
         for seed in range(5):
             g = case1_synthetic(g1p, 24, [9] * 7 + [2], seed=seed)
-            dec = case1_decompose(g, _case1_edge(g), cfg)
+            trace = Trace()
+            dec = case1_decompose(g, _case1_edge(g), cfg, trace)
             assert isinstance(dec, Decomposition)
-            cover = build_path_cover(g, dec, cfg)
+            assert split_violations(g, dec) == []
+            cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover)
-            cert = case1_finish(g, dec, cover, cfg)
+            cert = case1_finish(g, dec, cover, cfg, trace)
             assert isinstance(cert, HamiltonCycle)
             assert sorted(cert.cycle.order) == list(range(g.n))
             instances += 1
@@ -418,7 +422,7 @@ def test_criterion_9_stage_level_suite():
     base = Graph.complete_multipartite([2] * 12)
     spliced = Graph.from_edges(26, list(base.edges())
                                + [(24, 0), (24, 2)] + [(25, 4), (25, 6), (25, 8)])
-    cert = case2_run(spliced, RunConfig(cap_oracle=64))
+    cert = case2_run(spliced, RunConfig(cap_oracle=64), Trace())
     assert isinstance(cert, HamiltonCycle)
     assert sorted(cert.cycle.order) == list(range(26))
     announce(9, f"{instances} case-1 instances with valid covers and exact splices")

@@ -116,6 +116,26 @@ def test_check_unreadable_graph_records_fail_and_go_on(tmp_path):
     ]
 
 
+def test_check_malformed_fields_fail_only_their_graph(tmp_path):
+    # a graph or error record with a field that is not key=value fails the
+    # graph its index names; the batch goes on to the next graph
+    inp = write_inputs(tmp_path, [Graph.complete(3)] * 3)
+    cert_path = tmp_path / "certs.txt"
+    cycle = "cert kind=hamilton-cycle -- 0 1 2\n"
+    cert_path.write_text("graph index=0 n=3 t=11/1 junk\n" + cycle
+                         + "graph index=1 n=3 t=11/1\n" + cycle
+                         + "error index=2 kind=input reason=x junk\n")
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert code == 1
+    lines = report.splitlines()
+    assert lines[0].startswith("check index=0 result=fail"
+                               " reason=unreadable-graph-record:malformed-field-'junk'")
+    assert lines[1] == "check index=1 result=pass reason=hamilton-cycle-verified"
+    assert lines[2].startswith("check index=2 result=fail"
+                               " reason=unreadable-error-record:malformed-field-'junk'")
+    assert len(lines) == 3
+
+
 def test_check_missing_certificate(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5), Graph.cycle(6)])
     cert_path = tmp_path / "certs.txt"

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import split_violations
 from toughham.certificates import RunConfig, Trace, certificate_to_record
 from toughham.generators import case1_synthetic, complete_split_join, random_graph
 from toughham.graph import Graph
@@ -60,6 +61,7 @@ def _case1_stages(graphs, cfg):
         trace = Trace()
         dec = got = case1_decompose(g, pick, cfg, trace)
         if isinstance(dec, Decomposition):
+            assert split_violations(g, dec) == []
             got = build_path_cover(g, dec, cfg, trace)
             if isinstance(got, PathCover):
                 got = case1_finish(g, dec, got, cfg, trace)

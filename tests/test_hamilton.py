@@ -9,7 +9,6 @@ from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
                                insert_vertices, multipartite_ham_path,
                                validate_cycle, validate_path)
 from toughham.metrics import OracleLimitExceeded
-from toughham.recognition import Multipartition, multipartite_decompose
 
 
 def brute_ham_cycle(g, forced=()):
@@ -131,15 +130,16 @@ def mp_path_brute(g, x, y):
 
 def test_multipartite_ham_path_examples():
     k22 = Graph.complete_multipartite([2, 2])
-    mp = multipartite_decompose(k22)
-    path = multipartite_ham_path(k22, mp, 0, 2)
+    path = multipartite_ham_path(k22, 0, 2)
     assert path is not None and validate_path(k22, path)
     assert len(path.order) == 4 and path.ends == (0, 2)
     k2 = Graph.complete(2)
-    path = multipartite_ham_path(k2, multipartite_decompose(k2), 0, 1)
+    path = multipartite_ham_path(k2, 0, 1)
     assert path.order == (0, 1)
     star = Graph.complete_multipartite([1, 3])
-    assert multipartite_ham_path(star, multipartite_decompose(star), 1, 2) is None
+    assert multipartite_ham_path(star, 1, 2) is None
+    with pytest.raises(GraphError):  # C5 has no multipartition
+        multipartite_ham_path(Graph.cycle(5), 0, 1)
 
 
 def test_multipartite_ham_path_brute_force_agreement():
@@ -155,13 +155,11 @@ def test_multipartite_ham_path_brute_force_agreement():
     for n in range(2, 9):
         for sizes in partitions(n, n):
             g = Graph.complete_multipartite(sizes)
-            mp = multipartite_decompose(g)
-            assert isinstance(mp, Multipartition)
             for x in range(n):
                 for y in range(n):
                     if x == y:
                         continue
-                    got = multipartite_ham_path(g, mp, x, y)
+                    got = multipartite_ham_path(g, x, y)
                     assert (got is not None) == mp_path_brute(g, x, y), (sizes, x, y)
                     if got is not None:
                         assert validate_path(g, got)

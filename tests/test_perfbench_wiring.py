@@ -39,3 +39,22 @@ def test_every_workload_runs_pass_zero_without_errors(monkeypatch):
         errors = [out.error for out in outputs if isinstance(out, run.ErrorOut)]
         assert errors == [], (workload, errors[:3])
         assert run.output_problems(tk, workload, outputs) == [], workload
+
+
+def test_traced_bridge_pass_reaches_every_stage(monkeypatch):
+    # the stages take the run's trace as a required argument; a traced
+    # pass calls them through the harness's wrappers, so a signature the
+    # harness cannot call shows up as a failed request or a zero count
+    run = _load_harness(monkeypatch)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    groups = run.workloads.WORKLOADS["bridge"](tk, run.workloads.pass_seed(7, 0))
+    tracer = run.spans.Tracer()
+    with tracer.installed(lambda tr: run.install_wrappers(tr, tk)):
+        outputs = run.run_pass(tk, groups, run.configs_for(tk, groups))
+    errors = [out.error for out in outputs if isinstance(out, run.ErrorOut)]
+    assert errors == [], errors[:3]
+    stages = ["pipeline." + name for name in ("min_degree_gate", "case1_decompose",
+                                              "build_path_cover", "case1_finish",
+                                              "case2_run")]
+    for name in stages + ["hamilton.multipartite_ham_path"]:
+        assert tracer.counts[name + ".calls"] > 0, name

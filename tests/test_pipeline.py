@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from oracles import split_violations
 from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
-                                   RunConfig, certificate_from_record,
+                                   RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, parse_record)
 from toughham.generators import case1_synthetic, complete_split_join, random_graph
@@ -63,7 +65,7 @@ def test_run_theorem_needs_three_vertices():
 def test_gate_fires_oracle_route():
     # min degree 2 exceeds 6/12 - 1 but stays below n/2: oracle route
     g = Graph.cycle(6)
-    cert = min_degree_gate(g, RunConfig(), None)
+    cert = min_degree_gate(g, RunConfig(), Trace())
     assert isinstance(cert, HamiltonCycle)
 
 
@@ -73,7 +75,7 @@ def test_gate_low_degree_witness():
     g = Graph.from_edges(30, [(i, (i + 1) % 28) for i in range(28)]
                          + [(0, 28), (14, 29)])
     cfg = RunConfig()
-    cert = min_degree_gate(g, cfg, None)
+    cert = min_degree_gate(g, cfg, Trace())
     assert isinstance(cert, ToughnessWitness)
     assert check_certificate(g, cert, cfg)[0]
 
@@ -107,27 +109,25 @@ def test_case1_edge_matches_the_all_edges_loop():
         assert _case1_edge(g) == case1_edge_over_all_edges(g) is not None
 
 
-def test_case1_precondition_enforced():
-    g = complete_split_join(22, 2)
-    with pytest.raises(GraphError):
-        case1_decompose(g, (0, 1), RunConfig())
-
-
 def test_case1_decomposition_invariants():
     g = case1_synthetic([2, 1, 2], 6, [2] * 8)
-    dec = case1_decompose(g, _case1_edge(g), RunConfig())
+    dec = case1_decompose(g, _case1_edge(g), RunConfig(), Trace())
     assert isinstance(dec, Decomposition)
-    assert dec.violations(g) == []
-    assert dec.s1_mask == mask_of([1, 3, 4])  # G1 block minus u,v
-    assert dec.s2_mask.bit_count() == 6
+    assert split_violations(g, dec) == []
+    assert dec.uv == (0, 2)
+    assert dec.g1_mask == mask_of([0, 1, 2, 3, 4])  # the G1 block
+    assert (dec.g2_mask & ~dec.d2_mask).bit_count() == 6
     assert dec.d2_mask.bit_count() == 16
+    # the oracle sees a split whose G2 also takes S1
+    s = (g.adj[0] | g.adj[2]) & ~mask_of([0, 2])
+    assert split_violations(g, replace(dec, g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
 
 
 def test_split_check_failure_into_pattern():
     # D2 split into two pieces: a second nontrivial component appears and a
     # third component completes the forbidden pattern
     g = case1_synthetic([2, 1, 2], 6, [2] * 8)
-    dec = case1_decompose(g, _case1_edge(g), RunConfig())
+    dec = case1_decompose(g, _case1_edge(g), RunConfig(), Trace())
     drop = []
     d2 = sorted(bits(dec.d2_mask))
     half = mask_of(d2[:8])
@@ -136,7 +136,7 @@ def test_split_check_failure_into_pattern():
              and not (half >> v & 1 and dec.d2_mask >> u & 1 and not half >> u & 1)]
     split = Graph.from_edges(g.n, edges)
     cfg = RunConfig()
-    got = case1_decompose(split, _case1_edge(g), cfg)
+    got = case1_decompose(split, _case1_edge(g), cfg, Trace())
     assert isinstance(got, ForbiddenWitness)
     assert check_certificate(split, got, cfg)[0]
 
@@ -150,7 +150,7 @@ def test_split_check_all_trivial_gives_cutset():
     g = Graph.from_edges(12, edges)
     cfg = RunConfig()
     assert _case1_edge(g) == (0, 1)
-    got = case1_decompose(g, (0, 1), cfg)
+    got = case1_decompose(g, (0, 1), cfg, Trace())
     assert isinstance(got, ToughnessWitness)
     assert got.cutset == mask_of([2, 3])
     assert check_certificate(g, got, cfg)[0]
@@ -174,7 +174,7 @@ def _block_structure_instance(star_leaves=13):
 def test_block_structure_failure_independent_remainder():
     g = _block_structure_instance()
     cfg = RunConfig()
-    got = case1_decompose(g, (0, 1), cfg)
+    got = case1_decompose(g, (0, 1), cfg, Trace())
     assert isinstance(got, ToughnessWitness)
     assert check_certificate(g, got, cfg)[0]
 
@@ -190,7 +190,7 @@ def test_block_structure_failure_pattern_completion():
     edges += [(a, b) for a in far[:7] for b in far[7:]]
     g = Graph.from_edges(n, list({tuple(sorted(e)) for e in edges}))
     cfg = RunConfig()
-    got = case1_decompose(g, (0, 1), cfg)
+    got = case1_decompose(g, (0, 1), cfg, Trace())
     assert isinstance(got, ForbiddenWitness)
     assert check_certificate(g, got, cfg)[0]
 
@@ -207,16 +207,16 @@ COVER_VARIANTS = [
 @pytest.mark.parametrize("label,g1p,s2,d2p", COVER_VARIANTS)
 def test_path_cover_variants(label, g1p, s2, d2p):
     g = case1_synthetic(g1p, s2, d2p)
-    cfg = RunConfig(cap_oracle=64)
-    dec = case1_decompose(g, _case1_edge(g), cfg)
+    cfg, trace = RunConfig(cap_oracle=64), Trace()
+    dec = case1_decompose(g, _case1_edge(g), cfg, trace)
     assert isinstance(dec, Decomposition)
-    cover = build_path_cover(g, dec, cfg)
+    cover = build_path_cover(g, dec, cfg, trace)
     assert isinstance(cover, PathCover), label
     g1, _ = g.induced(dec.g1_mask)
     s_value, _ = scattering(g1)
     assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                             expected_cover_size(s_value)) == []
-    cert = case1_finish(g, dec, cover, cfg)
+    cert = case1_finish(g, dec, cover, cfg, trace)
     assert isinstance(cert, HamiltonCycle), label
     assert check_certificate(g, cert, cfg)[0]
     assert sorted(cert.cycle.order) == list(range(g.n))
@@ -228,12 +228,12 @@ def test_path_cover_variants(label, g1p, s2, d2p):
 ])
 def test_path_cover_large_balanced(label, g1p, s2, d2p):
     g = case1_synthetic(g1p, s2, d2p)
-    cfg = RunConfig(cap_oracle=128)
-    dec = case1_decompose(g, _case1_edge(g), cfg)
-    cover = build_path_cover(g, dec, cfg)
+    cfg, trace = RunConfig(cap_oracle=128), Trace()
+    dec = case1_decompose(g, _case1_edge(g), cfg, trace)
+    cover = build_path_cover(g, dec, cfg, trace)
     assert isinstance(cover, PathCover), label
     assert len(cover.paths) == 1
-    cert = case1_finish(g, dec, cover, cfg)
+    cert = case1_finish(g, dec, cover, cfg, trace)
     assert isinstance(cert, HamiltonCycle)
     assert check_certificate(g, cert, cfg)[0]
 
@@ -241,7 +241,7 @@ def test_path_cover_large_balanced(label, g1p, s2, d2p):
 def test_case2_split_join_direct():
     g = complete_split_join(22, 2)
     cfg = RunConfig()
-    cert = case2_run(g, cfg)
+    cert = case2_run(g, cfg, Trace())
     assert isinstance(cert, HamiltonCycle)
     assert check_certificate(g, cert, cfg)[0]
 
@@ -259,7 +259,7 @@ def blob_with_attachments(parts, attachments):
 def test_case2_splice_single_star():
     g = blob_with_attachments([2] * 12, [[0, 2]])
     cfg = RunConfig(cap_oracle=64)
-    cert = case2_run(g, cfg)
+    cert = case2_run(g, cfg, Trace())
     assert isinstance(cert, HamiltonCycle)
     assert check_certificate(g, cert, cfg)[0]
     assert g.n - 1 in cert.cycle.order
@@ -268,20 +268,11 @@ def test_case2_splice_single_star():
 def test_case2_with_insertion():
     g = blob_with_attachments([2] * 24, [[0, 2, 4], [6, 8, 10, 12, 14, 16]])
     cfg = RunConfig(cap_oracle=64)
-    trace_holder = []
-
-    from toughham.certificates import Trace
     trace = Trace()
     cert = case2_run(g, cfg, trace)
     assert isinstance(cert, HamiltonCycle)
     assert check_certificate(g, cert, cfg)[0]
     assert any(line.startswith("insertion") for line in trace.lines)
-
-
-def test_case2_rejects_case1_edges():
-    g = case1_synthetic([2, 1, 2], 6, [2] * 8)
-    with pytest.raises(GraphError):
-        case2_run(g, RunConfig())
 
 
 def test_case1_fuzz_soundness():
@@ -294,13 +285,15 @@ def test_case1_fuzz_soundness():
         pick = _case1_edge(g)
         if pick is None:
             continue
-        got = case1_decompose(g, pick, cfg)
+        trace = Trace()
+        got = case1_decompose(g, pick, cfg, trace)
         outcomes.add(type(got).__name__)
         if isinstance(got, Decomposition):
-            cover = build_path_cover(g, got, cfg)
+            assert split_violations(g, got) == [], i
+            cover = build_path_cover(g, got, cfg, trace)
             outcomes.add(type(cover).__name__)
             if isinstance(cover, PathCover):
-                cert = case1_finish(g, got, cover, cfg)
+                cert = case1_finish(g, got, cover, cfg, trace)
                 outcomes.add(certificate_kind(cert))
                 if not isinstance(cert, OracleLimit):
                     assert check_certificate(g, cert, cfg)[0]
@@ -317,7 +310,7 @@ def test_case2_fuzz_soundness():
         g = random_graph(n, rng.choice([0.75, 0.85, 0.95]), seed=31000 + i)
         if any(12 * (g.adj[a] | g.adj[b]).bit_count() <= 5 * n for a, b in g.edges()):
             continue
-        cert = case2_run(g, cfg)
+        cert = case2_run(g, cfg, Trace())
         if not isinstance(cert, OracleLimit):
             assert check_certificate(g, cert, cfg)[0]
 
