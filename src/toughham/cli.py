@@ -10,7 +10,8 @@ A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
 unreadable ``cert`` records, ``graph`` records with a malformed field or a
 ``t`` that does not parse (``unreadable-graph-record``), ``error`` records
 with a malformed field (``unreadable-error-record``) and graphs ``run`` gave
-an ``error`` record (``run-error``); ``check`` reads no trace line.
+an ``error`` record (``run-error``); ``check`` reads no trace line.  A byte
+past ASCII fails only the graph6 line or record that holds it.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def _certificates_by_index(path: str):
     started = False
     current = None
     current_t: Fraction | str = Fraction(11)
-    with open(path, encoding="ascii") as fh:
+    # a byte past ASCII fails only the record that reads it
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -165,8 +167,9 @@ def cmd_check(args, out) -> int:
             ok, reason = False, got
         else:
             ok, reason = check_certificate(g, got[1], RunConfig(t=got[0]))
-        out.write(f"check index={index} result={'pass' if ok else 'fail'}"
-                  f" reason={reason.replace(' ', '-')}\n")
+        # a reason may quote bytes past ASCII from the cert file; escape them
+        reason = reason.replace(" ", "-").encode("ascii", "backslashreplace").decode()
+        out.write(f"check index={index} result={'pass' if ok else 'fail'} reason={reason}\n")
         if not ok:
             failures += 1
     return EXIT_CHECK_FAILED if failures else EXIT_OK

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 from .graph import Graph
-from .recognition import find_induced
+# find_induced stays bound: the benchmark harness times generators.find_induced by name
+from .recognition import find_induced, holds  # noqa: F401
 
 KINDS = ("complete", "complete_multipartite", "complete_split_join",
          "case1_synthetic", "random_in_class", "random")
@@ -36,7 +37,7 @@ def random_in_class(n: int, p: float, seed: int, cap: int = REJECTION_CAP) -> Gr
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
         g = Graph.from_edges(n, edges)
-        if find_induced(g, "2p2+p1") is None:
+        if not holds(g, "2p2+p1"):
             return g
     raise GenerationError(
         f"no pattern-free sample within {cap} tries at n={n}, p={p}")

@@ -98,9 +98,10 @@ def write_graph6(g: Graph) -> str:
 
 def read_graph6_lines(path: str) -> list[Graph | Graph6Error]:
     """Per non-empty line of a graph6 file, its graph or the Graph6Error it
-    raised, so that a malformed line fails only its own graph."""
+    raised, so that a malformed line, a byte past ASCII included (it reads
+    as out of range at its offset), fails only its own graph."""
     graphs: list[Graph | Graph6Error] = []
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if line:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .graph import Graph, GraphError, bit, bits
 from .metrics import OracleLimitExceeded
-from .recognition import InducedWitness, multipartite_decompose
+from .recognition import multipartite_parts
 
 DEFAULT_ORACLE_CAP = 32
 
@@ -260,7 +260,7 @@ def _interleave_feasible(counts, forbid: int | None, last: int) -> bool:
 def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
     """Hamiltonian (x,y)-path of a complete multipartite graph, or None.
 
-    The parts come from ``multipartite_decompose``.  Consecutive path
+    The parts come from ``multipartite_parts``.  Consecutive path
     vertices must come from different parts, so this is a
     color-interleaving problem; the builder always places a largest
     remaining part next, subject to an exact feasibility lookahead, which
@@ -270,16 +270,16 @@ def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
         raise GraphError("path endpoints must differ")
     g._check_vertex(x)
     g._check_vertex(y)
-    mp = multipartite_decompose(g)
-    if isinstance(mp, InducedWitness):
+    parts = multipartite_parts(g)
+    if parts is None:
         raise GraphError("graph is not complete multipartite")
 
     part_of = {}
-    for idx, part in enumerate(mp.parts):
+    for idx, part in enumerate(parts):
         for v in bits(part):
             part_of[v] = idx
     a, b = part_of[x], part_of[y]
-    counts = [p.bit_count() for p in mp.parts]
+    counts = [p.bit_count() for p in parts]
 
     seq = [a]
     counts[a] -= 1
@@ -303,7 +303,7 @@ def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
         raise AssertionError("interleaving ended off the target part")
     seq.append(b)
 
-    pools = [[v for v in bits(part) if v != x and v != y] for part in mp.parts]
+    pools = [[v for v in bits(part) if v != x and v != y] for part in parts]
     order = [x]
     for c in seq[1:-1]:
         order.append(pools[c].pop(0))

@@ -24,9 +24,11 @@ most n completion tests per position.  The same greedy finds ``2p2+p1``
 witnesses and is tested on them, but ``find_induced`` still takes those
 from a backtracker over ascending 5-tuples once the bitset test has found
 that one exists (routing them through the greedy is open work, ROADMAP
-item 4).  Checking a claimed witness needs no search at all: the ids must
-be distinct and of the forest's size, and each must see at most one of the
-others, with twice the edge count of such incidences in all.
+item 5).  Rejection sampling only asks whether the forest is there, through
+``holds``, so it runs no witness search.  Checking a claimed witness needs
+no search at all: the ids must be distinct and of the forest's size, and
+each must see at most one of the others, with twice the edge count of such
+incidences in all.
 """
 
 from __future__ import annotations
@@ -254,18 +256,19 @@ def _forest_witness(g: Graph, edges: int, solo: int) -> tuple[int, ...] | None:
     return tuple(prefix)
 
 
+def holds(g: Graph, pattern: str) -> bool:
+    """Does g induce the named forest?  O(n*m) mask operations, no witness."""
+    edges, solo = _forest(pattern)
+    return 2 * edges + solo <= g.n and _holds(g.adj, g.full, edges, solo)
+
+
 def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
     """Lexicographically smallest vertex tuple inducing the pattern, or None."""
-    edges, solo = _forest(pattern)
-    if 2 * edges + solo > g.n:
+    if not holds(g, pattern):
         return None
-    if edges == 1:
-        hit = _forest_witness(g, 1, 1)
-    else:
-        # the bitset test decides; the backtracker, which stops at its
-        # first complete tuple, returns the witness
-        hit = _backtrack(g) if _holds(g.adj, g.full, 2, 1) else None
-    return InducedWitness(hit, pattern) if hit is not None else None
+    # the backtracker stops at its first complete tuple
+    hit = _forest_witness(g, 1, 1) if pattern == "p2+p1" else _backtrack(g)
+    return InducedWitness(hit, pattern)
 
 
 def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
@@ -291,7 +294,14 @@ def multipartite_decompose(g: Graph) -> Multipartition | InducedWitness:
     The parts are the non-adjacency classes, which are also the components
     of the complement.
     """
-    parts = _parts(g.adj, g.full)
+    parts = multipartite_parts(g)
     if parts is not None:
-        return Multipartition(tuple(parts))
+        return Multipartition(parts)
     return InducedWitness(_forest_witness(g, 1, 1), "p2+p1")
+
+
+def multipartite_parts(g: Graph) -> tuple[int, ...] | None:
+    """Parts of a complete multipartite graph, ordered by minimum vertex;
+    None for any other graph.  O(n) mask operations, no witness."""
+    parts = _parts(g.adj, g.full)
+    return tuple(parts) if parts is not None else None

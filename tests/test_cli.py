@@ -264,6 +264,56 @@ def test_metrics_goes_on_past_an_unreadable_line(tmp_path):
     assert [lines[0], lines[2]] == clean.splitlines()
 
 
+def test_a_non_ascii_byte_fails_only_its_graph6_line(tmp_path):
+    k3 = write_graph6(Graph.complete(3))
+    inp = tmp_path / "in.g6"
+    inp.write_bytes(f"{k3}\n".encode() + "\u00e9\n".encode() + f"{k3}\n".encode())
+    bad = "error index=1 kind=input reason=size-byte-out-of-range-(byte-0)"
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--t", "11", "--input", str(inp), "--out", cert_path])
+    assert code == 4
+    lines = (tmp_path / "certs.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("error ")] == [bad]
+    code, clean = run_cli(["run", "--input", write_inputs(tmp_path, [Graph.complete(3)] * 2,
+                                                          "clean.g6")])
+    assert code == 0
+    kept = [line.replace("graph index=2 ", "graph index=1 ") for line in lines
+            if not line.startswith("error ")]
+    assert kept == clean.splitlines()
+    code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
+    assert code == 1
+    assert report.splitlines() == [
+        "check index=0 result=pass reason=hamilton-cycle-verified",
+        "check index=1 result=fail reason=unreadable-graph:-size-byte-out-of-range-(byte-0)",
+        "check index=2 result=pass reason=hamilton-cycle-verified"]
+    code, out = run_cli(["metrics", "--input", str(inp)])
+    assert code == 4
+    assert out.splitlines() == ["tau=inf kappa=2 alpha=1 delta=2 s=inf", bad,
+                                "tau=inf kappa=2 alpha=1 delta=2 s=inf"]
+
+
+def test_check_a_non_ascii_byte_fails_only_the_record_that_reads_it(tmp_path):
+    # in a trace line it is never read; in a cert record it fails that
+    # graph; in an error record's reason it is reported escaped
+    inp = write_inputs(tmp_path, [Graph.complete(3)] * 3)
+    cert_path = tmp_path / "certs.txt"
+    code, _ = run_cli(["run", "--input", inp, "--out", str(cert_path)])
+    assert code == 0
+    graphs = cert_path.read_bytes().decode().split("graph ")[1:]
+    e = "\u00e9".encode()
+    first = ("graph " + graphs[0]).encode().replace(b"freeness result=free",
+                                                     b"freeness result=free note=" + e)
+    second = ("graph " + graphs[1]).encode().replace(b"0 1 2\n", b"0 1 2 " + e + b"\n")
+    cert_path.write_bytes(first + second + b"error index=2 kind=input reason=caf" + e + b"\n")
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert code == 1
+    assert report.splitlines() == [
+        "check index=0 result=pass reason=hamilton-cycle-verified",
+        "check index=1 result=fail reason=unreadable-certificate:-invalid-literal-for-int()"
+        "-with-base-10:-'\\udcc3\\udca9'",
+        "check index=2 result=fail reason=run-error:caf\\udcc3\\udca9"]
+
+
 def test_check_rejects_records_without_an_index(tmp_path, capsys):
     inp = write_inputs(tmp_path, [Graph.complete(3)])
     cert_path = tmp_path / "certs.txt"

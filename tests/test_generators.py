@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
+from toughham import generators, recognition
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  generate, random_in_class)
 from toughham.graph import Graph, bit, mask_of
+from toughham.graph6 import write_graph6
 from toughham.recognition import find_induced
 
 
@@ -40,6 +44,40 @@ def test_random_in_class_rejection_cap():
     # dense big samples essentially always carry the pattern
     with pytest.raises(GenerationError):
         random_in_class(22, 0.5, seed=0, cap=3)
+
+
+def sample_digest():
+    """sha256 over the outcome of every (n, p, seed, cap) of a grid whose
+    draws are accepted at once, accepted after rejections, or all rejected."""
+    h = hashlib.sha256()
+    for n in (5, 8, 11, 14, 18):
+        for p in (0.2, 0.5, 0.8, 0.9):
+            for seed in (0, 1, 2):
+                for cap in (1, 4):
+                    try:
+                        out = write_graph6(random_in_class(n, p, seed, cap=cap))
+                    except GenerationError:
+                        out = "GenerationError"
+                    h.update(f"{n} {p} {seed} {cap} {out}\n".encode())
+    return h.hexdigest()
+
+
+def test_random_in_class_outcomes_are_pinned():
+    # 120 grid points, 96 rejected draws, 39 GenerationErrors; the digest was
+    # taken when rejection still searched for a witness
+    assert sample_digest() == "d6d4c89b3458c0857e55bdac2eb303fbe6b29b768534ebd53573dcf71d569648"
+
+
+def test_random_in_class_searches_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rejection sampling searched for a witness")
+
+    for owner, attr in ((recognition, "_backtrack"), (recognition, "find_induced"),
+                        (generators, "find_induced")):
+        monkeypatch.setattr(owner, attr, refuse)
+    with pytest.raises(GenerationError):
+        random_in_class(14, 0.5, seed=0, cap=4)
+    assert generate("random_in_class", {"n": 12, "p": 0.5}, seed=3).n == 12
 
 
 def test_case1_synthetic_structure():

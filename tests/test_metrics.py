@@ -242,9 +242,9 @@ def test_cutset_sweep_starts_at_kappa(monkeypatch):
     monkeypatch.setattr(Graph, "component_count",
                         lambda self, removed=0: sizes.append(removed.bit_count())
                         or real_count(self, removed))
-    real_decompose = metrics.multipartite_decompose
-    monkeypatch.setattr(metrics, "multipartite_decompose",
-                        lambda g: decompositions.append(g) or real_decompose(g))
+    real_parts = metrics.multipartite_parts
+    monkeypatch.setattr(metrics, "multipartite_parts",
+                        lambda g: decompositions.append(g) or real_parts(g))
     assert toughness(g)[0] == 4
     assert sizes and min(sizes) == 8
     assert len(decompositions) == 1
@@ -306,8 +306,8 @@ def test_verify_tough_decomposes_once(monkeypatch):
     from toughham import metrics
 
     calls = []
-    real = metrics.multipartite_decompose
-    monkeypatch.setattr(metrics, "multipartite_decompose",
+    real = metrics.multipartite_parts
+    monkeypatch.setattr(metrics, "multipartite_parts",
                         lambda g: calls.append(g) or real(g))
     assert verify_tough(Graph.complete_multipartite([3, 3, 3]), Fraction(1)) is None
     assert len(calls) == 1
@@ -371,8 +371,8 @@ def test_metrics_line_shares_one_sweep(monkeypatch):
 
     monkeypatch.setattr(metrics, "_min_vertex_cut_pair",
                         spy("flows", metrics._min_vertex_cut_pair))
-    monkeypatch.setattr(metrics, "multipartite_decompose",
-                        spy("decompositions", metrics.multipartite_decompose))
+    monkeypatch.setattr(metrics, "multipartite_parts",
+                        spy("decompositions", metrics.multipartite_parts))
     monkeypatch.setattr(Graph, "component_count", spy("counts", Graph.component_count))
 
     def tally(*solvers):

@@ -8,9 +8,9 @@ from toughham.generators import complete_split_join, random_in_class
 from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
 from toughham.metrics import independence
 from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
-                                  _backtrack, _forest_witness, find_induced,
-                                  induces_pattern,
-                                  multipartite_decompose)
+                                  _backtrack, _forest_witness, find_induced, holds,
+                                  induces_pattern, multipartite_decompose,
+                                  multipartite_parts)
 
 
 def forest_graph(pattern):
@@ -132,11 +132,36 @@ def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
         assert len(calls) <= g.n + 1 < g.edge_count()
 
 
+def test_holds_decides_what_find_induced_finds():
+    # holds is find_induced's first step, so this pins that the witness
+    # search after it always finds one, and brute force pins both
+    for n in range(7):
+        for g in all_graphs(n):
+            for pattern in FORESTS:
+                want = brute_find(g, pattern) is not None
+                assert holds(g, pattern) == (find_induced(g, pattern) is not None) == want
+    rng = random.Random(43)
+    for _ in range(90):
+        g = random_graph(rng, rng.randrange(7, 15), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        for pattern in FORESTS:
+            assert holds(g, pattern) == (find_induced(g, pattern) is not None), g.adj
+
+
+def test_multipartite_parts_are_the_decomposition():
+    for n in range(6):
+        for g in all_graphs(n):
+            mp = multipartite_decompose(g)
+            parts = multipartite_parts(g)
+            assert parts == (mp.parts if isinstance(mp, Multipartition) else None)
+
+
 def test_find_induced_rejects_unknown_pattern():
     g = Graph.path(5)
     for name in ("k33", "p1", "p4", "2p2", "p4+p1", "2P2+P1"):
         with pytest.raises(GraphError):
             find_induced(g, name)
+        with pytest.raises(GraphError):
+            holds(g, name)
         with pytest.raises(GraphError):
             induces_pattern(g, range(5), name)
 
