@@ -6,19 +6,15 @@ Machine-parsable line records first, human-readable second.  Exit codes:
 gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 
 A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
-``error`` record, ``check`` fails it (``unreadable-graph``), as it fails
-unreadable ``cert`` records, ``graph`` records with a malformed field or a
-``t`` that does not parse (``unreadable-graph-record``), ``error`` records
-with a malformed field (``unreadable-error-record``) and graphs ``run`` gave
-an ``error`` record (``run-error``); ``check`` reads no trace line.  A byte
-past ASCII fails only the graph6 line or record that holds it.
+``error`` record, ``check`` fails it (``unreadable-graph``).  ``check``
+reads the certificate file in blocks (see ``_blocks``) and no trace line;
+a byte past ASCII fails only the graph6 line or record that holds it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import metrics
 from .certificates import (OracleLimit, RunConfig, certificate_from_record,
@@ -27,6 +23,7 @@ from .certificates import (OracleLimit, RunConfig, certificate_from_record,
 from .generators import GenerationError, generate
 from .graph import Graph, GraphError
 from .graph6 import Graph6Error, read_graph6_lines, write_graph6
+from .hamilton import DEFAULT_ORACLE_CAP
 from .pipeline import PipelineInternalError, run_theorem
 
 EXIT_OK = 0
@@ -43,105 +40,81 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _config_from_args(args, t: Fraction) -> RunConfig:
-    cfg = RunConfig(t=t)
-    if args.cap_toughness is not None:
-        cfg.cap_subsets = args.cap_toughness
-    if args.cap_oracle is not None:
-        cfg.cap_oracle = args.cap_oracle
-    return cfg
-
-
-def _error_record(index: int, exc: Exception, g: Graph | None = None) -> str:
+def _error_record(index: int, exc: Exception, g: Graph | Graph6Error) -> str:
     """The ``error`` record of a graph that cannot be certified; a line that
-    does not parse (no ``g``) has no ``n`` and no ``graph6`` field."""
+    does not parse (``g`` is its Graph6Error) has no ``n`` and no ``graph6``."""
     kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
     reason = ("reason", str(exc).replace(" ", "-"))
-    if g is None:
+    if not isinstance(g, Graph):
         return record_line("error", [("index", index), ("kind", kind), reason])
     return record_line("error", [("index", index), ("n", g.n), ("kind", kind), reason,
                                  ("graph6", write_graph6(g))])
 
 
-def cmd_run(args, out) -> int:
-    t = parse_q(args.t)
-    cfg = _config_from_args(args, t)
-    limit_hit = errors = False
-    records: list[str] = []
-    for index, g in enumerate(read_graph6_lines(args.input)):
-        if isinstance(g, Graph6Error):
-            records.append(_error_record(index, g))
-            errors = True
-            continue
+def _batch(path: str, records, emit) -> int:
+    """Hand ``emit`` the records of each graph of a graph6 file, in order,
+    and return the batch's exit code.
+
+    ``records(index, g)`` gives a graph's records and whether it hit an
+    oracle limit; a line that does not parse, or a graph the engine
+    rejects, gets one ``error`` record instead and the batch goes on."""
+    errors = limit_hit = False
+    for index, g in enumerate(read_graph6_lines(path)):
         try:
-            cert, trace = run_theorem(g, cfg)
-        except (GraphError, PipelineInternalError) as exc:
-            records.append(_error_record(index, exc, g))
-            errors = True
-            continue
-        records.append(record_line("graph", [("index", index), ("n", g.n), ("t", t)]))
-        records.extend(trace)
-        records.append(certificate_to_record(cert))
-        if isinstance(cert, OracleLimit):
-            limit_hit = True
-    text = "\n".join(records) + "\n"
+            if isinstance(g, Graph6Error):
+                raise g
+            got, limited = records(index, g)
+        except (Graph6Error, GraphError, PipelineInternalError) as exc:
+            got, limited, errors = [_error_record(index, exc, g)], False, True
+        emit(got)
+        limit_hit = limit_hit or limited
+    return EXIT_GRAPH_ERROR if errors else EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
+
+
+def cmd_run(args, out) -> int:
+    cfg = RunConfig(t=parse_q(args.t), cap_subsets=args.cap_toughness,
+                    cap_oracle=args.cap_oracle)
+
+    def records(index: int, g: Graph):
+        cert, trace = run_theorem(g, cfg)
+        head = record_line("graph", [("index", index), ("n", g.n), ("t", cfg.t)])
+        return [head, *trace, certificate_to_record(cert)], isinstance(cert, OracleLimit)
+
+    lines: list[str] = []
+    code = _batch(args.input, records, lines.extend)
+    text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         out.write(text)
-    if errors:
-        return EXIT_GRAPH_ERROR
-    return EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
+    return code
 
 
-def _certificates_by_index(path: str):
-    """Per graph index, (t, certificate), or the reason its check fails
-    without one: an unreadable ``cert`` record, a ``graph`` or ``error``
-    record with a malformed field or a ``t`` that does not parse, or a
-    ``run`` error record.  The records after a ``graph`` record whose index
-    does not parse go under None, which no graph reads."""
-    found: dict[int | None, tuple[Fraction, object] | str] = {}
-    started = False
-    current = None
-    current_t: Fraction | str = Fraction(11)
+def _blocks(path: str) -> list[tuple[int | None, str, list[str]]]:
+    """Each ``graph`` or ``error`` record of a certificate file, with its
+    index and the ``cert`` records after it up to the next such record."""
+    blocks: list[tuple[int | None, str, list[str]]] = []
+    graph_seen = False
     # a byte past ASCII fails only the record that reads it
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
-            # only graph and error records are parsed here, so an unreadable
-            # cert or trace line fails no other graph
-            name = line.split()[0]
+            name = line.split(None, 1)[0] if line else ""
             if name in ("graph", "error"):
-                index = _index(line)
-                try:
-                    fields = parse_record(line)[1]
-                    value = (parse_q(fields.get("t", "11")) if name == "graph"
-                             else f"run error:{fields.get('reason', '')}")
-                except ValueError as exc:
-                    value = f"unreadable {name} record:{exc}"
-                if name == "graph":
-                    started, current, current_t = True, index, value
-                if isinstance(value, str):
-                    found[index] = value
+                blocks.append((_index(line), line, []))
+                graph_seen = graph_seen or name == "graph"
             elif name == "cert":
-                if not started:
+                if not graph_seen:
                     raise ValueError("certificate record before any graph record")
-                if isinstance(current_t, str):
-                    continue
-                try:
-                    found[current] = (current_t, certificate_from_record(line))
-                except (KeyError, ValueError) as exc:
-                    found[current] = f"unreadable certificate: {exc}"
-    return found
+                blocks[-1][2].append(line)
+    return blocks
 
 
 def _index(line: str) -> int | None:
     """The index of a graph or error record, read past any malformed field
     so that such a field fails only the graph the record names; None when
-    the index does not parse."""
+    the index does not parse, and then the block is no graph's."""
     fields = dict(tok.partition("=")[::2] for tok in line.split()[1:])
     if "index" not in fields:
         raise ValueError(f"{line.split()[0]} record without an index")
@@ -151,22 +124,38 @@ def _index(line: str) -> int | None:
         return None
 
 
+def _verdict(record: str, certs: list[str]):
+    """A block's (t, certificate), None with no ``cert`` record, or why its
+    graph fails: an unreadable record, two or more certs, a ``run`` error."""
+    name = record.split(None, 1)[0]
+    try:
+        fields = parse_record(record)[1]
+        if name == "error":
+            return f"run error:{fields.get('reason', '')}"
+        t = parse_q(fields.get("t", "11"))
+    except ValueError as exc:
+        return f"unreadable {name} record:{exc}"
+    if len(certs) > 1:
+        return "more than one certificate"
+    try:
+        return (t, certificate_from_record(certs[0])) if certs else None
+    except (KeyError, ValueError) as exc:
+        return f"unreadable certificate: {exc}"
+
+
 def cmd_check(args, out) -> int:
     graphs = read_graph6_lines(args.graph)
-    certs = _certificates_by_index(args.cert)
+    verdicts = {index: _verdict(record, certs)
+                for index, record, certs in _blocks(args.cert)}
     failures = 0
     for index, g in enumerate(graphs):
-        got = certs.get(index)
-        if isinstance(g, Graph6Error):
-            ok, reason = False, f"unreadable graph: {g}"
-        elif got is None:
+        got = f"unreadable graph: {g}" if isinstance(g, Graph6Error) else verdicts.get(index)
+        if got is None:
             out.write(f"check index={index} result=missing\n")
             failures += 1
             continue
-        elif isinstance(got, str):
-            ok, reason = False, got
-        else:
-            ok, reason = check_certificate(g, got[1], RunConfig(t=got[0]))
+        ok, reason = ((False, got) if isinstance(got, str)
+                      else check_certificate(g, got[1], RunConfig(t=got[0])))
         # a reason may quote bytes past ASCII from the cert file; escape them
         reason = reason.replace(" ", "-").encode("ascii", "backslashreplace").decode()
         out.write(f"check index={index} result={'pass' if ok else 'fail'} reason={reason}\n")
@@ -175,7 +164,7 @@ def cmd_check(args, out) -> int:
     return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
-def _metrics_line(g: Graph) -> tuple[str, bool]:
+def _metrics_line(index: int, g: Graph) -> tuple[list[str], bool]:
     limited = False
 
     def attempt(solver, render):
@@ -191,23 +180,11 @@ def _metrics_line(g: Graph) -> tuple[str, bool]:
     kappa = attempt(metrics.connectivity, str)
     alpha = attempt(metrics.independence, str)
     s = attempt(metrics.scattering, lambda v: "inf" if v == metrics.INF else str(v))
-    line = f"tau={tau} kappa={kappa} alpha={alpha} delta={g.min_degree()} s={s}"
-    return line, limited
+    return [f"tau={tau} kappa={kappa} alpha={alpha} delta={g.min_degree()} s={s}"], limited
 
 
 def cmd_metrics(args, out) -> int:
-    limit_hit = errors = False
-    for index, g in enumerate(read_graph6_lines(args.input)):
-        if isinstance(g, Graph6Error):
-            out.write(_error_record(index, g) + "\n")
-            errors = True
-            continue
-        line, limited = _metrics_line(g)
-        out.write(line + "\n")
-        limit_hit = limit_hit or limited
-    if errors:
-        return EXIT_GRAPH_ERROR
-    return EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
+    return _batch(args.input, _metrics_line, lambda got: out.write(got[0] + "\n"))
 
 
 def cmd_survey(args, out) -> int:
@@ -239,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--t", default="11", help="toughness parameter, NUM/DEN")
     p_run.add_argument("--input", required=True, help="graph6 file, one graph per line")
     p_run.add_argument("--out", default="-", help="certificate file (default stdout)")
-    p_run.add_argument("--cap-toughness", type=_positive_int, default=None)
-    p_run.add_argument("--cap-oracle", type=_positive_int, default=None)
+    p_run.add_argument("--cap-toughness", type=_positive_int,
+                       default=metrics.DEFAULT_SUBSET_CAP)
+    p_run.add_argument("--cap-oracle", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="validate a certificate file")

@@ -156,58 +156,37 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
     return _optima(g)[:2]
 
 
-def _probe_cuts(g: Graph, t) -> ToughnessWitness | None:
-    """The empty set and every open neighbourhood, as violator candidates."""
-    c = g.component_count(0)
-    if c >= 2 and Fraction(0, c) < t:
-        return ToughnessWitness(0, c)
-    for v in range(g.n):
-        s = g.adj[v]
-        c = g.component_count(s)
-        if c >= 2 and Fraction(s.bit_count(), c) < t:
-            return ToughnessWitness(s, c)
-    return None
-
-
-def _part_violator(g: Graph, t, part: int) -> ToughnessWitness | None:
-    """Closed form on a complete multipartite graph with largest part
-    ``part``: removing everything else is the cheapest cut."""
-    c = part.bit_count()
-    if Fraction(g.n - c, c) < t:
-        return ToughnessWitness(g.full & ~part, c)
-    return None
-
-
 def probe_tough(g: Graph, t) -> ToughnessWitness | None:
     """Cheap, incomplete violator search: the empty set, every open
-    neighborhood, and the closed multipartite form when it applies.
+    neighborhood, and the closed multipartite form when it applies, where
+    removing everything but the largest part is the cheapest cut.
 
     None means nothing was found, not that the graph is t-tough.
     """
     if g.is_complete():
         return None
-    probe = _probe_cuts(g, t)
-    if probe is not None:
-        return probe
+    for s in (0, *g.adj):
+        c = g.component_count(s)
+        if c >= 2 and Fraction(s.bit_count(), c) < t:
+            return ToughnessWitness(s, c)
     part = _largest_part(g)
-    return None if part is None else _part_violator(g, t, part)
+    if part is not None:
+        c = part.bit_count()
+        if Fraction(g.n - c, c) < t:
+            return ToughnessWitness(g.full & ~part, c)
+    return None
 
 
 def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     """None if no cutset S has |S|/c(G-S) < t; otherwise a violating witness.
 
-    Probes run before the cap check, so a violator can be reported even on
-    graphs too large for the exhaustive sweep.  The probes are those of
-    ``probe_tough``, with the multipartite decomposition done once.
+    ``probe_tough`` runs before the cap check, so a violator can be
+    reported even on graphs too large for the exhaustive sweep; on complete
+    and complete multipartite graphs its answer is exhaustive.
     """
-    if g.is_complete():
-        return None
-    probe = _probe_cuts(g, t)
-    if probe is not None:
+    probe = probe_tough(g, t)
+    if probe is not None or g.is_complete() or _largest_part(g) is not None:
         return probe
-    part = _largest_part(g)
-    if part is not None:
-        return _part_violator(g, t, part)  # the closed form is exhaustive
     if g.n > cap:
         raise OracleLimitExceeded("verify-tough")
     # a violator of size k needs c > k/t, so k/room >= t rules it out

@@ -55,15 +55,17 @@ class Decomposition:
 
     S is N(u) ∪ N(v) minus u, v; D1 = {u, v} and D2 are the two components
     of G - S; S1 holds the vertices of S with few neighbors in D2 and S2
-    the rest.  G1 is S1 plus D1 and G2 is S2 plus D2.  Only the sets the
-    later stages read are kept.
+    the rest.  G1 is S1 plus D1 and G2 is S2 plus D2.  Only what the later
+    stages read is kept; ``g1`` is G1 induced, its ids those of ``g1_mask``
+    in ascending order.
     """
 
     uv: tuple[int, int]
     g1_mask: int
     g2_mask: int
     d2_mask: int
-    g1_structure: Multipartition  # in the ids of induced G1
+    g1: Graph
+    g1_structure: Multipartition  # in the ids of g1
 
 
 @dataclass
@@ -341,7 +343,7 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         return _block_structure_replay(g, d2, triple, cfg, trace)
     trace.add("block-structure", result="free", parts=len(structure.parts))
     return Decomposition(uv=(u, v), g1_mask=s1 | d1, g2_mask=s2 | d2, d2_mask=d2,
-                         g1_structure=structure)
+                         g1=g1, g1_structure=structure)
 
 
 def _block_structure_replay(g: Graph, d2: int, triple, cfg: RunConfig,
@@ -371,7 +373,7 @@ def build_path_cover(g: Graph, dec: Decomposition, cfg: RunConfig,
     is the split ``case1_decompose`` returned in the same run, and the
     records go to that run's trace.
     """
-    g1, map1 = g.induced(dec.g1_mask)
+    g1, map1 = dec.g1, tuple(bits(dec.g1_mask))
     s_value, _ = scattering(g1, cap=cfg.cap_subsets)
     trace.add("cover-plan", s=("inf" if s_value == INF else s_value), g1_size=g1.n)
 

@@ -13,6 +13,13 @@ from toughham.graph6 import write_graph6
 UNREADABLE_T = ("check index=0 result=fail"
                 " reason=unreadable-graph-record:zero-denominator-in-'1/0'\n")
 
+# graph 0's cert is not a cycle of K3; the cert after the error record is no
+# graph's
+CERT_AFTER_ERROR = ("graph index=0 n=3 t=11/1\n"
+                    "cert kind=hamilton-cycle -- 0 1\n"
+                    "error index=1 n=3 kind=input reason=x graph6=Bw\n"
+                    "cert kind=hamilton-cycle -- 0 1 2\n")
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -134,6 +141,65 @@ def test_check_malformed_fields_fail_only_their_graph(tmp_path):
     assert lines[2].startswith("check index=2 result=fail"
                                " reason=unreadable-error-record:malformed-field-'junk'")
     assert len(lines) == 3
+
+
+def test_check_reads_each_graph_block_alone(tmp_path):
+    # a graph or error record owns the cert records up to the next one: a
+    # cert after an error record counts for no graph, and a second cert
+    # fails its graph instead of replacing the first
+    inp = write_inputs(tmp_path, [Graph.complete(3)] * 2)
+    cert_path = tmp_path / "certs.txt"
+    cert_path.write_text(CERT_AFTER_ERROR)
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert (code, report.splitlines()) == (1, [
+        "check index=0 result=fail reason=cycle-is-not-a-permutation-of-0..2",
+        "check index=1 result=fail reason=run-error:x"])
+    cycle = "cert kind=hamilton-cycle -- 0 1 2\n"
+    cert_path.write_text("graph index=0 n=3 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1\n" + cycle
+                         + "graph index=1 n=3 t=11/1\n" + cycle)
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert (code, report.splitlines()) == (1, [
+        "check index=0 result=fail reason=more-than-one-certificate",
+        "check index=1 result=pass reason=hamilton-cycle-verified"])
+
+
+def test_run_and_check_round_trip_a_mixed_batch(tmp_path):
+    # an unreadable line, K2 (rejected), a graph past the oracle cap and a
+    # Hamiltonian graph: run gives error, error, oracle-limit and cycle
+    from toughham.generators import generate
+
+    capped = generate("complete_multipartite", {"parts": [30, 10]})
+    inp = tmp_path / "in.g6"
+    inp.write_text(f"C~~\n{write_graph6(Graph.complete(2))}\n"
+                   f"{write_graph6(capped)}\n{write_graph6(Graph.cycle(5))}\n")
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--input", str(inp), "--out", cert_path])
+    assert code == 4
+    code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
+    assert code == 1
+    assert report.splitlines() == [
+        "check index=0 result=fail "
+        "reason=unreadable-graph:-expected-1-adjacency-bytes-for-n=4,-got-2-(byte-1)",
+        "check index=1 result=fail "
+        "reason=run-error:certification-needs-at-least-three-vertices",
+        "check index=2 result=fail "
+        "reason=inconclusive:-oracle-limit-at-gate.ham-cycle-forced:cap",
+        "check index=3 result=pass reason=hamilton-cycle-verified"]
+
+
+def test_run_without_cap_flags_uses_the_default_config(tmp_path):
+    from fractions import Fraction
+
+    from toughham.certificates import RunConfig
+    from toughham.pipeline import run_theorem
+
+    g = Graph.cycle(5)
+    code, out = run_cli(["run", "--t", "3/2", "--input", write_inputs(tmp_path, [g])])
+    assert code == 0
+    _, trace = run_theorem(g, RunConfig(Fraction(3, 2)))
+    config = [line for line in trace if line.startswith("config ")]
+    assert len(config) == 1 and config[0] in out.splitlines()
 
 
 def test_check_missing_certificate(tmp_path):
@@ -332,12 +398,17 @@ def test_module_entry_point_exit_code(tmp_path):
     k3 = write_inputs(tmp_path, [Graph.complete(3)], "k3.g6")
     cert = tmp_path / "certs.txt"
     cert.write_text("graph index=0 n=3 t=1/0\n")
+    k3k3 = write_inputs(tmp_path, [Graph.complete(3)] * 2, "k3k3.g6")
+    after_error = tmp_path / "after-error.txt"
+    after_error.write_text(CERT_AFTER_ERROR)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     # (arguments, exit code, first line of stdout)
     cases = [
         (["metrics", "--input", str(inp)], 4, ["tau=1/1 kappa=2 alpha=3 delta=2 s=0"]),
         (["check", "--graph", k3, "--cert", str(cert)], 1, UNREADABLE_T.splitlines()),
+        (["check", "--graph", k3k3, "--cert", str(after_error)], 1,
+         ["check index=0 result=fail reason=cycle-is-not-a-permutation-of-0..2"]),
         (["run", "--t", "1/0", "--input", k3], 2, []),
         (["survey", "--t-grid", "11", "--gen", "case1_synthetic", "--n", "5",
           "--count", "1"], 2, []),
