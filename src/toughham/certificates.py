@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .graph import Graph, bits, mask_of
 from .hamilton import DEFAULT_ORACLE_CAP, CycleCert
-from .metrics import DEFAULT_SUBSET_CAP, ToughnessWitness
+from .metrics import ToughnessWitness
 from .recognition import InducedWitness, induces_pattern
 
 FORBIDDEN_PATTERN = "2p2+p1"
@@ -28,15 +28,14 @@ class RunConfig:
     """Knobs for one pipeline run; defaults mirror the proven regime."""
 
     t: Fraction = Fraction(11)
-    cap_subsets: int = DEFAULT_SUBSET_CAP   # exact toughness/scattering enumeration
     cap_oracle: int = DEFAULT_ORACLE_CAP    # Hamilton-cycle backtracking
 
     def __post_init__(self):
         self.t = Fraction(self.t)
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if min(self.cap_subsets, self.cap_oracle) < 1:
-            raise ValueError("solver caps must be positive")
+        if self.cap_oracle < 1:
+            raise ValueError("the oracle cap must be positive")
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,7 @@ def _batch(path: str, records, emit) -> int:
 
 
 def cmd_run(args, out) -> int:
-    cfg = RunConfig(t=parse_q(args.t), cap_subsets=args.cap_toughness,
-                    cap_oracle=args.cap_oracle)
+    cfg = RunConfig(t=parse_q(args.t), cap_oracle=args.cap_oracle)
 
     def records(index: int, g: Graph):
         cert, trace = run_theorem(g, cfg)
@@ -125,28 +124,30 @@ def _index(line: str) -> int | None:
 
 
 def _verdict(record: str, certs: list[str]):
-    """A block's (t, certificate), None with no ``cert`` record, or why its
-    graph fails: an unreadable record, two or more certs, a ``run`` error."""
+    """A block's (config, certificate), None with no ``cert`` record, or why its
+    graph fails: an unreadable record or t, two or more certs, a ``run`` error."""
     name = record.split(None, 1)[0]
     try:
         fields = parse_record(record)[1]
         if name == "error":
             return f"run error:{fields.get('reason', '')}"
-        t = parse_q(fields.get("t", "11"))
+        cfg = RunConfig(t=parse_q(fields.get("t", "11")))
     except ValueError as exc:
         return f"unreadable {name} record:{exc}"
     if len(certs) > 1:
         return "more than one certificate"
     try:
-        return (t, certificate_from_record(certs[0])) if certs else None
+        return (cfg, certificate_from_record(certs[0])) if certs else None
     except (KeyError, ValueError) as exc:
         return f"unreadable certificate: {exc}"
 
 
 def cmd_check(args, out) -> int:
     graphs = read_graph6_lines(args.graph)
-    verdicts = {index: _verdict(record, certs)
-                for index, record, certs in _blocks(args.cert)}
+    verdicts = {}
+    for index, record, certs in _blocks(args.cert):
+        # a second block for an index fails that graph instead of replacing the first
+        verdicts[index] = "duplicate index" if index in verdicts else _verdict(record, certs)
     failures = 0
     for index, g in enumerate(graphs):
         got = f"unreadable graph: {g}" if isinstance(g, Graph6Error) else verdicts.get(index)
@@ -155,7 +156,7 @@ def cmd_check(args, out) -> int:
             failures += 1
             continue
         ok, reason = ((False, got) if isinstance(got, str)
-                      else check_certificate(g, got[1], RunConfig(t=got[0])))
+                      else check_certificate(g, got[1], got[0]))
         # a reason may quote bytes past ASCII from the cert file; escape them
         reason = reason.replace(" ", "-").encode("ascii", "backslashreplace").decode()
         out.write(f"check index={index} result={'pass' if ok else 'fail'} reason={reason}\n")
@@ -216,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--t", default="11", help="toughness parameter, NUM/DEN")
     p_run.add_argument("--input", required=True, help="graph6 file, one graph per line")
     p_run.add_argument("--out", default="-", help="certificate file (default stdout)")
-    p_run.add_argument("--cap-toughness", type=_positive_int,
-                       default=metrics.DEFAULT_SUBSET_CAP)
     p_run.add_argument("--cap-oracle", type=_positive_int, default=DEFAULT_ORACLE_CAP)
     p_run.set_defaults(func=cmd_run)
 

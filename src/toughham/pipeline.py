@@ -15,11 +15,15 @@ bridge step: a forced-edge Hamilton cycle of G2 with the paths spliced in.
 each takes the run's trace and trusts what the dispatcher and the earlier
 stages built (the case-1 edge, the split) instead of checking it again.
 
+Every dead end goes through ``_salvage_or_limit``: a cheap probe for a
+toughness witness, else an OracleLimit whose stage string says where.
 With t below 11 a replay can reach a genuinely inconclusive state (the
-proven-regime arithmetic no longer forces a contradiction); those runs end
-in an OracleLimit whose stage string says where.  Where the same state is
-arithmetically unreachable for t at least 11, hitting it raises
-PipelineInternalError instead of guessing.
+proven-regime arithmetic no longer forces a contradiction); where that
+state is arithmetically unreachable for t at least 11, hitting it raises
+PipelineInternalError instead of guessing.  A solver past its size cap
+raises OracleLimitExceeded, which no stage catches; ``run_theorem``
+catches it once, around the gate and the two cases, and salvages it as
+``<gate|case1|case2>.<solver>:cap``.
 """
 
 from __future__ import annotations
@@ -114,10 +118,9 @@ def _threshold(n: int, t: Fraction, num: int = 1) -> Fraction:
 
 def _salvage_or_limit(g: Graph, cfg: RunConfig, trace: Trace, stage: str,
                       regime_impossible: bool = False) -> Certificate:
-    """Dead end in a replay: probe cheaply for a witness, else report.
+    """Dead end in a replay or a cap hit: probe cheaply for a witness, else report.
 
-    Stages unreachable for t >= 11 raise instead of
-    returning an inconclusive marker.
+    Stages unreachable for t >= 11 raise instead of returning an inconclusive marker.
     """
     probe = metrics.probe_tough(g, cfg.t)
     if probe is not None:
@@ -185,7 +188,7 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
         raise GraphError("certification needs at least three vertices")
     trace = Trace()
     trace.add("config", t=cfg.t, n=g.n, cap_oracle=cfg.cap_oracle,
-              cap_subsets=cfg.cap_subsets, regime=(cfg.t >= PROVEN_T))
+              regime=(cfg.t >= PROVEN_T))
 
     hit = find_induced(g, "2p2+p1")
     if hit is not None:
@@ -193,12 +196,16 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
         return ForbiddenWitness(hit), trace.lines
     trace.add("freeness", result="free")
 
-    gate = min_degree_gate(g, cfg, trace)
-    if gate is not None:
-        return gate, trace.lines
-
-    pick = _case1_edge(g)
-    if pick is not None:
+    where = "gate"
+    try:
+        gate = min_degree_gate(g, cfg, trace)
+        if gate is not None:
+            return gate, trace.lines
+        pick = _case1_edge(g)
+        where = "case2" if pick is None else "case1"
+        if pick is None:
+            trace.add("dispatch", case=2)
+            return case2_run(g, cfg, trace), trace.lines
         trace.add("dispatch", case=1, u=pick[0], v=pick[1])
         dec = case1_decompose(g, pick, cfg, trace)
         if not isinstance(dec, Decomposition):
@@ -207,8 +214,9 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
         if not isinstance(cover, PathCover):
             return cover, trace.lines
         return case1_finish(g, dec, cover, cfg, trace), trace.lines
-    trace.add("dispatch", case=2)
-    return case2_run(g, cfg, trace), trace.lines
+    except OracleLimitExceeded as exc:
+        # the one place a cap hit ends: probed like any other dead end
+        return _salvage_or_limit(g, cfg, trace, f"{where}.{exc.stage}:cap"), trace.lines
 
 
 def _small_union(g: Graph, size: int) -> bool:
@@ -246,19 +254,12 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
             cyc = dirac_cycle(g)
             trace.add("gate", fired=True, method="dirac", delta=delta, threshold=thr)
             return HamiltonCycle(cyc)
-        try:
-            cyc = ham_cycle_forced(g, (), cap=cfg.cap_oracle)
-        except OracleLimitExceeded as exc:
-            trace.add("gate", fired=True, method="oracle", result="cap")
-            return OracleLimit(f"gate.{exc.stage}:cap")
+        cyc = ham_cycle_forced(g, (), cap=cfg.cap_oracle)
         trace.add("gate", fired=True, method="oracle", delta=delta, threshold=thr,
                   result="cycle" if cyc else "infeasible")
         if cyc is not None:
             return HamiltonCycle(cyc)
-        try:
-            witness = verify_tough(g, cfg.t, cap=cfg.cap_subsets)
-        except OracleLimitExceeded as exc:
-            return OracleLimit(f"gate.{exc.stage}:cap")
+        witness = verify_tough(g, cfg.t)
         if witness is None:
             raise PipelineInternalError(
                 "non-Hamiltonian t-tough graph above the degree threshold")
@@ -374,7 +375,7 @@ def build_path_cover(g: Graph, dec: Decomposition, cfg: RunConfig,
     records go to that run's trace.
     """
     g1, map1 = dec.g1, tuple(bits(dec.g1_mask))
-    s_value, _ = scattering(g1, cap=cfg.cap_subsets)
+    s_value, _ = scattering(g1)
     trace.add("cover-plan", s=("inf" if s_value == INF else s_value), g1_size=g1.n)
 
     if s_value == INF or s_value <= -1:
@@ -548,13 +549,10 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     inv2 = {orig: i for i, orig in enumerate(map2)}
     l_local = [edge(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
     g2star = g2.add_edges(l_local)
-    try:
-        failed = precondition(g2, g2star, map2, len(l_local))
-        if failed is not None:
-            return failed
-        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
-    except OracleLimitExceeded as exc:
-        return OracleLimit(f"{case}.{exc.stage}:cap")
+    failed = precondition(g2, g2star, map2, len(l_local))
+    if failed is not None:
+        return failed
+    cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
     if cyc is None:
         raise PipelineInternalError("forced-edge oracle failed with its precondition met")
     return CycleCert(_splice(tuple(map2[i] for i in cyc.order), paths))
@@ -714,8 +712,6 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
             got, fallbacks = insert_vertices(g, got, pending, t, cap=cfg.cap_oracle)
         except CannotInsert:
             return _salvage_or_limit(g, cfg, trace, "case2.insert")
-        except OracleLimitExceeded as exc:
-            return OracleLimit(f"case2.{exc.stage}:cap")
         trace.add("insertion", inserted=pending.bit_count(), fallbacks=fallbacks)
     return _finish(g, got, trace, "case2")
 

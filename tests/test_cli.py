@@ -165,16 +165,15 @@ def test_check_reads_each_graph_block_alone(tmp_path):
 
 
 def test_run_and_check_round_trip_a_mixed_batch(tmp_path):
-    # an unreadable line, K2 (rejected), a graph past the oracle cap and a
-    # Hamiltonian graph: run gives error, error, oracle-limit and cycle
-    from toughham.generators import generate
-
-    capped = generate("complete_multipartite", {"parts": [30, 10]})
+    # an unreadable line, K2 (rejected), C5 past the oracle cap with no
+    # witness the salvage probe finds, and K4: run gives error, error,
+    # oracle-limit and cycle
     inp = tmp_path / "in.g6"
     inp.write_text(f"C~~\n{write_graph6(Graph.complete(2))}\n"
-                   f"{write_graph6(capped)}\n{write_graph6(Graph.cycle(5))}\n")
+                   f"{write_graph6(Graph.cycle(5))}\n{write_graph6(Graph.complete(4))}\n")
     cert_path = str(tmp_path / "certs.txt")
-    code, _ = run_cli(["run", "--input", str(inp), "--out", cert_path])
+    code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", str(inp),
+                       "--out", cert_path])
     assert code == 4
     code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
     assert code == 1
@@ -454,24 +453,88 @@ def test_run_internal_error_record_beats_oracle_limit(tmp_path, monkeypatch):
 
 def test_run_rejects_caps_that_are_not_positive(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5)])
-    for flag in ("--cap-oracle", "--cap-toughness"):
-        for value in ("0", "-3"):
-            code, out = run_cli(["run", "--input", inp, flag, value])
-            assert code == 2 and out == "", (flag, value)
-        code, _ = run_cli(["run", "--input", inp, flag, "1"])
-        assert code != 2, flag
+    for value in ("0", "-3"):
+        code, out = run_cli(["run", "--input", inp, "--cap-oracle", value])
+        assert code == 2 and out == "", value
+    code, _ = run_cli(["run", "--input", inp, "--cap-oracle", "1"])
+    assert code != 2
+    # the subset cap is a constant of the solvers, not a flag
+    code, out = run_cli(["run", "--input", inp, "--cap-toughness", "24"])
+    assert code == 2 and out == ""
 
 
 def test_oracle_limit_exit_code(tmp_path):
-    # pattern-free, min degree above the gate threshold but below n/2, and
-    # too many vertices for the default oracle cap: the run is inconclusive
-    from toughham.generators import generate
-    g = generate("complete_multipartite", {"parts": [30, 10]})
-    inp = write_inputs(tmp_path, [g])
+    # C5 at t = 1 passes the gate's degree threshold, is too large for an
+    # oracle cap of 4, and no probed cutset breaks 1-toughness: inconclusive
+    inp = write_inputs(tmp_path, [Graph.cycle(5)])
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", inp,
+                       "--out", cert_path])
+    assert code == 3
+    assert ("cert kind=oracle-limit stage=gate.ham-cycle-forced:cap"
+            in (tmp_path / "certs.txt").read_text().splitlines())
+
+
+def test_a_gate_cap_hit_is_salvaged_into_a_checked_witness(tmp_path):
+    # K30,10 at t = 11 is too large for the default oracle cap; its first
+    # open neighbourhood cuts it into 30 pieces with 10 vertices
+    inp = write_inputs(tmp_path, [Graph.complete_multipartite([30, 10])])
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--input", inp, "--out", cert_path])
-    assert code == 3
-    assert "oracle-limit" in (tmp_path / "certs.txt").read_text()
+    assert code == 0
+    lines = (tmp_path / "certs.txt").read_text().splitlines()
+    assert "salvage ratio=1/3 stage=gate.ham-cycle-forced:cap" in lines
+    assert lines[-1].startswith("cert kind=toughness-witness components=30 ratio=1/3 ")
+    code, report = run_cli(["check", "--graph", inp, "--cert", cert_path])
+    assert (code, report) == (0, "check index=0 result=pass"
+                                 " reason=toughness-violated-at-ratio-1/3\n")
+
+
+def test_check_fails_an_index_named_by_two_blocks(tmp_path):
+    # the second block for index 0 would pass on its own; neither may
+    # replace the other
+    inp = write_inputs(tmp_path, [Graph.complete(3)] * 2)
+    cert_path = tmp_path / "certs.txt"
+    cycle = "cert kind=hamilton-cycle -- 0 1 2\n"
+    cert_path.write_text("graph index=0 n=3 t=11/1\n"
+                         "cert kind=hamilton-cycle -- 0 1\n"
+                         "graph index=0 n=3 t=11/1\n" + cycle
+                         + "graph index=1 n=3 t=11/1\n" + cycle)
+    code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+    assert (code, report.splitlines()) == (1, [
+        "check index=0 result=fail reason=duplicate-index",
+        "check index=1 result=pass reason=hamilton-cycle-verified"])
+
+
+def test_check_fails_only_the_graph_whose_t_is_not_positive(tmp_path):
+    inp = write_inputs(tmp_path, [Graph.complete(3)] * 2)
+    cert_path = tmp_path / "certs.txt"
+    cycle = "cert kind=hamilton-cycle -- 0 1 2\n"
+    for t in ("0", "-1/2"):
+        cert_path.write_text(f"graph index=0 n=3 t={t}\n" + cycle
+                             + "graph index=1 n=3 t=11/1\n" + cycle)
+        code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
+        assert (code, report.splitlines()) == (1, [
+            "check index=0 result=fail reason=unreadable-graph-record:t-must-be-positive",
+            "check index=1 result=pass reason=hamilton-cycle-verified"]), t
+
+
+def test_readme_command_lines_parse():
+    # every toughham line of the README's command-line block, continuation
+    # lines joined, is accepted by the parser: a removed flag cannot stay
+    # documented
+    import shlex
+
+    from toughham.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("toughham ")]
+    assert len(commands) == 4
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_survey_is_deterministic():

@@ -114,12 +114,14 @@ def corpus_case2():
 
 
 def corpus_caps():
-    """Oracle limits under a lowered cap, in the gate and in both cases."""
+    """Cap hits under a lowered oracle cap, in the gate and in both cases,
+    each salvaged by run_theorem into a witness or an oracle limit."""
     rng = random.Random(6)
     small = RunConfig(t=Fraction(3, 2), cap_oracle=16)
     yield from _theorem([(_case2_instance(9, 2, 2, rng), small),
-                         (complete_split_join(7, 10), RunConfig(cap_oracle=16))])
-    yield from _case1_stages([case1_synthetic([2, 1, 2], 6, [2] * 8)], RunConfig(cap_oracle=16))
+                         (complete_split_join(7, 10), RunConfig(cap_oracle=16)),
+                         (case1_synthetic([2, 1, 2], 6, [2] * 9), small),
+                         (case1_synthetic([2, 1], 3, [2] * 9), small)])
 
 
 def _random_graphs(count, sizes, densities, seed):
@@ -145,11 +147,11 @@ def corpus_replays():
 
 
 GOLDEN = {
-    "caps": "c68e8e98a8ca2632e329ccfc4ebe8374c0f351d81134b1f214e643237a77be6b",
-    "case1-cover": "7c4b2c95e5c03ec56b62e7876b30c8b040c27c6514361d65dda3a74f8976131e",
-    "case2": "07d8a412d125a03609942d9efe595732a3f1134a4130b4a808512fc8a3d91405",
-    "gate": "86cce799ce277024acbc7ac9f7ab00fcebc913ed5cc918bfa24616896f868f63",
-    "replays": "164bda1be7dfa03d3be1a307ea9e1f3cf97c556bdc38d2581497abf3d51eccfb",
+    "caps": "7b55baa0de0d98809c8e2b4bdf5f4989f9889e328ea83cf2d21df907177c0450",
+    "case1-cover": "ec13620b9f9104fc6a5b74c460c2c2d365f1cb36c7c519ed3ea471696ff19fcb",
+    "case2": "9d75fa6f45f65cc16f823301cdaee10b41a9e8b3c885e13b8408aa3744104e56",
+    "gate": "abcca8a681ab8d6565ac7087e979626f24221cec3ebb18b7c894b3941fc39c5a",
+    "replays": "91312555d5bfcd46ea4ee3080d9f0dd4f67fc4dd6a6fa226efc2e9e0ef555604",
 }
 
 CORPORA = {

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,14 +10,15 @@ from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
                                    RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, parse_record)
-from toughham.generators import case1_synthetic, complete_split_join, random_graph
+from toughham.generators import (case1_synthetic, complete_split_join, random_graph,
+                                 random_in_class)
 from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.hamilton import CycleCert
-from toughham.metrics import ToughnessWitness, scattering
+from toughham.metrics import ToughnessWitness, probe_tough, scattering
 from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
                                case1_decompose, case1_finish, case2_run,
                                expected_cover_size, min_degree_gate, run_theorem)
-from toughham.recognition import InducedWitness
+from toughham.recognition import InducedWitness, holds
 
 
 def petersen():
@@ -60,6 +62,45 @@ def test_run_theorem_disconnected():
 def test_run_theorem_needs_three_vertices():
     with pytest.raises(GraphError):
         run_theorem(Graph.complete(2))
+
+
+def test_a_cap_hit_is_salvaged_before_it_is_reported():
+    # K2,3 at t = 1 is past an oracle cap of 4; removing its part of two
+    # leaves three components
+    g = Graph.complete_multipartite([2, 3])
+    cfg = RunConfig(t=Fraction(1), cap_oracle=4)
+    cert, trace = run_theorem(g, cfg)
+    assert cert == ToughnessWitness(mask_of([0, 1]), 3)
+    assert trace[-1] == "salvage ratio=2/3 stage=gate.ham-cycle-forced:cap"
+    assert check_certificate(g, cert, cfg)[0]
+
+
+def _pattern_free_graphs():
+    """Every labelled 2p2+p1-free graph on 3 to 5 vertices, then a seeded
+    sample on 6 to 8."""
+    for n in range(3, 6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            if not holds(g, "2p2+p1"):
+                yield g
+    rng = random.Random(14)
+    for i in range(60):
+        yield random_in_class(rng.randrange(6, 9), rng.choice((0.4, 0.6, 0.8)), seed=1400 + i)
+
+
+def test_no_oracle_limit_where_the_probe_finds_a_witness():
+    # an oracle cap of 4 sends every graph on five or more vertices that
+    # reaches an oracle to the cap handler
+    graphs = list(_pattern_free_graphs())
+    for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(11)):
+        cfg = RunConfig(t=t, cap_oracle=4)
+        for g in graphs:
+            cert, _ = run_theorem(g, cfg)
+            if isinstance(cert, OracleLimit):
+                assert probe_tough(g, t) is None, (g.adj, t, cert)
+            else:
+                assert check_certificate(g, cert, cfg)[0], (g.adj, t, cert)
 
 
 def test_gate_fires_oracle_route():
