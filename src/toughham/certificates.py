@@ -3,7 +3,9 @@
 Every pipeline run ends in exactly one certificate: a Hamilton cycle, a
 toughness-violating cutset, an induced forbidden-pattern witness, or an
 oracle-limit marker.  The checker revalidates each kind from scratch
-against the input graph, so a certificate never has to be trusted.
+against the input graph, so a certificate never has to be trusted.  The
+certificate types are ``NamedTuple``s and ``RunConfig`` a plain class, so
+importing them generates no code.
 
 Records are single lines of whitespace-separated tokens: a record name,
 ``key=value`` fields (rationals as ``num/den``), and, after a ``--``
@@ -12,8 +14,8 @@ separator, a vertex list as space-separated ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, bits, mask_of
 from .hamilton import DEFAULT_ORACLE_CAP, CycleCert
@@ -23,33 +25,29 @@ from .recognition import InducedWitness, induces_pattern
 FORBIDDEN_PATTERN = "2p2+p1"
 
 
-@dataclass
 class RunConfig:
     """Knobs for one pipeline run; defaults mirror the proven regime."""
 
-    t: Fraction = Fraction(11)
-    cap_oracle: int = DEFAULT_ORACLE_CAP    # Hamilton-cycle backtracking
+    __slots__ = ("t", "cap_oracle")
 
-    def __post_init__(self):
-        self.t = Fraction(self.t)
+    def __init__(self, t=Fraction(11), cap_oracle: int = DEFAULT_ORACLE_CAP):
+        self.t = Fraction(t)
         if self.t <= 0:
             raise ValueError("t must be positive")
-        if self.cap_oracle < 1:
+        if cap_oracle < 1:
             raise ValueError("the oracle cap must be positive")
+        self.cap_oracle = cap_oracle    # Hamilton-cycle backtracking
 
 
-@dataclass(frozen=True)
-class HamiltonCycle:
+class HamiltonCycle(NamedTuple):
     cycle: CycleCert
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     witness: InducedWitness
 
 
-@dataclass(frozen=True)
-class OracleLimit:
+class OracleLimit(NamedTuple):
     stage: str
 
 

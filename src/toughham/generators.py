@@ -1,11 +1,17 @@
-"""Deterministic instance factories for experiments and the test corpus."""
+"""Deterministic instance factories for experiments and the test corpus.
+
+Every factory builds row masks, never an edge list: a random draw sets the
+upper rows pair by pair in row-major order, one ``rng.random()`` per pair,
+and ORs them with their transpose; ``relabel`` renames rows, transposes
+them and renames them again.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import Graph, transpose
 # find_induced stays bound: the benchmark harness times generators.find_induced by name
 from .recognition import find_induced, holds  # noqa: F401
 
@@ -19,10 +25,21 @@ class GenerationError(ValueError):
     pass
 
 
+def _draw(n: int, p: float, rng: random.Random) -> Graph:
+    """Each pair u < v in row-major order is an edge when its draw is below
+    p; the upper rows are ORed with their transpose."""
+    upper = [0] * n
+    for u in range(n):
+        row = 0
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                row |= 1 << v
+        upper[u] = row
+    return Graph._of_rows(n, [a | b for a, b in zip(upper, transpose(upper, n))])
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    return _draw(n, p, random.Random(seed))
 
 
 def complete_split_join(clique: int, independent: int) -> Graph:
@@ -34,9 +51,7 @@ def random_in_class(n: int, p: float, seed: int, cap: int = REJECTION_CAP) -> Gr
     """Rejection-sample a graph with no induced forbidden pattern."""
     rng = random.Random(seed)
     for _ in range(cap):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p]
-        g = Graph.from_edges(n, edges)
+        g = _draw(n, p, rng)
         if not holds(g, "2p2+p1"):
             return g
     raise GenerationError(
@@ -79,32 +94,20 @@ def case1_synthetic(g1_parts, s2: int, d2_parts, seed: int = 0) -> Graph:
         raise GenerationError(
             "far block too small: bridge vertices would not reach the high-outside-degree side")
 
-    edges = []
-    # G1 block: complete multipartite over g1_parts, vertices 0..n1-1
-    marks = []
+    # G1 on 0..n1-1, the universal clique next, as s2 parts of one vertex,
+    # then the far block; a vertex sees its own block and the clique, bar
+    # its own part
+    g1 = (1 << n1) - 1
+    bridge = ((1 << s2) - 1) << n1
+    far = ((1 << n) - 1) ^ g1 ^ bridge
+    rows = []
     start = 0
-    for size in g1_parts:
-        marks.append(range(start, start + size))
-        start += size
-    for i, pa in enumerate(marks):
-        for pb in marks[i + 1:]:
-            edges.extend((a, b) for a in pa for b in pb)
-    # universal clique: n1..n1+s2-1
-    bridge = range(n1, n1 + s2)
-    edges.extend((a, b) for a in bridge for b in range(a + 1, n1 + s2))
-    edges.extend((a, b) for b in bridge for a in range(n1))
-    edges.extend((b, c) for b in bridge for c in range(n1 + s2, n))
-    # far block: complete multipartite over d2_parts
-    dmarks = []
-    start = n1 + s2
-    for size in d2_parts:
-        dmarks.append(range(start, start + size))
-        start += size
-    for i, pa in enumerate(dmarks):
-        for pb in dmarks[i + 1:]:
-            edges.extend((a, b) for a in pa for b in pb)
-
-    g = Graph.from_edges(n, edges)
+    for block, sizes in ((g1, g1_parts), (g1 | far, [1] * s2), (far, d2_parts)):
+        for size in sizes:
+            part = ((1 << size) - 1) << start
+            rows += [(block | bridge) & ~part] * size
+            start += size
+    g = Graph(n, rows)
     if seed:
         perm = list(range(n))
         random.Random(seed).shuffle(perm)
@@ -113,8 +116,17 @@ def case1_synthetic(g1_parts, s2: int, d2_parts, seed: int = 0) -> Graph:
 
 
 def relabel(g: Graph, perm) -> Graph:
-    """New graph with vertex v renamed perm[v]."""
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    """New graph with vertex v renamed perm[v], perm a permutation of
+    0..n-1: the rows are renamed, transposed and renamed again."""
+    if sorted(perm) != list(range(g.n)):
+        raise GenerationError(f"relabelling is not a permutation of 0..{g.n - 1}")
+    rows = [0] * g.n
+    for v, row in zip(perm, g.adj):
+        rows[v] = row
+    out = [0] * g.n
+    for v, col in zip(perm, transpose(rows, g.n)):
+        out[v] = col
+    return Graph._of_rows(g.n, out)
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> Graph:

@@ -10,17 +10,21 @@ component methods run it on a graph's rows, ``metrics.independence`` on its
 complement's rows, so no complement graph is ever built.
 
 There is one bit-matrix primitive, ``transpose``, behind the constructor's
-symmetry check, ``induced`` and the graph6 decoder, so none of them loops
-over edges.  It packs an n x n matrix into one int, row i at bit i*w for
-the power-of-two stride w >= n, and swaps the row and column index bits in
-log2(w) word-parallel delta swaps; the (shift, mask) table of each of the
-ten strides up to ``MAX_VERTICES`` is built on first use.
+symmetry check, ``induced``, the graph6 decoder and the generators' random
+draws and relabelling, so none of them loops over edges.  It packs an n x n
+matrix into one int, row i at bit i*w for the power-of-two stride w >= n,
+and swaps the row and column index bits in log2(w) word-parallel delta
+swaps; the (shift, mask) table of each of the ten strides up to
+``MAX_VERTICES`` is built on first use.
+
+The constructor checks every row.  The builders above, whose rows are
+symmetric and loop-free by construction, store them through
+``Graph._of_rows`` instead, which checks nothing.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 
 MAX_VERTICES = 512
 
@@ -151,6 +155,14 @@ class Graph:
         self.full = full
 
     @classmethod
+    def _of_rows(cls, n: int, rows) -> "Graph":
+        """Graph over rows that are symmetric, loop-free and below 2**n by
+        construction, stored without the constructor's checks."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g.full = n, tuple(rows), (1 << n) - 1
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -269,7 +281,7 @@ class Graph:
         vmap = tuple(bits(s))
         # column v of the chosen rows marks the chosen neighbours of v
         cols = transpose([self.adj[v] for v in vmap], self.n)
-        return Graph(len(vmap), [cols[v] for v in vmap]), vmap
+        return Graph._of_rows(len(vmap), [cols[v] for v in vmap]), vmap
 
     def add_edges(self, edges) -> "Graph":
         rows = list(self.adj)
@@ -281,10 +293,3 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(self.n, rows)
-
-
-def all_graphs(n: int):
-    """Every labeled simple graph on n vertices (2^C(n,2) of them)."""
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])

@@ -73,7 +73,7 @@ def parse_graph6(line: str) -> Graph:
     for v in range(1, n):
         end = need_bits - v * (v - 1) // 2
         lower[v] = int(stream[end - v:end], 2)
-    return Graph(n, [a | b for a, b in zip(lower, transpose(lower, n))])
+    return Graph._of_rows(n, [a | b for a, b in zip(lower, transpose(lower, n))])
 
 
 def write_graph6(g: Graph) -> str:

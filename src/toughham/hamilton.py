@@ -15,8 +15,8 @@ Four entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, bit, bits
 from .metrics import OracleLimitExceeded
@@ -25,15 +25,13 @@ from .recognition import multipartite_parts
 DEFAULT_ORACLE_CAP = 32
 
 
-@dataclass(frozen=True)
-class CycleCert:
+class CycleCert(NamedTuple):
     """Cyclic vertex order; consecutive entries (wrapping) must be edges."""
 
     order: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathCert:
+class PathCert(NamedTuple):
     order: tuple[int, ...]
 
     @property

@@ -13,22 +13,20 @@ below t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, bit, bits
 from .metrics import ToughnessWitness, is_independent, validate_toughness_witness
 
 
-@dataclass(frozen=True)
-class StarMatching:
+class StarMatching(NamedTuple):
     """Disjoint stars as (center, leaves) with leaves listed ascending."""
 
     stars: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class DeficiencyWitness:
+class DeficiencyWitness(NamedTuple):
     """Center subset whose neighborhood cannot supply its leaf demand."""
 
     subset: int

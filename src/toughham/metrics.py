@@ -41,10 +41,10 @@ vertices (see ``connectivity``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, bit, bits, reach
 # multipartite_decompose stays bound: the benchmark harness times it by this name
@@ -64,8 +64,7 @@ class OracleLimitExceeded(Exception):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class ToughnessWitness:
+class ToughnessWitness(NamedTuple):
     """Cutset whose removal shatters the graph too cheaply: |S|/c(G-S) < t."""
 
     cutset: int
@@ -76,8 +75,7 @@ class ToughnessWitness:
         return Fraction(self.cutset.bit_count(), self.component_count)
 
 
-@dataclass(frozen=True)
-class ScatteringSet:
+class ScatteringSet(NamedTuple):
     cutset: int
     value: int
 

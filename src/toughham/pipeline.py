@@ -28,9 +28,9 @@ catches it once, around the gate and the two cases, and salvages it as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from . import metrics
 from .certificates import (Certificate, ForbiddenWitness, HamiltonCycle, OracleLimit,
@@ -53,8 +53,7 @@ class PipelineInternalError(RuntimeError):
     """A state the regime arithmetic rules out was reached: implementation bug."""
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """The case-1 split around an edge uv with a small union neighborhood.
 
     S is N(u) ∪ N(v) minus u, v; D1 = {u, v} and D2 are the two components
@@ -72,8 +71,7 @@ class Decomposition:
     g1_structure: Multipartition  # in the ids of g1
 
 
-@dataclass
-class PathCover:
+class PathCover(NamedTuple):
     """Vertex-disjoint paths covering G1, endpoints in W inside G2."""
 
     paths: list[PathCert]
@@ -474,17 +472,17 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
         x, y, z, w = anchored_pair(ustar, "star-matching left under two outside anchors")
         # an induced subgraph of the complete multipartite G1 is one as well
         sub, smap = g.induced(t_set | mask_of(ustar))
-        cover = _one_path_cover(sub, smap, x, y, z, w,
-                                "alternating path through T and U* missing")
+        paths, w_mask = _one_path_cover(sub, smap, x, y, z, w,
+                                        "alternating path through T and U* missing")
         for c in sorted(stars):
             if c in set(ustar):
                 continue
             ls = stars[c]
             if not all(v2 >> l & 1 for l in ls):
                 raise PipelineInternalError("unanchored center holds a cutset partner")
-            cover.paths.append(PathCert((ls[0], c, ls[1])))
-            cover.w_mask |= bit(ls[0]) | bit(ls[1])
-        return cover
+            paths.append(PathCert((ls[0], c, ls[1])))
+            w_mask |= bit(ls[0]) | bit(ls[1])
+        return PathCover(paths, w_mask)
 
     # |T| equals the number of centers
     n1 = v1.bit_count()

@@ -33,7 +33,7 @@ incidences in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, GraphError, bits, lex_key, mask_of
 
@@ -45,16 +45,14 @@ FORESTS = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
 _2P2P1 = Graph.from_edges(5, [(0, 1), (2, 3)])
 
 
-@dataclass(frozen=True)
-class InducedWitness:
+class InducedWitness(NamedTuple):
     """Vertices of the host graph inducing the named pattern."""
 
     vertices: tuple[int, ...]
     pattern: str
 
 
-@dataclass(frozen=True)
-class Multipartition:
+class Multipartition(NamedTuple):
     """Partition into independent parts, pairwise completely joined."""
 
     parts: tuple[int, ...]  # vertex masks, ordered by minimum vertex

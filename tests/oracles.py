@@ -1,10 +1,20 @@
-"""Test-side oracles for values the engine builds and no longer re-checks.
+"""Test-side oracles for values the engine builds and no longer re-checks,
+and the exhaustive graph enumerator the tests share.
 
 Each one is written from the definitions, not from the producer's code, so
 a test that runs a stage and then an oracle checks the stage.
 """
 
-from toughham.graph import bit
+from itertools import combinations
+
+from toughham.graph import Graph, bit
+
+
+def all_graphs(n: int):
+    """Every labeled simple graph on n vertices (2^C(n,2) of them)."""
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
 
 
 def split_violations(g, dec) -> list[str]:

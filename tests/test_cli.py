@@ -545,3 +545,19 @@ def test_survey_is_deterministic():
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.count("survey t=") == 4
+
+
+def test_fresh_import_generates_no_code():
+    # a fresh import compiles every module unless bytecode is cached, and a
+    # dataclass would add the code its decorator writes and compiles
+    src = Path(__file__).resolve().parents[1] / "src"
+    modules = sorted(p.stem for p in (src / "toughham").glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    code = "".join(f"import toughham.{m}\n" for m in modules)
+    code += "import sys\nprint(sorted(m for m in sys.modules if m.startswith('toughham.')))\n"
+    code += "print('dataclasses' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    loaded, dataclasses_loaded = done.stdout.splitlines()
+    assert loaded == repr([f"toughham.{m}" for m in modules])
+    assert dataclasses_loaded == "False"

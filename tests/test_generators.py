@@ -1,10 +1,12 @@
 import hashlib
+import random
 
 import pytest
 
 from toughham import generators, recognition
+from oracles import all_graphs
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
-                                 generate, random_in_class)
+                                 generate, random_graph, random_in_class, relabel)
 from toughham.graph import Graph, bit, mask_of
 from toughham.graph6 import write_graph6
 from toughham.recognition import find_induced
@@ -110,3 +112,55 @@ def test_case1_synthetic_relabeling_seed():
     assert base.edge_count() == shuffled.edge_count()
     assert base != shuffled
     assert find_induced(shuffled, "2p2+p1") is None
+
+
+def generator_outputs_digest():
+    """sha256 over random_graph on n 0-20, seeded case1_synthetic shapes and
+    relabel under seeded permutations of random graphs on n 0-40."""
+    h = hashlib.sha256()
+    for n in range(21):
+        for p in (0.0, 0.3, 0.5, 0.8, 1.0):
+            for seed in (0, 1, 2):
+                out = write_graph6(random_graph(n, p, seed))
+                h.update(f"random {n} {p} {seed} {out}\n".encode())
+    shapes = [([2, 1, 2], 6, [2] * 8), ([1, 1], 3, [2] * 4), ([2, 1], 3, [2] * 5),
+              ([6, 6], 10, [10] * 4), ([2, 1], 3, [2] * 9)]
+    for shape in shapes:
+        for seed in (1, 2, 3, 5):
+            out = write_graph6(case1_synthetic(*shape, seed=seed))
+            h.update(f"case1 {shape} {seed} {out}\n".encode())
+    rng = random.Random(15)
+    for n in range(41):
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h.update(f"relabel {n} {write_graph6(relabel(g, perm))}\n".encode())
+    return h.hexdigest()
+
+
+def test_generator_outputs_are_pinned():
+    # the digest was taken when the generators still built edge lists
+    assert generator_outputs_digest() == (
+        "6003d9356e57c06daa31b5e9b659dea5dcc38eab61ab62610dae57090c2b9796")
+
+
+def relabel_by_edges(g, perm):
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_relabel_matches_edge_list():
+    rng = random.Random(16)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(n, p, rng.randrange(1 << 30))
+               for n in range(41) for p in (0.1, 0.5, 0.9)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert relabel(g, perm) == relabel_by_edges(g, perm), (g.adj, perm)
+
+
+def test_relabel_needs_a_permutation():
+    g = Graph.path(4)
+    for perm in ([0, 1, 2], [0, 1, 2, 2], [1, 2, 3, 4], [0, 1, 2, 3, 4]):
+        with pytest.raises(GenerationError):
+            relabel(g, perm)

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from toughham.graph import (Graph, GraphError, all_graphs, bit, bits, mask_of, reach,
+from oracles import all_graphs
+from toughham.generators import GenerationError, random_graph, random_in_class, relabel
+from toughham.graph import (Graph, GraphError, bit, bits, mask_of, reach,
                             transpose)
+from toughham.graph6 import parse_graph6, write_graph6
 
 
 def test_neighbors_examples():
@@ -155,6 +158,45 @@ def test_induced_matches_edge_relabelling():
             sparse = rng.getrandbits(n) & rng.getrandbits(n)
             for s in (0, g.full, rng.getrandbits(n), sparse):
                 assert g.induced(s) == induced_by_relabelling(g, s), (n, p, s)
+
+
+def agrees_with_checking_constructor(h):
+    """The rows of a graph built without checks pass the constructor's
+    checks (it raises otherwise) and give the same graph."""
+    ref = Graph(h.n, h.adj)
+    return type(h.adj) is tuple and (h.n, h.adj, h.full) == (ref.n, ref.adj, ref.full)
+
+
+def unchecked_builds(g, rng):
+    """The graphs that the builders storing rows unchecked make from g."""
+    yield parse_graph6(write_graph6(g))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    yield relabel(g, perm)
+    yield relabel(g, perm[::-1])
+
+
+def test_unchecked_builders_agree_with_checking_constructor():
+    rng = random.Random(15)
+    for n in range(6):
+        for g in all_graphs(n):
+            for s in range(1 << n):
+                assert agrees_with_checking_constructor(g.induced(s)[0]), (g.adj, s)
+            for h in unchecked_builds(g, rng):
+                assert agrees_with_checking_constructor(h), g.adj
+    for n in range(41):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(n, p, rng.randrange(1 << 30))
+            assert agrees_with_checking_constructor(g), (n, p)
+            for s in (0, g.full, rng.getrandbits(n)):
+                assert agrees_with_checking_constructor(g.induced(s)[0]), (n, p, s)
+            for h in unchecked_builds(g, rng):
+                assert agrees_with_checking_constructor(h), (n, p)
+            try:
+                h = random_in_class(n, p, rng.randrange(1 << 30), cap=2)
+            except GenerationError:
+                continue
+            assert agrees_with_checking_constructor(h), (n, p)
 
 
 def naive_components(n, edges, removed):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from toughham.graph import Graph, GraphError, all_graphs
+from oracles import all_graphs
+from toughham.graph import Graph, GraphError
 from toughham.graph6 import Graph6Error, _parse_size, parse_graph6, write_graph6
 
 # strides of the packed matrix and graph6's own boundaries: the one-byte

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import all_graphs
 from toughham import metrics
-from toughham.graph import Graph, all_graphs, bits
+from toughham.graph import Graph, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
                               validate_scattering_set, validate_toughness_witness,

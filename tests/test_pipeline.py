@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -161,7 +160,7 @@ def test_case1_decomposition_invariants():
     assert dec.d2_mask.bit_count() == 16
     # the oracle sees a split whose G2 also takes S1
     s = (g.adj[0] | g.adj[2]) & ~mask_of([0, 2])
-    assert split_violations(g, replace(dec, g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
+    assert split_violations(g, dec._replace(g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
 
 
 def test_split_check_failure_into_pattern():

@@ -3,9 +3,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from oracles import all_graphs
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class
-from toughham.graph import Graph, GraphError, all_graphs, bits, mask_of
+from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.metrics import independence
 from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
                                   _backtrack, _forest_witness, find_induced, holds,
