@@ -10,7 +10,7 @@ the lower-triangle rows into one int and formats it once.
 
 from __future__ import annotations
 
-from .graph import Graph, transpose
+from .graph import MAX_VERTICES, Graph, transpose
 
 HEADER = ">>graph6<<"
 
@@ -38,6 +38,8 @@ def _parse_size(line: str) -> tuple[int, int]:
             if not 0 <= d < 64:
                 raise Graph6Error("size byte out of range", i)
             n = n << 6 | d
+        if n > MAX_VERTICES:
+            raise Graph6Error(f"vertex count {n} outside 0..{MAX_VERTICES}", 0)
         return n, 4
     if not 63 <= c <= 125:
         raise Graph6Error("size byte out of range", 0)

@@ -15,10 +15,20 @@ blind subset enumeration would pay for 2^24 masks.
 Every other graph goes through one cutset enumerator, by subset size from
 kappa up, as no smaller set is a cutset; a sweep stops at the first size
 where even min(n - k, alpha) components, the most any set of size k can
-leave, could not beat the incumbent.  Toughness and scattering share one
-sweep that keeps both incumbents and stops where both stop rules hold;
-``verify_tough`` runs its own.  Each witness is the first optimal cutset in
-(size, lexicographic) order.
+leave, could not beat the incumbent.  It visits separators only and counts
+components for nothing else.  Let r be the smallest vertex outside a
+cutset S and A its component in G - S: then A is connected, S holds every
+vertex below r and every neighbour of A, and some vertex outside S is not
+in A.  So the sweep grows each connected A from each r <= k by extension
+sets and completes N(A), plus the vertices below r, to S with the other
+vertices in every way that leaves one of them out; each cutset comes from
+its own r and A once.  A branch stops growing A when a larger A would leave
+fewer than two vertices outside S, when more than k boundary vertices can
+no longer join A, or when A and its boundary cover the graph.
+Toughness and scattering share one sweep that keeps both incumbents and
+stops where both stop rules hold; ``verify_tough`` runs its own.  Within a
+size both prefer the most components, and each witness is the first
+optimal cutset in (size, lexicographic) order.
 
 The shared sweep, kappa's pair flows, the multipartite decomposition and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
@@ -46,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .graph import Graph, bit, bits, reach
+from .graph import Graph, bit, bits, lex_key, reach
 # multipartite_decompose stays bound: the benchmark harness times it by this name
 from .recognition import Multipartition, multipartite_decompose, multipartite_parts  # noqa: F401
 
@@ -88,26 +98,65 @@ def _largest_part(g: Graph) -> int | None:
 
 
 def _cutsets(g: Graph, stop):
-    """Every cutset S of a non-complete g as (|S|, S, c(G - S)), by size and
-    then in lexicographic order.  No cutset has fewer than kappa vertices, so
-    the sizes start at kappa.  ``stop(k, room)`` is asked before each size k
-    and ends the enumeration when true; room = min(n - k, alpha) bounds
-    c(G - S) for every S of size k, since one vertex from each component of
-    G - S is an independent set (Chvatal 1973).  Both bounds grow weaker
-    with k, so a stop test that holds at k holds at every larger size.
-    Callers check their size caps first; alpha's cap cannot bind, and up to
-    n = 64 it keeps the key of a plain ``independence(g)``."""
-    n = g.n
+    """The cutsets S of a non-complete g, one size at a time from kappa up,
+    as (k, [(S, c(G - S)), ...]) in no set order within a size.
+    ``stop(k, room)`` is asked before each size k and ends the sweep when
+    true; room = min(n - k, alpha) bounds c(G - S) for every S of size k,
+    since one vertex from each component of G - S is an independent set
+    (Chvatal 1973).  Both bounds grow weaker with k, so a stop test that
+    holds at k holds at every larger size.  Callers check their size caps
+    first; alpha's cap cannot bind, and up to n = 64 it keeps the key of a
+    plain ``independence(g)``.
+
+    Only cutsets are counted.  Let r be the smallest vertex outside a
+    cutset S and A its component in G - S: A is connected, every vertex
+    below r and every neighbour of A lies in S, and the rest of G - S is
+    non-empty and has no neighbour of A.  So for each r <= k the sweep
+    grows every connected A with smallest vertex r over the vertices above
+    r by extension sets (ESU; Wernicke, IEEE/ACM TCBB 2006), which visits
+    each such A once.  With base = N(A) plus the vertices below r and free
+    the vertices in neither, each T of k - |base| free vertices gives the
+    cutset base | T, as every A grown has |A| < n - k and so leaves a free
+    vertex over; S fixes r and A, so each cutset is found once.  A branch
+    stops growing A when
+      - |A| + 1 >= n - k: a larger A leaves no second component;
+      - the boundary vertices its branch can no longer add to A, those of
+        base outside ext, number more than k: they stay in every base;
+      - |base| - k > n - k - 1 - |A|, that is, no vertex is free: each
+        vertex added to A takes at most one vertex off the boundary, and
+        the branch can add at most n - k - 1 - |A| of them.
+    The last is tested on each A before it is grown."""
+    n, adj = g.n, g.adj
     kappa, _ = _pair_flows(g)
     alpha, _ = independence(g) if n <= DEFAULT_INDEPENDENCE_CAP else independence(g, cap=n)
-    singletons = [1 << v for v in range(n)]
+
+    def grow(a, size, ext, base, free):
+        # a: the component A; ext: the vertices its branch may add next;
+        # base: N(A) and the vertices below r; free: the rest, never empty
+        rest = k - base.bit_count()
+        if rest >= 0:
+            for t in map(sum, combinations([1 << v for v in bits(free)], rest)):
+                s = base | t
+                found.append((s, g.component_count(s)))
+        if size + 1 >= n - k:
+            return
+        while ext and (base & ~ext).bit_count() <= k:
+            w = ext & -ext
+            ext ^= w
+            gain = adj[w.bit_length() - 1] & free  # w's exclusive neighbours
+            if free != gain:
+                grow(a | w, size + 1, ext | gain, base ^ w | gain, free ^ gain)
+
     for k in range(kappa, n - 1):
         if stop(k, min(n - k, alpha)):
             return
-        for s in map(sum, combinations(singletons, k)):
-            c = g.component_count(s)
-            if c >= 2:
-                yield k, s, c
+        found = []
+        for r in range(k + 1):
+            base = adj[r] | (1 << r) - 1
+            free = g.full & ~base & ~(1 << r)
+            if free:
+                grow(1 << r, 1, adj[r] >> r << r, base, free)
+        yield k, found
 
 
 @lru_cache(maxsize=1)
@@ -115,7 +164,9 @@ def _optima(g: Graph):
     """(toughness, witness, scattering, set) of a non-complete,
     non-multipartite g from one sweep.  An incumbent is replaced only on a
     strict improvement: a smaller |S|/c, by cross-multiplication, or a
-    larger c - |S|.  Each stop rule rules out a strict improvement at its
+    larger c - |S|.  Within a size both prefer the largest c, so a size
+    that improves an incumbent gives it the lexicographically first cutset
+    with that c.  Each stop rule rules out a strict improvement at its
     size and every later one, so stopping where both hold leaves each
     incumbent the first optimal cutset in (size, lexicographic) order."""
     tk = tc = ts = 0  # toughness incumbent tk/tc, cutset ts
@@ -124,11 +175,16 @@ def _optima(g: Graph):
     def stop(k, room):
         return sv is not None and k * tc >= room * tk and room - k <= sv
 
-    for k, s, c in _cutsets(g, stop):
-        if sv is None or k * tc < tk * c:
-            tk, tc, ts = k, c, s
-        if sv is None or c - k > sv:
-            sv, ss = c - k, s
+    for k, cuts in _cutsets(g, stop):
+        c = max(count for _, count in cuts)
+        tough = sv is None or k * tc < tk * c
+        scatter = sv is None or c - k > sv
+        if tough or scatter:
+            s = min((s for s, count in cuts if count == c), key=lex_key)
+            if tough:
+                tk, tc, ts = k, c, s
+            if scatter:
+                sv, ss = c - k, s
     assert sv is not None  # noncomplete graphs always have a cutset
     return Fraction(tk, tc), ToughnessWitness(ts, tc), sv, ScatteringSet(ss, sv)
 
@@ -188,9 +244,10 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     if g.n > cap:
         raise OracleLimitExceeded("verify-tough")
     # a violator of size k needs c > k/t, so k/room >= t rules it out
-    for k, s, c in _cutsets(g, lambda k, room: Fraction(k, room) >= t):
-        if Fraction(k, c) < t:
-            return ToughnessWitness(s, c)
+    for k, cuts in _cutsets(g, lambda k, room: Fraction(k, room) >= t):
+        violators = [cut for cut in cuts if Fraction(k, cut[1]) < t]
+        if violators:
+            return ToughnessWitness(*min(violators, key=lambda cut: lex_key(cut[0])))
     return None
 
 

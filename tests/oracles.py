@@ -17,6 +17,18 @@ def all_graphs(n: int):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
 
 
+def cutsets_by_brute_force(g, k: int) -> list[tuple[int, int]]:
+    """Every cutset S of size k with c(G - S), as (S, c) pairs with c >= 2,
+    from a count of components for each of the C(n, k) subsets, in
+    lexicographic order."""
+    pairs = []
+    for s in map(sum, combinations([bit(v) for v in range(g.n)], k)):
+        c = g.component_count(s)
+        if c >= 2:
+            pairs.append((s, c))
+    return pairs
+
+
 def split_violations(g, dec) -> list[str]:
     """The relations of a case-1 ``Decomposition``, with S rebuilt from uv.
 

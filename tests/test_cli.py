@@ -357,6 +357,31 @@ def test_a_non_ascii_byte_fails_only_its_graph6_line(tmp_path):
                                 "tau=inf kappa=2 alpha=1 delta=2 s=inf"]
 
 
+def test_a_line_past_the_vertex_limit_fails_only_itself(tmp_path):
+    # 600 vertices and every adjacency byte: the size field alone rejects it
+    inp = tmp_path / "in.g6"
+    inp.write_text("Bw\n~?HW" + "?" * (600 * 599 // 2 // 6) + "\nBw\n")
+    bad = "error index=1 kind=input reason=vertex-count-600-outside-0..512-(byte-0)"
+    cert_path = str(tmp_path / "certs.txt")
+    code, _ = run_cli(["run", "--input", str(inp), "--out", cert_path])
+    assert code == 4
+    lines = (tmp_path / "certs.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("error ")] == [bad]
+    assert [line.split()[1] for line in lines if line.startswith("graph ")] == [
+        "index=0", "index=2"]
+    code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
+    assert code == 1
+    assert report.splitlines() == [
+        "check index=0 result=pass reason=hamilton-cycle-verified",
+        "check index=1 result=fail "
+        "reason=unreadable-graph:-vertex-count-600-outside-0..512-(byte-0)",
+        "check index=2 result=pass reason=hamilton-cycle-verified"]
+    code, out = run_cli(["metrics", "--input", str(inp)])
+    assert code == 4
+    assert out.splitlines() == ["tau=inf kappa=2 alpha=1 delta=2 s=inf", bad,
+                                "tau=inf kappa=2 alpha=1 delta=2 s=inf"]
+
+
 def test_check_a_non_ascii_byte_fails_only_the_record_that_reads_it(tmp_path):
     # in a trace line it is never read; in a cert record it fails that
     # graph; in an error record's reason it is reported escaped

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import all_graphs
-from toughham.graph import Graph, GraphError
+from toughham.graph import Graph
 from toughham.graph6 import Graph6Error, _parse_size, parse_graph6, write_graph6
 
 # strides of the packed matrix and graph6's own boundaries: the one-byte
@@ -133,13 +133,14 @@ def test_codec_matches_the_per_pair_reference():
             assert parse_graph6(line[:-1] + last) == parse_by_pair(line[:-1] + last)
 
 
-def test_too_many_vertices_is_the_constructors_error():
-    line = "~?G@" + "?" * (513 * 512 // 2 // 6)  # n = 513, no edges
-    with pytest.raises(GraphError) as ours:
-        parse_graph6(line)
-    with pytest.raises(GraphError) as ref:
-        parse_by_pair(line)
-    assert str(ours.value) == str(ref.value) == "vertex count 513 outside 0..512"
+def test_too_many_vertices_is_a_size_field_error():
+    # raised at the size field, before the adjacency bytes are read
+    for line, n in (("~?G@" + "?" * (513 * 512 // 2 // 6), 513), ("~?G@", 513), ("~?HW", 600)):
+        for parse in (parse_graph6, parse_by_pair):
+            with pytest.raises(Graph6Error) as exc:
+                parse(line)
+            assert (str(exc.value), exc.value.offset) == (
+                f"vertex count {n} outside 0..512 (byte 0)", 0)
 
 
 def test_malformed_lines_match_the_reference():

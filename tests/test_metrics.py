@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import all_graphs
+from oracles import all_graphs, cutsets_by_brute_force
 from toughham import metrics
 from toughham.graph import Graph, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
@@ -249,6 +249,36 @@ def test_cutset_sweep_starts_at_kappa(monkeypatch):
     assert toughness(g)[0] == 4
     assert sizes and min(sizes) == 8
     assert len(decompositions) == 1
+
+
+def _separator_corpus():
+    """(graph, largest size compared): every graph on n <= 5, seeded random
+    graphs on n 7..14 over five densities, then cycles, paths, a grid and a
+    star.  The 4 x 5 grid is compared up to size 7: its 932,409 cutsets of
+    all sizes would take seconds of subset counting."""
+    for n in range(6):
+        for g in all_graphs(n):
+            yield g, n
+    rng = random.Random(1616)
+    for p in (0.15, 0.3, 0.5, 0.7, 0.85):
+        for n in range(7, 15):
+            yield random_graph(rng, n, p), n
+    grid = [(5 * i + j, 5 * i + j + 1) for i in range(4) for j in range(4)]
+    grid += [(v, v + 5) for v in range(15)]
+    yield Graph.cycle(12), 12
+    yield Graph.path(12), 12
+    yield Graph.from_edges(20, grid), 7
+    yield Graph.from_edges(10, [(0, v) for v in range(1, 10)]), 10
+
+
+def test_cutset_sweep_visits_each_cutset_once():
+    # every size's cutsets with their component counts, as a multiset, so
+    # each once: against a count of components for every subset of that size
+    for g, top in _separator_corpus():
+        swept = {} if g.is_complete() else dict(metrics._cutsets(g, lambda k, room: k > top))
+        for k in range(top + 1):
+            cuts = swept.get(k, [])
+            assert sorted(cuts) == sorted(cutsets_by_brute_force(g, k)), (g.adj, k)
 
 
 def test_independence_witness_is_independent():
