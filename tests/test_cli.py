@@ -572,6 +572,35 @@ def test_survey_is_deterministic():
     assert out1.count("survey t=") == 4
 
 
+SURVEY_PINS = {
+    "random_in_class": [
+        "survey t=1/1 graphs=5 forbidden-witness=0 hamilton-cycle=0 oracle-limit=3"
+        " toughness-witness=2",
+        "survey t=11/1 graphs=5 forbidden-witness=0 hamilton-cycle=3 oracle-limit=0"
+        " toughness-witness=2",
+    ],
+    "random": [
+        "survey t=1/1 graphs=5 forbidden-witness=1 hamilton-cycle=0 oracle-limit=2"
+        " toughness-witness=2",
+        "survey t=11/1 graphs=5 forbidden-witness=1 hamilton-cycle=2 oracle-limit=0"
+        " toughness-witness=2",
+    ],
+    "complete": [
+        "survey t=1/1 graphs=5 forbidden-witness=0 hamilton-cycle=5 oracle-limit=0"
+        " toughness-witness=0",
+        "survey t=11/1 graphs=5 forbidden-witness=0 hamilton-cycle=5 oracle-limit=0"
+        " toughness-witness=0",
+    ],
+}
+
+
+def test_survey_output_is_pinned_for_every_gen():
+    for gen, lines in SURVEY_PINS.items():
+        code, out = run_cli(["survey", "--t-grid", "1,11", "--gen", gen, "--n", "7",
+                             "--count", "5", "--seed", "2"])
+        assert (code, out.splitlines()) == (0, lines), gen
+
+
 def test_fresh_import_generates_no_code():
     # a fresh import compiles every module unless bytecode is cached, and a
     # dataclass would add the code its decorator writes and compiles
