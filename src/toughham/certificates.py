@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, bits, mask_of
+from .graph import MAX_VERTICES, Graph, bits, mask_of
 from .hamilton import DEFAULT_ORACLE_CAP, CycleCert
 from .metrics import ToughnessWitness
 from .recognition import InducedWitness, induces_pattern
@@ -189,8 +189,8 @@ def certificate_from_record(line: str) -> Certificate:
     if kind == "hamilton-cycle":
         return HamiltonCycle(CycleCert(ids or ()))
     if kind == "toughness-witness":
-        if any(v < 0 for v in ids or ()):
-            raise ValueError("toughness witness names a negative vertex id")
+        if not all(0 <= v < MAX_VERTICES for v in ids or ()):
+            raise ValueError("toughness witness names a vertex id out of range")
         return ToughnessWitness(mask_of(ids or ()), int(fields["components"]))
     if kind == "forbidden-witness":
         return ForbiddenWitness(InducedWitness(ids or (), fields["pattern"]))

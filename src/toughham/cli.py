@@ -20,7 +20,7 @@ from . import metrics
 from .certificates import (OracleLimit, RunConfig, certificate_from_record,
                            certificate_kind, certificate_to_record, check_certificate,
                            fmt_q, parse_q, parse_record, record_line)
-from .generators import GenerationError, generate
+from .generators import GenerationError, random_graph, random_in_class
 from .graph import Graph, GraphError
 from .graph6 import Graph6Error, read_graph6_lines, write_graph6
 from .hamilton import DEFAULT_ORACLE_CAP
@@ -31,6 +31,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_ORACLE_LIMIT = 3
 EXIT_GRAPH_ERROR = 4
+
+# survey's graph families by --gen name, each built from n and a seed
+SURVEY_GENS = {
+    "random_in_class": lambda n, seed: random_in_class(n, 0.5, seed),
+    "random": lambda n, seed: random_graph(n, 0.5, seed),
+    "complete": lambda n, seed: Graph.complete(n),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -192,8 +199,7 @@ def cmd_survey(args, out) -> int:
     grid = [parse_q(tok) for tok in args.t_grid.split(",") if tok.strip()]
     if not grid:
         raise ValueError("empty t grid")
-    graphs = [generate(args.gen, {"n": args.n, "p": 0.5}, seed=args.seed + i)
-              for i in range(args.count)]
+    graphs = [SURVEY_GENS[args.gen](args.n, args.seed + i) for i in range(args.count)]
     for t in grid:
         cfg = RunConfig(t=t)
         counts = {"hamilton-cycle": 0, "toughness-witness": 0,
@@ -231,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_survey = sub.add_parser("survey", help="sweep t over a grid and tabulate outcomes")
     p_survey.add_argument("--t-grid", required=True, help="comma-separated rationals")
-    p_survey.add_argument("--gen", default="random_in_class",
-                          choices=("random_in_class", "random", "complete"))
+    p_survey.add_argument("--gen", default="random_in_class", choices=SURVEY_GENS)
     p_survey.add_argument("--n", type=_positive_int, required=True)
     p_survey.add_argument("--count", type=_positive_int, required=True)
     p_survey.add_argument("--seed", type=int, default=0)

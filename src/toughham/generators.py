@@ -15,9 +15,6 @@ from .graph import Graph, transpose
 # find_induced stays bound: the benchmark harness times generators.find_induced by name
 from .recognition import find_induced, holds  # noqa: F401
 
-KINDS = ("complete", "complete_multipartite", "complete_split_join",
-         "case1_synthetic", "random_in_class", "random")
-
 REJECTION_CAP = 2000
 
 
@@ -47,15 +44,15 @@ def complete_split_join(clique: int, independent: int) -> Graph:
     return Graph.complete_multipartite([1] * clique + [independent])
 
 
-def random_in_class(n: int, p: float, seed: int, cap: int = REJECTION_CAP) -> Graph:
+def random_in_class(n: int, p: float, seed: int) -> Graph:
     """Rejection-sample a graph with no induced forbidden pattern."""
     rng = random.Random(seed)
-    for _ in range(cap):
+    for _ in range(REJECTION_CAP):
         g = _draw(n, p, rng)
         if not holds(g, "2p2+p1"):
             return g
     raise GenerationError(
-        f"no pattern-free sample within {cap} tries at n={n}, p={p}")
+        f"no pattern-free sample within {REJECTION_CAP} tries at n={n}, p={p}")
 
 
 def case1_synthetic(g1_parts, s2: int, d2_parts, seed: int = 0) -> Graph:
@@ -128,21 +125,3 @@ def relabel(g: Graph, perm) -> Graph:
         out[v] = col
     return Graph._of_rows(g.n, out)
 
-
-def generate(kind: str, params: dict, seed: int = 0) -> Graph:
-    """Deterministic dispatch over the supported instance kinds."""
-    if kind == "complete":
-        return Graph.complete(int(params["n"]))
-    if kind == "complete_multipartite":
-        return Graph.complete_multipartite([int(x) for x in params["parts"]])
-    if kind == "complete_split_join":
-        return complete_split_join(int(params["clique"]), int(params["independent"]))
-    if kind == "case1_synthetic":
-        return case1_synthetic(params["g1_parts"], int(params["s2"]),
-                               params["d2_parts"], seed=seed)
-    if kind == "random_in_class":
-        return random_in_class(int(params["n"]), float(params.get("p", 0.5)), seed,
-                               cap=int(params.get("cap", REJECTION_CAP)))
-    if kind == "random":
-        return random_graph(int(params["n"]), float(params.get("p", 0.5)), seed)
-    raise GenerationError(f"unknown generator kind {kind!r}; expected one of {KINDS}")

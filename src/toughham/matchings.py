@@ -8,16 +8,15 @@ leaf is used once; when that is impossible it reads a Hall-type
 deficiency witness off the failed augmentation.  ``k1t_matching``, the
 engine's entry point, turns that deficiency into a cutset certificate:
 the neighborhood of the deficient center set shatters the graph at ratio
-below t.
+below 2.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, bit, bits
-from .metrics import ToughnessWitness, is_independent, validate_toughness_witness
+from .metrics import ToughnessWitness, is_independent
 
 
 class StarMatching(NamedTuple):
@@ -72,43 +71,18 @@ def _stars(adj, y_side: int, demand: dict[int, int]) -> StarMatching | Deficienc
     return StarMatching(tuple((x, tuple(sorted(ls))) for x, ls in stars.items()))
 
 
-def k1t_matching(g: Graph, centers: int, t: Fraction) -> StarMatching | ToughnessWitness:
-    """Star-matching with floor(t) leaves per star, centered exactly at ``centers``.
+def k1t_matching(g: Graph, centers: int) -> StarMatching | ToughnessWitness:
+    """Star-matching with two leaves per star, centered exactly at ``centers``.
 
-    On a t-tough graph this always succeeds; when the bipartite demand is
-    deficient the deficiency converts into a toughness violation, because
-    removing the deficient centers' neighborhood isolates each of them.
+    On a 2-tough graph this always succeeds.  Otherwise the deficient
+    centers X have |N(X)| < 2|X|, and removing N(X) isolates each of them
+    and, when |X| = 1, leaves another vertex of the noncomplete graph: a
+    cutset of ratio below 2.
     """
-    if g.is_complete():
-        raise GraphError("k1t_matching requires a noncomplete graph")
-    if not is_independent(g, centers):
-        raise GraphError("centers must form an independent set")
-    if centers == 0:
-        return StarMatching(())
-    leaves_per_star = t.numerator // t.denominator if isinstance(t, Fraction) else int(t)
-    if leaves_per_star < 1:
-        raise GraphError(f"floor(t) must be at least 1, got t={t}")
-    got = _stars(g.adj, g.full & ~centers, dict.fromkeys(bits(centers), leaves_per_star))
+    if g.is_complete() or not is_independent(g, centers):
+        raise GraphError("k1t_matching needs a noncomplete graph and independent centers")
+    got = _stars(g.adj, g.full & ~centers, dict.fromkeys(bits(centers), 2))
     if isinstance(got, StarMatching):
         return got
-    return _deficiency_to_toughness(g, got, t)
-
-
-def _deficiency_to_toughness(g: Graph, d: DeficiencyWitness, t) -> ToughnessWitness:
-    cutset = g.set_neighborhood(d.subset)
-    count = g.component_count(cutset)
-    if count >= 2:
-        w = ToughnessWitness(cutset, count)
-        if validate_toughness_witness(g, w, t):
-            return w
-    # Degenerate case: a single center adjacent to everything else, with
-    # n - 1 < floor(t).  Any vertex with a non-neighbor then cuts at ratio
-    # at most (n - 2)/2 < t.
-    for v in range(g.n):
-        if g.adj[v] | bit(v) != g.full:
-            cutset = g.adj[v]
-            count = g.component_count(cutset)
-            w = ToughnessWitness(cutset, count)
-            if validate_toughness_witness(g, w, t):
-                return w
-    raise AssertionError("deficiency produced no valid toughness witness")
+    cutset = g.set_neighborhood(got.subset)
+    return ToughnessWitness(cutset, g.component_count(cutset))

@@ -33,8 +33,8 @@ optimal cutset in (size, lexicographic) order.
 The shared sweep, kappa's pair flows, the multipartite decomposition and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
 line computes each once.  That is sound: a ``Graph`` is immutable and
-hashes by value, the key is every argument, graph and cap alike, caps are
-checked before a memo is read, and exceptions are never cached.
+hashes by value, the key is every argument, the size caps are module
+constants, and exceptions are never cached.
 
 Vertex connectivity runs unit max flows on the vertex-split digraph, whose
 residual graph is held as one int mask per node: a pair's flow starts from
@@ -62,12 +62,12 @@ from .recognition import Multipartition, multipartite_decompose, multipartite_pa
 
 INF = math.inf
 
-DEFAULT_SUBSET_CAP = 24
-DEFAULT_INDEPENDENCE_CAP = 64
+SUBSET_CAP = 24
+INDEPENDENCE_CAP = 64
 
 
 class OracleLimitExceeded(Exception):
-    """An exact solver was asked to run beyond its configured size cap."""
+    """An exact solver was asked to run beyond its size cap."""
 
     def __init__(self, stage: str):
         super().__init__(stage)
@@ -104,9 +104,8 @@ def _cutsets(g: Graph, stop):
     true; room = min(n - k, alpha) bounds c(G - S) for every S of size k,
     since one vertex from each component of G - S is an independent set
     (Chvatal 1973).  Both bounds grow weaker with k, so a stop test that
-    holds at k holds at every larger size.  Callers check their size caps
-    first; alpha's cap cannot bind, and up to n = 64 it keeps the key of a
-    plain ``independence(g)``.
+    holds at k holds at every larger size.  Callers stop at SUBSET_CAP
+    vertices first, so alpha's larger cap cannot bind.
 
     Only cutsets are counted.  Let r be the smallest vertex outside a
     cutset S and A its component in G - S: A is connected, every vertex
@@ -128,7 +127,7 @@ def _cutsets(g: Graph, stop):
     The last is tested on each A before it is grown."""
     n, adj = g.n, g.adj
     kappa, _ = _pair_flows(g)
-    alpha, _ = independence(g) if n <= DEFAULT_INDEPENDENCE_CAP else independence(g, cap=n)
+    alpha, _ = independence(g)
 
     def grow(a, size, ext, base, free):
         # a: the component A; ext: the vertices its branch may add next;
@@ -189,7 +188,7 @@ def _optima(g: Graph):
     return Fraction(tk, tc), ToughnessWitness(ts, tc), sv, ScatteringSet(ss, sv)
 
 
-def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
+def toughness(g: Graph):
     """Exact min of |S|/c(G-S) over cutsets, with an optimal witness.
 
     Returns (math.inf, None) for complete graphs and the closed form for
@@ -205,7 +204,7 @@ def toughness(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
         c = part.bit_count()
         witness = ToughnessWitness(cutset=g.full & ~part, component_count=c)
         return Fraction(n - c, c), witness
-    if n > cap:
+    if n > SUBSET_CAP:
         raise OracleLimitExceeded("toughness")
     return _optima(g)[:2]
 
@@ -231,7 +230,7 @@ def probe_tough(g: Graph, t) -> ToughnessWitness | None:
     return None
 
 
-def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
+def verify_tough(g: Graph, t: Fraction):
     """None if no cutset S has |S|/c(G-S) < t; otherwise a violating witness.
 
     ``probe_tough`` runs before the cap check, so a violator can be
@@ -241,7 +240,7 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     probe = probe_tough(g, t)
     if probe is not None or g.is_complete() or _largest_part(g) is not None:
         return probe
-    if g.n > cap:
+    if g.n > SUBSET_CAP:
         raise OracleLimitExceeded("verify-tough")
     # a violator of size k needs c > k/t, so k/room >= t rules it out
     for k, cuts in _cutsets(g, lambda k, room: Fraction(k, room) >= t):
@@ -251,7 +250,7 @@ def verify_tough(g: Graph, t: Fraction, cap: int = DEFAULT_SUBSET_CAP):
     return None
 
 
-def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
+def scattering(g: Graph):
     """Exact max of c(G-S) - |S| over cutsets, with a scattering set.
 
     Returns (math.inf, None) for complete graphs and the closed form for
@@ -266,7 +265,7 @@ def scattering(g: Graph, cap: int = DEFAULT_SUBSET_CAP):
         c = part.bit_count()
         cutset = g.full & ~part
         return 2 * c - n, ScatteringSet(cutset, 2 * c - n)
-    if n > cap:
+    if n > SUBSET_CAP:
         raise OracleLimitExceeded("scattering")
     return _optima(g)[2:]
 
@@ -398,15 +397,15 @@ def connectivity(g: Graph):
 
 
 @lru_cache(maxsize=1)
-def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):
+def independence(g: Graph):
     """Exact independence number and one maximum independent set (as a mask).
 
     An independent set of g is a clique of the complement, so it lives
     inside one connected component of the complement.  Those components
     come from ``reach`` over the complement's rows, in order of minimum
     vertex, and branch-and-bound runs on g's own rows within each one (for
-    dense graphs they are tiny).  The size cap applies to each component,
-    and the last result is kept, keyed by the arguments as passed.
+    dense graphs they are tiny).  INDEPENDENCE_CAP applies to each
+    component, and the last result is kept, keyed by the graph.
     """
     co = [g.full & ~row & ~bit(v) for v, row in enumerate(g.adj)]
     best_size, best_set = 0, 0
@@ -416,19 +415,19 @@ def independence(g: Graph, cap: int = DEFAULT_INDEPENDENCE_CAP):
         remaining ^= part
         if part.bit_count() <= best_size:
             continue
-        size, found = _mis_branch_bound(g.adj, part, cap)
+        size, found = _mis_branch_bound(g.adj, part)
         if size > best_size:
             best_size, best_set = size, found
     return best_size, best_set
 
 
-def _mis_branch_bound(adj, part: int, cap: int):
+def _mis_branch_bound(adj, part: int):
     """(size, mask) of a maximum independent set inside the vertex mask
-    ``part``, with ``adj`` the graph's neighbour masks; past ``cap`` vertices
-    it raises with stage "independence".  The incumbent starts as the greedy
-    set over ascending ids, and each branch takes a maximum-degree candidate
-    (smallest id on ties), which fixes the set returned."""
-    if part.bit_count() > cap:
+    ``part``, with ``adj`` the graph's neighbour masks; past INDEPENDENCE_CAP
+    vertices it raises with stage "independence".  The incumbent starts as
+    the greedy set over ascending ids, and each branch takes a maximum-degree
+    candidate (smallest id on ties), which fixes the set returned."""
+    if part.bit_count() > INDEPENDENCE_CAP:
         raise OracleLimitExceeded("independence")
     seed, candidates = 0, part
     while candidates:

@@ -448,7 +448,7 @@ def _cover_scattered(g, dec, g1, map1, cfg, trace):
     if size_t > size_c:
         raise PipelineInternalError("minimum cutset larger than its complement")
 
-    got = k1t_matching(g, centers, Fraction(2))
+    got = k1t_matching(g, centers)
     if isinstance(got, ToughnessWitness):
         return _tough_or_dead_end(g, cfg, trace, "case1.cover.star", got)
     stars = {center: leaves for center, leaves in got.stars}
@@ -671,7 +671,7 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
 
     stars = ()
     if s1:
-        got = k1t_matching(g, s1, Fraction(2))
+        got = k1t_matching(g, s1)
         if isinstance(got, ToughnessWitness):
             return _tough_or_dead_end(g, cfg, trace, "case2.star", got)
         stars = got.stars

@@ -24,7 +24,7 @@ most n completion tests per position.  The same greedy finds ``2p2+p1``
 witnesses and is tested on them, but ``find_induced`` still takes those
 from a backtracker over ascending 5-tuples once the bitset test has found
 that one exists (routing them through the greedy is open work, ROADMAP
-item 5).  Rejection sampling only asks whether the forest is there, through
+item 8).  Rejection sampling only asks whether the forest is there, through
 ``holds``, so it runs no witness search.  Checking a claimed witness needs
 no search at all: the ids must be distinct and of the forest's size, and
 each must see at most one of the others, with twice the edge count of such

@@ -323,7 +323,7 @@ def test_criterion_7_star_matching_suite():
         if centers.bit_count() < 2:
             continue
         t = Fraction(2)
-        got = k1t_matching(g, centers, t)
+        got = k1t_matching(g, centers)
         if isinstance(got, ToughnessWitness):
             assert validate_toughness_witness(g, got, t)
             conversions += 1

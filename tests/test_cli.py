@@ -69,20 +69,25 @@ def test_check_out_of_range_ids_fail_and_go_on(tmp_path):
 
 
 def test_check_unreadable_certificates_fail_and_go_on(tmp_path):
-    # a negative id, then a record missing its pattern field
-    inp = write_inputs(tmp_path, [Graph.cycle(5)] * 3)
+    # a negative id, a record missing its pattern field, and an id no mask
+    # of a graph can hold (a mask of it would need 1.25 EB)
+    inp = write_inputs(tmp_path, [Graph.cycle(5)] * 4)
     cert_path = tmp_path / "certs.txt"
     cert_path.write_text("graph index=0 n=5 t=11/1\n"
                          "cert kind=toughness-witness components=2 ratio=1/2 -- -1\n"
                          "graph index=1 n=5 t=11/1\n"
                          "cert kind=forbidden-witness -- 0 1 2 3 4\n"
                          "graph index=2 n=5 t=11/1\n"
+                         "cert kind=toughness-witness components=2 ratio=1/2"
+                         " -- 10000000000000000000\n"
+                         "graph index=3 n=5 t=11/1\n"
                          "cert kind=hamilton-cycle -- 0 1 2 3 4\n")
     code, report = run_cli(["check", "--graph", inp, "--cert", str(cert_path)])
     assert code == 1
-    assert "check index=0 result=fail" in report
+    assert "check index=0 result=fail reason=unreadable-certificate" in report
     assert "check index=1 result=fail" in report
-    assert "check index=2 result=pass" in report
+    assert "check index=2 result=fail reason=unreadable-certificate" in report
+    assert "check index=3 result=pass" in report
 
 
 def test_check_ids_that_are_not_integers_fail_one_graph(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from toughham import generators, recognition
 from oracles import all_graphs
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
-                                 generate, random_graph, random_in_class, relabel)
+                                 random_graph, random_in_class, relabel)
 from toughham.graph import Graph, bit, mask_of
 from toughham.graph6 import write_graph6
 from toughham.recognition import find_induced
@@ -19,55 +19,48 @@ def test_complete_split_join_shape():
     assert not g.has_edge(22, 23)
 
 
-def test_generate_kinds():
-    assert generate("complete", {"n": 5}) == Graph.complete(5)
-    g = generate("complete_multipartite", {"parts": [3, 3, 3]})
-    assert g.n == 9 and g.min_degree() == 6
-    g = generate("complete_split_join", {"clique": 22, "independent": 2})
-    assert g == complete_split_join(22, 2)
-    with pytest.raises(GenerationError):
-        generate("mystery", {})
-
-
 def test_random_is_deterministic():
-    a = generate("random", {"n": 12, "p": 0.5}, seed=7)
-    b = generate("random", {"n": 12, "p": 0.5}, seed=7)
-    c = generate("random", {"n": 12, "p": 0.5}, seed=8)
+    a = random_graph(12, 0.5, seed=7)
+    b = random_graph(12, 0.5, seed=7)
+    c = random_graph(12, 0.5, seed=8)
     assert a == b and a != c
 
 
 def test_random_in_class_is_pattern_free():
     for seed in range(12):
-        g = generate("random_in_class", {"n": 12, "p": 0.5}, seed=seed)
+        g = random_in_class(12, 0.5, seed)
         assert find_induced(g, "2p2+p1") is None
 
 
-def test_random_in_class_rejection_cap():
+def test_random_in_class_rejection_cap(monkeypatch):
     # dense big samples essentially always carry the pattern
+    monkeypatch.setattr(generators, "REJECTION_CAP", 3)
     with pytest.raises(GenerationError):
-        random_in_class(22, 0.5, seed=0, cap=3)
+        random_in_class(22, 0.5, seed=0)
 
 
-def sample_digest():
+def sample_digest(monkeypatch):
     """sha256 over the outcome of every (n, p, seed, cap) of a grid whose
-    draws are accepted at once, accepted after rejections, or all rejected."""
+    draws are accepted at once, accepted after rejections, or all rejected;
+    each cap is set as REJECTION_CAP."""
     h = hashlib.sha256()
     for n in (5, 8, 11, 14, 18):
         for p in (0.2, 0.5, 0.8, 0.9):
             for seed in (0, 1, 2):
                 for cap in (1, 4):
+                    monkeypatch.setattr(generators, "REJECTION_CAP", cap)
                     try:
-                        out = write_graph6(random_in_class(n, p, seed, cap=cap))
+                        out = write_graph6(random_in_class(n, p, seed))
                     except GenerationError:
                         out = "GenerationError"
                     h.update(f"{n} {p} {seed} {cap} {out}\n".encode())
     return h.hexdigest()
 
 
-def test_random_in_class_outcomes_are_pinned():
+def test_random_in_class_outcomes_are_pinned(monkeypatch):
     # 120 grid points, 96 rejected draws, 39 GenerationErrors; the digest was
     # taken when rejection still searched for a witness
-    assert sample_digest() == "d6d4c89b3458c0857e55bdac2eb303fbe6b29b768534ebd53573dcf71d569648"
+    assert sample_digest(monkeypatch) == "d6d4c89b3458c0857e55bdac2eb303fbe6b29b768534ebd53573dcf71d569648"
 
 
 def test_random_in_class_searches_no_witness(monkeypatch):
@@ -77,9 +70,10 @@ def test_random_in_class_searches_no_witness(monkeypatch):
     for owner, attr in ((recognition, "_backtrack"), (recognition, "find_induced"),
                         (generators, "find_induced")):
         monkeypatch.setattr(owner, attr, refuse)
-    with pytest.raises(GenerationError):
-        random_in_class(14, 0.5, seed=0, cap=4)
-    assert generate("random_in_class", {"n": 12, "p": 0.5}, seed=3).n == 12
+    with monkeypatch.context() as patch, pytest.raises(GenerationError):
+        patch.setattr(generators, "REJECTION_CAP", 4)
+        random_in_class(14, 0.5, seed=0)
+    assert random_in_class(12, 0.5, seed=3).n == 12
 
 
 def test_case1_synthetic_structure():

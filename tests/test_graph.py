@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import all_graphs
+from toughham import generators
 from toughham.generators import GenerationError, random_graph, random_in_class, relabel
 from toughham.graph import (Graph, GraphError, bit, bits, mask_of, reach,
                             transpose)
@@ -176,8 +177,9 @@ def unchecked_builds(g, rng):
     yield relabel(g, perm[::-1])
 
 
-def test_unchecked_builders_agree_with_checking_constructor():
+def test_unchecked_builders_agree_with_checking_constructor(monkeypatch):
     rng = random.Random(15)
+    monkeypatch.setattr(generators, "REJECTION_CAP", 2)
     for n in range(6):
         for g in all_graphs(n):
             for s in range(1 << n):
@@ -193,7 +195,7 @@ def test_unchecked_builders_agree_with_checking_constructor():
             for h in unchecked_builds(g, rng):
                 assert agrees_with_checking_constructor(h), (n, p)
             try:
-                h = random_in_class(n, p, rng.randrange(1 << 30), cap=2)
+                h = random_in_class(n, p, rng.randrange(1 << 30))
             except GenerationError:
                 continue
             assert agrees_with_checking_constructor(h), (n, p)

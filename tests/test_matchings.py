@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import validate_star_matching
+from oracles import all_graphs, validate_star_matching
+from toughham.generators import random_graph
 from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.matchings import DeficiencyWitness, StarMatching, _stars, k1t_matching
 from toughham.metrics import (ToughnessWitness, validate_toughness_witness,
@@ -96,7 +97,7 @@ def test_k1t_matching_deficiency_becomes_cutset():
     # two centers in the size-4 side of a 1,1,4 multipartite graph: their
     # joint neighborhood has two vertices, so it shatters the graph at 2/4
     g = Graph.complete_multipartite([1, 1, 4])
-    got = k1t_matching(g, mask_of([2, 3]), Fraction(2))
+    got = k1t_matching(g, mask_of([2, 3]))
     assert isinstance(got, ToughnessWitness)
     assert got.cutset == mask_of([0, 1]) and got.component_count == 4
     assert got.ratio == Fraction(1, 2)
@@ -105,28 +106,64 @@ def test_k1t_matching_deficiency_becomes_cutset():
 
 def test_k1t_matching_star_hub():
     g = Graph.from_edges(6, [(0, i) for i in range(1, 6)])  # hub at 0
-    got = k1t_matching(g, mask_of([1, 2]), Fraction(1))
+    got = k1t_matching(g, mask_of([1, 2]))
     assert isinstance(got, ToughnessWitness)
     assert got.cutset == mask_of([0])
     assert got.ratio == Fraction(1, 5)
 
 
 def test_k1t_matching_cycle():
-    got = k1t_matching(Graph.cycle(6), mask_of([0]), Fraction(1))
+    got = k1t_matching(Graph.cycle(6), mask_of([0]))
     assert isinstance(got, StarMatching)
-    assert got.stars == ((0, (1,)),)
+    assert got.stars == ((0, (1, 5)),)
 
 
 def test_k1t_matching_preconditions():
     with pytest.raises(GraphError):
-        k1t_matching(Graph.complete(4), mask_of([0]), Fraction(2))
+        k1t_matching(Graph.complete(4), mask_of([0]))
     with pytest.raises(GraphError):
-        k1t_matching(Graph.cycle(5), mask_of([0, 1]), Fraction(1))
+        k1t_matching(Graph.cycle(5), mask_of([0, 1]))
+
+
+def _two_leaf_corpus():
+    """(graph, centers): every noncomplete graph on n <= 5 with each of its
+    nonempty independent sets, then seeded graphs on n 6..12 with the
+    independent sets among a few random vertex sets."""
+    for n in range(6):
+        for g in all_graphs(n):
+            if not g.is_complete():
+                for s in range(1, 1 << n):
+                    if all(g.adj[v] & s == 0 for v in bits(s)):
+                        yield g, s
+    rng = random.Random(1212)
+    for _ in range(600):
+        n = rng.randrange(6, 13)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8]), rng.randrange(1 << 30))
+        if g.is_complete():
+            continue
+        for _ in range(8):
+            s = rng.randrange(1, 1 << n)
+            if all(g.adj[v] & s == 0 for v in bits(s)):
+                yield g, s
+
+
+def test_two_leaf_stars_or_a_witness_below_two():
+    # a deficient center set X has |N(X)| < 2|X| and removing N(X) isolates
+    # X, so every call gives two-leaf stars or a cutset of ratio below 2
+    stars = witnesses = 0
+    for g, centers in _two_leaf_corpus():
+        got = k1t_matching(g, centers)
+        if isinstance(got, StarMatching):
+            assert validate_star_matching(g, got, centers=centers, degree=2), (g.adj, centers)
+            stars += 1
+        else:
+            assert validate_toughness_witness(g, got, Fraction(2)), (g.adj, centers)
+            witnesses += 1
+    assert stars > 1000 and witnesses > 1000, (stars, witnesses)
 
 
 def test_k1t_succeeds_on_tough_graphs():
-    # toughness at least t plus an independent center set always
-    # yields the matching
+    # 2-toughness plus an independent center set always yields the matching
     rng = random.Random(77)
     checked = 0
     for _ in range(250):
@@ -135,20 +172,18 @@ def test_k1t_succeeds_on_tough_graphs():
                                  if rng.random() < 0.7])
         if g.is_complete():
             continue
-        for t in (Fraction(1), Fraction(2)):
-            if verify_tough(g, t) is not None:
-                continue
-            floor_t = t.numerator // t.denominator
-            centers = 0
-            for v in range(n):
-                if g.adj[v] & centers == 0:
-                    centers |= 1 << v
-                if centers.bit_count() == 2:
-                    break
-            if centers.bit_count() < 2:
-                continue
-            got = k1t_matching(g, centers, t)
-            assert isinstance(got, StarMatching), (n, t)
-            assert validate_star_matching(g, got, centers=centers, degree=floor_t)
-            checked += 1
+        if verify_tough(g, Fraction(2)) is not None:
+            continue
+        centers = 0
+        for v in range(n):
+            if g.adj[v] & centers == 0:
+                centers |= 1 << v
+            if centers.bit_count() == 2:
+                break
+        if centers.bit_count() < 2:
+            continue
+        got = k1t_matching(g, centers)
+        assert isinstance(got, StarMatching), n
+        assert validate_star_matching(g, got, centers=centers, degree=2)
+        checked += 1
     assert checked > 20

@@ -301,12 +301,13 @@ def _independence_corpus():
         yield random_graph(rng, rng.randrange(7, 41), rng.uniform(0.05, 0.95))
 
 
-def test_independence_sets_are_pinned():
+def test_independence_sets_are_pinned(monkeypatch):
     # the maximum set, not only alpha: the gate and the bridge turn it into
     # toughness witnesses; a cap hit is recorded with its stage
     def attempt(g, cap):
+        monkeypatch.setattr(metrics, "INDEPENDENCE_CAP", cap)
         try:
-            return independence(g, cap=cap)
+            return independence.__wrapped__(g)
         except OracleLimitExceeded as exc:
             return f"limit:{exc.stage}"
 
@@ -318,19 +319,16 @@ def test_independence_sets_are_pinned():
 
 
 def test_caps_raise(monkeypatch):
-    from toughham import metrics
-
     g = Graph.cycle(30)
     calls = []
     real = metrics.independence
-    monkeypatch.setattr(metrics, "independence",
-                        lambda g, cap: calls.append(g) or real(g, cap))
+    monkeypatch.setattr(metrics, "independence", lambda g: calls.append(g) or real(g))
     with pytest.raises(OracleLimitExceeded) as exc:
-        toughness(g, cap=24)
+        toughness(g)
     assert exc.value.stage == "toughness"
     assert calls == []  # the cap is checked before alpha is computed
     # probes still find early violators past the cap
-    assert verify_tough(g, Fraction(11), cap=24) is not None
+    assert verify_tough(g, Fraction(11)) is not None
 
 
 def test_verify_tough_decomposes_once(monkeypatch):
@@ -370,10 +368,12 @@ def _fresh(name, g):
     return done.stdout.strip()
 
 
-def test_memos_keep_graphs_and_caps_apart():
+def test_memos_keep_graphs_and_caps_apart(monkeypatch):
     # each graph's last results are memoized: interleaving two graphs of the
     # same order, in any order, gives the values and witnesses a fresh
-    # process gives, and a lower cap still raises with its own stage
+    # process gives; a lower subset cap still raises with its own stage, as
+    # it is checked before the memo is read, and so does a lower
+    # independence cap on the unmemoized solver
     a, b = Graph.cycle(10), PETERSEN
     names = ("toughness", "scattering", "connectivity", "independence")
     fresh = {(name, g): _fresh(name, g) for name in names for g in (a, b)}
@@ -383,11 +383,15 @@ def test_memos_keep_graphs_and_caps_apart():
              ("independence", a)] * 2
     for name, g in order:
         assert repr(getattr(metrics, name)(g)) == fresh[name, g], (name, g.adj)
-    for solver, cap, stage in ((toughness, 5, "toughness"), (scattering, 5, "scattering"),
-                               (independence, 3, "independence")):
+    for solver, name, cap, stage in (
+            (toughness, "SUBSET_CAP", 5, "toughness"),
+            (scattering, "SUBSET_CAP", 5, "scattering"),
+            (independence.__wrapped__, "INDEPENDENCE_CAP", 3, "independence")):
         solver(b)
-        with pytest.raises(OracleLimitExceeded) as exc:
-            solver(b, cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, name, cap)
+            with pytest.raises(OracleLimitExceeded) as exc:
+                solver(b)
         assert exc.value.stage == stage
 
 
