@@ -54,16 +54,17 @@ class OracleLimit(NamedTuple):
 Certificate = HamiltonCycle | ToughnessWitness | ForbiddenWitness | OracleLimit
 
 
+# the record kind of each certificate type: the kind= field of its cert record
+# and its column in a survey line
+KINDS = {HamiltonCycle: "hamilton-cycle", ToughnessWitness: "toughness-witness",
+         ForbiddenWitness: "forbidden-witness", OracleLimit: "oracle-limit"}
+
+
 def certificate_kind(cert: Certificate) -> str:
-    if isinstance(cert, HamiltonCycle):
-        return "hamilton-cycle"
-    if isinstance(cert, ToughnessWitness):
-        return "toughness-witness"
-    if isinstance(cert, ForbiddenWitness):
-        return "forbidden-witness"
-    if isinstance(cert, OracleLimit):
-        return "oracle-limit"
-    raise TypeError(f"not a certificate: {cert!r}")
+    try:
+        return KINDS[type(cert)]
+    except KeyError:
+        raise TypeError(f"not a certificate: {cert!r}") from None
 
 
 def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool, str]:
@@ -160,25 +161,17 @@ def parse_record(line: str):
 
 
 def certificate_to_record(cert: Certificate) -> str:
+    fields = [("kind", certificate_kind(cert))]
     if isinstance(cert, HamiltonCycle):
-        return record_line("cert", [("kind", "hamilton-cycle")], ids=cert.cycle.order)
+        return record_line("cert", fields, ids=cert.cycle.order)
     if isinstance(cert, ToughnessWitness):
-        return record_line(
-            "cert",
-            [("kind", "toughness-witness"),
-             ("components", cert.component_count),
-             ("ratio", Fraction(cert.cutset.bit_count(), cert.component_count))],
-            ids=bits(cert.cutset),
-        )
+        fields += [("components", cert.component_count),
+                   ("ratio", Fraction(cert.cutset.bit_count(), cert.component_count))]
+        return record_line("cert", fields, ids=bits(cert.cutset))
     if isinstance(cert, ForbiddenWitness):
-        return record_line(
-            "cert",
-            [("kind", "forbidden-witness"), ("pattern", cert.witness.pattern)],
-            ids=cert.witness.vertices,
-        )
-    if isinstance(cert, OracleLimit):
-        return record_line("cert", [("kind", "oracle-limit"), ("stage", cert.stage)])
-    raise TypeError(f"not a certificate: {cert!r}")
+        fields.append(("pattern", cert.witness.pattern))
+        return record_line("cert", fields, ids=cert.witness.vertices)
+    return record_line("cert", fields + [("stage", cert.stage)])
 
 
 def certificate_from_record(line: str) -> Certificate:

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import metrics
-from .certificates import (OracleLimit, RunConfig, certificate_from_record,
+from .certificates import (KINDS, OracleLimit, RunConfig, certificate_from_record,
                            certificate_kind, certificate_to_record, check_certificate,
                            fmt_q, parse_q, parse_record, record_line)
 from .generators import GenerationError, random_graph, random_in_class
@@ -202,8 +202,7 @@ def cmd_survey(args, out) -> int:
     graphs = [SURVEY_GENS[args.gen](args.n, args.seed + i) for i in range(args.count)]
     for t in grid:
         cfg = RunConfig(t=t)
-        counts = {"hamilton-cycle": 0, "toughness-witness": 0,
-                  "forbidden-witness": 0, "oracle-limit": 0}
+        counts = dict.fromkeys(KINDS.values(), 0)
         for g in graphs:
             cert, _trace = run_theorem(g, cfg)
             counts[certificate_kind(cert)] += 1

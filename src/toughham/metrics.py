@@ -5,12 +5,15 @@ All ratio comparisons use fractions.Fraction; nothing here ever touches a
 float except the math.inf sentinel for complete graphs, which is only ever
 compared, never computed with.
 
-Complete multipartite inputs get closed-form answers: removing anything that
-leaves vertices in two different parts keeps the graph connected, so every
-cutset leaves a remainder inside a single part and the optima are attained
-at full parts.  That structured route is what makes the 11-tough acceptance
-instance (clique joined to two isolated vertices, n = 24) tractable, where
-blind subset enumeration would pay for 2^24 masks.
+Complete and complete multipartite inputs get closed-form answers:
+removing anything that leaves vertices in two different parts keeps the
+graph connected, so every cutset leaves a remainder inside a single part and
+the optima are attained at full parts.  ``_closed`` recognises such a graph
+once and holds its answers; toughness, scattering, connectivity,
+``probe_tough`` and ``verify_tough`` all read them there.  That structured
+route is what makes the 11-tough acceptance instance (clique joined to two
+isolated vertices, n = 24) tractable, where blind subset enumeration would
+pay for 2^24 masks.
 
 Every other graph goes through one cutset enumerator, by subset size from
 kappa up, as no smaller set is a cutset; a sweep stops at the first size
@@ -30,7 +33,7 @@ stops where both stop rules hold; ``verify_tough`` runs its own.  Within a
 size both prefer the most components, and each witness is the first
 optimal cutset in (size, lexicographic) order.
 
-The shared sweep, kappa's pair flows, the multipartite decomposition and
+The shared sweep, kappa's pair flows, the closed forms of ``_closed`` and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
 line computes each once.  That is sound: a ``Graph`` is immutable and
 hashes by value, the key is every argument, the size caps are module
@@ -91,10 +94,20 @@ class ScatteringSet(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _largest_part(g: Graph) -> int | None:
-    """Largest part of a complete multipartite graph; None for other graphs."""
+def _closed(g: Graph):
+    """(toughness, witness, scattering, set) in closed form: (inf, None,
+    inf, None) on a complete graph, which has no cutset; on a complete
+    multipartite one, with P a largest part and c = |P| >= 2, the cutset
+    V - P leaving c isolated vertices; None on every other graph."""
+    if g.is_complete():
+        return INF, None, INF, None
     parts = multipartite_parts(g)
-    return Multipartition(parts).largest_part() if parts is not None else None
+    if parts is None:
+        return None
+    part = Multipartition(parts).largest_part()
+    c, cutset = part.bit_count(), g.full & ~part
+    return (Fraction(g.n - c, c), ToughnessWitness(cutset, c),
+            2 * c - g.n, ScatteringSet(cutset, 2 * c - g.n))
 
 
 def _cutsets(g: Graph, stop):
@@ -188,6 +201,16 @@ def _optima(g: Graph):
     return Fraction(tk, tc), ToughnessWitness(ts, tc), sv, ScatteringSet(ss, sv)
 
 
+def _exact(g: Graph, stage: str):
+    """``_closed`` where it answers, else ``_optima`` within the size cap."""
+    closed = _closed(g)
+    if closed is not None:
+        return closed
+    if g.n > SUBSET_CAP:
+        raise OracleLimitExceeded(stage)
+    return _optima(g)
+
+
 def toughness(g: Graph):
     """Exact min of |S|/c(G-S) over cutsets, with an optimal witness.
 
@@ -196,38 +219,22 @@ def toughness(g: Graph):
     graph reads the memoized sweep of ``_optima``, shared with ``scattering``,
     whose witness is the first optimal cutset in (size, lexicographic) order.
     """
-    n = g.n
-    if g.is_complete():
-        return INF, None
-    part = _largest_part(g)
-    if part is not None:
-        c = part.bit_count()
-        witness = ToughnessWitness(cutset=g.full & ~part, component_count=c)
-        return Fraction(n - c, c), witness
-    if n > SUBSET_CAP:
-        raise OracleLimitExceeded("toughness")
-    return _optima(g)[:2]
+    return _exact(g, "toughness")[:2]
 
 
 def probe_tough(g: Graph, t) -> ToughnessWitness | None:
     """Cheap, incomplete violator search: the empty set, every open
-    neighborhood, and the closed multipartite form when it applies, where
-    removing everything but the largest part is the cheapest cut.
+    neighborhood, and then the closed witness of ``_closed`` when it applies,
+    where removing everything but the largest part is the cheapest cut.
 
     None means nothing was found, not that the graph is t-tough.
     """
-    if g.is_complete():
-        return None
     for s in (0, *g.adj):
         c = g.component_count(s)
         if c >= 2 and Fraction(s.bit_count(), c) < t:
             return ToughnessWitness(s, c)
-    part = _largest_part(g)
-    if part is not None:
-        c = part.bit_count()
-        if Fraction(g.n - c, c) < t:
-            return ToughnessWitness(g.full & ~part, c)
-    return None
+    closed = _closed(g)
+    return closed[1] if closed is not None and closed[0] < t else None
 
 
 def verify_tough(g: Graph, t: Fraction):
@@ -238,7 +245,7 @@ def verify_tough(g: Graph, t: Fraction):
     and complete multipartite graphs its answer is exhaustive.
     """
     probe = probe_tough(g, t)
-    if probe is not None or g.is_complete() or _largest_part(g) is not None:
+    if probe is not None or _closed(g) is not None:
         return probe
     if g.n > SUBSET_CAP:
         raise OracleLimitExceeded("verify-tough")
@@ -257,17 +264,7 @@ def scattering(g: Graph):
     complete multipartite ones; past the size cap it raises.  Every other
     graph reads the memoized sweep of ``_optima``, shared with ``toughness``.
     """
-    n = g.n
-    if g.is_complete():
-        return INF, None
-    part = _largest_part(g)
-    if part is not None:
-        c = part.bit_count()
-        cutset = g.full & ~part
-        return 2 * c - n, ScatteringSet(cutset, 2 * c - n)
-    if n > SUBSET_CAP:
-        raise OracleLimitExceeded("scattering")
-    return _optima(g)[2:]
+    return _exact(g, "scattering")[2:]
 
 
 # --- vertex connectivity via max flow ----------------------------------------
@@ -384,16 +381,17 @@ def _pair_flows(g: Graph):
 def connectivity(g: Graph):
     """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
 
-    Complete multipartite graphs give the closed form, every other graph the
-    cut of ``_pair_flows``, which is empty on a disconnected graph.
+    Complete multipartite graphs give the cut of the closed toughness
+    witness, every other graph the cut of ``_pair_flows``, which is empty on
+    a disconnected graph.
     """
-    n = g.n
-    if g.is_complete():
-        return max(n - 1, 0), None
-    part = _largest_part(g)
-    if part is not None:
-        return n - part.bit_count(), g.full & ~part
-    return _pair_flows(g)
+    closed = _closed(g)
+    if closed is None:
+        return _pair_flows(g)
+    if closed[1] is None:
+        return max(g.n - 1, 0), None
+    cut = closed[1].cutset
+    return cut.bit_count(), cut
 
 
 @lru_cache(maxsize=1)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, bits, lex_key, mask_of
+from .graph import Graph, GraphError, bits, mask_of
 
 
 # The patterns the engine names, as (edges, isolated vertices).
@@ -58,8 +58,9 @@ class Multipartition(NamedTuple):
     parts: tuple[int, ...]  # vertex masks, ordered by minimum vertex
 
     def largest_part(self) -> int:
-        """Mask of a largest part (ties broken by smallest minimum vertex)."""
-        return max(self.parts, key=lambda p: (p.bit_count(), [-v for v in lex_key(p)]))
+        """Mask of a largest part (ties broken by smallest minimum vertex,
+        as ``max`` keeps the first of the parts ordered by minimum vertex)."""
+        return max(self.parts, key=int.bit_count)
 
 
 def _forest(pattern: str) -> tuple[int, int]:

@@ -5,6 +5,7 @@ Each one is written from the definitions, not from the producer's code, so
 a test that runs a stage and then an oracle checks the stage.
 """
 
+import random
 from itertools import combinations
 
 from toughham.graph import Graph, bit
@@ -15,6 +16,31 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for code in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
+
+
+def part_sizes(n: int, top: int | None = None):
+    """Every multiset of positive part sizes summing to n, none above
+    ``top``, as a non-increasing tuple."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, n if top is None else top), 0, -1):
+        for rest in part_sizes(n - first, first):
+            yield (first, *rest)
+
+
+def complete_multipartite_graphs(top: int, seed: int):
+    """One complete multipartite graph for each multiset of part sizes on
+    n = 1..top vertices (all ones: K_n; one part: n isolated vertices),
+    its vertices shuffled by a seeded permutation.  Every vertex is joined
+    to every vertex outside its own part."""
+    rng = random.Random(seed)
+    for n in range(1, top + 1):
+        for sizes in part_sizes(n):
+            part = [i for i, size in enumerate(sizes) for _ in range(size)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield Graph.from_edges(n, [(perm[u], perm[v]) for u, v in combinations(range(n), 2)
+                                       if part[u] != part[v]])
 
 
 def cutsets_by_brute_force(g, k: int) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import all_graphs, cutsets_by_brute_force
+from oracles import all_graphs, complete_multipartite_graphs, cutsets_by_brute_force
 from toughham import metrics
 from toughham.graph import Graph, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
@@ -118,11 +118,19 @@ def test_independence_examples():
     assert alpha == 7 and aset == (1 << 7) - 1
 
 
+def _closed_corpus():
+    """The graphs the closed forms answer: one complete multipartite graph
+    per multiset of part sizes on n <= 7, K_1..K_7 among them."""
+    for g in complete_multipartite_graphs(7, seed=5):
+        assert metrics._closed(g) is not None
+        yield g
+
+
 def test_oracle_equivalence_small():
     rng = random.Random(99)
-    for _ in range(80):
-        n = rng.randrange(1, 8)
-        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+    randoms = [random_graph(rng, rng.randrange(1, 8), rng.choice([0.2, 0.5, 0.8]))
+               for _ in range(80)]
+    for g in [*_closed_corpus(), *randoms]:
         tough, scat, kappa, alpha = naive_metrics(g)
         got_t, wit_t = toughness(g)
         got_s, wit_s = scattering(g)
@@ -140,9 +148,9 @@ def test_oracle_equivalence_small():
 def test_verify_tough_agrees_with_toughness():
     rng = random.Random(42)
     grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(11)]
-    for _ in range(60):
-        n = rng.randrange(2, 9)
-        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+    randoms = [random_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.6, 0.9]))
+               for _ in range(60)]
+    for g in [*_closed_corpus(), *randoms]:
         tau, _ = toughness(g)
         for t in grid:
             wit = verify_tough(g, t)
@@ -397,8 +405,8 @@ def test_memos_keep_graphs_and_caps_apart(monkeypatch):
 
 def test_metrics_line_shares_one_sweep(monkeypatch):
     # the four quantities of a metrics line, in its order, run the cutset
-    # sweep, kappa's pair flows and the multipartite decomposition once
-    # between them: no more often than toughness alone
+    # sweep, kappa's pair flows, the completeness test and the multipartite
+    # decomposition once between them: no more often than toughness alone
     counts = Counter()
 
     def spy(name, real):
@@ -409,6 +417,7 @@ def test_metrics_line_shares_one_sweep(monkeypatch):
     monkeypatch.setattr(metrics, "multipartite_parts",
                         spy("decompositions", metrics.multipartite_parts))
     monkeypatch.setattr(Graph, "component_count", spy("counts", Graph.component_count))
+    monkeypatch.setattr(Graph, "is_complete", spy("complete", Graph.is_complete))
 
     def tally(*solvers):
         counts.clear()
@@ -421,5 +430,5 @@ def test_metrics_line_shares_one_sweep(monkeypatch):
     line = tally(toughness, connectivity, independence, scattering)
     toughness(Graph.cycle(7))  # a second graph evicts every memo of g
     alone = tally(toughness)
-    assert set(alone) == {"flows", "decompositions", "counts"}
+    assert set(alone) == {"flows", "complete", "decompositions", "counts"}
     assert line == alone

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import split_violations
+from oracles import all_graphs, split_violations
 from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
                                    RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
@@ -369,6 +370,48 @@ def test_below_regime_runs_stay_sound():
         if not isinstance(cert, OracleLimit):
             assert check_certificate(g, cert, cfg)[0]
     assert "hamilton-cycle" in kinds
+
+
+# (t, largest n): the certificate kinds and the oracle-limit stages of
+# run_theorem over every labelled graph on 3..n vertices
+EXHAUSTIVE_TALLIES = {
+    (Fraction(1), 6): (
+        {"forbidden-witness": 2295, "hamilton-cycle": 5357, "oracle-limit": 5280,
+         "toughness-witness": 20932},
+        {"case2.connectivity.small-component": 834, "case2.connectivity.trivial": 4446}),
+    (Fraction(11), 6): (
+        {"forbidden-witness": 2295, "hamilton-cycle": 10307, "toughness-witness": 21262},
+        {}),
+    (Fraction(1, 2), 5): (
+        {"forbidden-witness": 15, "hamilton-cycle": 229, "oracle-limit": 442,
+         "toughness-witness": 410},
+        {"case2.connectivity.small-component": 15, "case2.connectivity.trivial": 47,
+         "case2.star": 380}),
+    (Fraction(3, 2), 5): (
+        {"forbidden-witness": 15, "hamilton-cycle": 229, "toughness-witness": 852}, {}),
+    (Fraction(2), 5): (
+        {"forbidden-witness": 15, "hamilton-cycle": 229, "toughness-witness": 852}, {}),
+}
+
+
+@pytest.mark.parametrize("t, top", EXHAUSTIVE_TALLIES,
+                         ids=[f"t={t},n<={top}" for t, top in EXHAUSTIVE_TALLIES])
+def test_every_small_graph_ends_in_a_checked_certificate(t, top):
+    # every certificate but an oracle-limit passes the checker, and none is
+    # an oracle-limit from t = 3/2 up; the tallies pin each outcome's count
+    cfg = RunConfig(t=t)
+    kinds, stages = Counter(), Counter()
+    for n in range(3, top + 1):
+        for g in all_graphs(n):
+            cert, _ = run_theorem(g, cfg)
+            kinds[certificate_kind(cert)] += 1
+            if isinstance(cert, OracleLimit):
+                stages[cert.stage] += 1
+            else:
+                ok, reason = check_certificate(g, cert, cfg)
+                assert ok, (g.adj, reason)
+    assert t < Fraction(3, 2) or not stages
+    assert (kinds, stages) == EXHAUSTIVE_TALLIES[t, top]
 
 
 def tough_free_corpus():

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import all_graphs
+from oracles import all_graphs, complete_multipartite_graphs
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class
 from toughham.graph import Graph, GraphError, bits, mask_of
@@ -154,6 +154,24 @@ def test_multipartite_parts_are_the_decomposition():
             mp = multipartite_decompose(g)
             parts = multipartite_parts(g)
             assert parts == (mp.parts if isinstance(mp, Multipartition) else None)
+
+
+def test_largest_part_breaks_ties_by_smallest_minimum_vertex():
+    # the size key alone picks what a key that also prefers the part with
+    # the smaller sorted vertices picks, since parts come ordered by
+    # minimum vertex and max keeps the first maximal one
+    def by_size_then_vertices(parts):
+        return max(parts, key=lambda p: (p.bit_count(), [-v for v in bits(p)]))
+
+    tied = 0
+    for seed in (1, 2, 3):
+        for g in complete_multipartite_graphs(9, seed):
+            parts = multipartite_parts(g)
+            sizes = sorted(p.bit_count() for p in parts)
+            if len(sizes) > 1 and sizes[-1] == sizes[-2]:
+                tied += 1
+                assert Multipartition(parts).largest_part() == by_size_then_vertices(parts)
+    assert tied == 3 * 29
 
 
 def test_find_induced_rejects_unknown_pattern():
