@@ -58,6 +58,7 @@ Certificate = HamiltonCycle | ToughnessWitness | ForbiddenWitness | OracleLimit
 # and its column in a survey line
 KINDS = {HamiltonCycle: "hamilton-cycle", ToughnessWitness: "toughness-witness",
          ForbiddenWitness: "forbidden-witness", OracleLimit: "oracle-limit"}
+_TYPES = {kind: cls for cls, kind in KINDS.items()}  # and back, for reading records
 
 
 def certificate_kind(cert: Certificate) -> str:
@@ -179,17 +180,18 @@ def certificate_from_record(line: str) -> Certificate:
     if name != "cert":
         raise ValueError(f"not a certificate record: {line!r}")
     kind = fields.get("kind")
-    if kind == "hamilton-cycle":
+    cls = _TYPES.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    if cls is HamiltonCycle:
         return HamiltonCycle(CycleCert(ids or ()))
-    if kind == "toughness-witness":
+    if cls is ToughnessWitness:
         if not all(0 <= v < MAX_VERTICES for v in ids or ()):
             raise ValueError("toughness witness names a vertex id out of range")
         return ToughnessWitness(mask_of(ids or ()), int(fields["components"]))
-    if kind == "forbidden-witness":
+    if cls is ForbiddenWitness:
         return ForbiddenWitness(InducedWitness(ids or (), fields["pattern"]))
-    if kind == "oracle-limit":
-        return OracleLimit(fields["stage"])
-    raise ValueError(f"unknown certificate kind {kind!r}")
+    return OracleLimit(fields["stage"])
 
 
 class Trace:

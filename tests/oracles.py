@@ -1,5 +1,5 @@
 """Test-side oracles for values the engine builds and no longer re-checks,
-and the exhaustive graph enumerator the tests share.
+and the graph builders and brute-force references the test modules share.
 
 Each one is written from the definitions, not from the producer's code, so
 a test that runs a stage and then an oracle checks the stage.
@@ -8,7 +8,7 @@ a test that runs a stage and then an oracle checks the stage.
 import random
 from itertools import combinations
 
-from toughham.graph import Graph, bit
+from toughham.graph import Graph, bit, bits
 
 
 def all_graphs(n: int):
@@ -16,6 +16,64 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for code in range(1 << len(pairs)):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
+
+
+def random_edge_graph(rng, n: int, p: float = 0.5) -> Graph:
+    """Each pair u < v, in row-major order, an edge with probability p, drawn
+    from the caller's rng (``generators.random_graph`` seeds its own)."""
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p])
+
+
+def blob_with_attachments(parts, attachments):
+    """Complete multipartite blob plus low-degree vertices glued to it."""
+    base = Graph.complete_multipartite(parts)
+    n = base.n + len(attachments)
+    edges = list(base.edges())
+    for i, targets in enumerate(attachments):
+        edges += [(base.n + i, t) for t in targets]
+    return Graph.from_edges(n, edges)
+
+
+def naive_components(n, edge_set, removed) -> int:
+    """The number of components of the graph on 0..n-1 with edges
+    ``edge_set`` (frozenset pairs) once the set ``removed`` is deleted."""
+    left = set(range(n)) - removed
+    comps = 0
+    while left:
+        comps += 1
+        stack = [min(left)]
+        left.discard(stack[0])
+        while stack:
+            x = stack.pop()
+            for y in list(left):
+                if frozenset((x, y)) in edge_set:
+                    left.discard(y)
+                    stack.append(y)
+    return comps
+
+
+def brute_b_matching(g, x_side, y_side, f) -> bool:
+    """Assign f[x] distinct Y-neighbors to every x, by exhaustive search."""
+    xs = list(bits(x_side))
+
+    def rec(i, used):
+        if i == len(xs):
+            return True
+        x = xs[i]
+        options = [y for y in bits(g.adj[x] & y_side) if y not in used]
+
+        def pick(chosen, start):
+            if len(chosen) == f[x]:
+                return rec(i + 1, used | set(chosen))
+            for j in range(start, len(options)):
+                if pick(chosen + [options[j]], j + 1):
+                    return True
+            return False
+
+        return pick([], 0)
+
+    return rec(0, set())
 
 
 def part_sizes(n: int, top: int | None = None):

@@ -9,7 +9,8 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oracles import split_violations, validate_star_matching
+from oracles import (brute_b_matching, naive_components, split_violations,
+                     validate_star_matching)
 from toughham.certificates import (HamiltonCycle, RunConfig, Trace, certificate_kind,
                                    check_certificate)
 from toughham.cli import main as cli_main
@@ -66,22 +67,6 @@ def test_criterion_2_soundness_sweep():
     assert elapsed < 300
     assert kinds.get("oracle-limit", 0) == 0
     announce(2, f"1000/1000 certificates checked in {elapsed:.1f}s ({kinds})")
-
-
-def naive_components(n, edge_set, removed):
-    left = set(range(n)) - removed
-    count = 0
-    while left:
-        count += 1
-        stack = [min(left)]
-        left.discard(stack[0])
-        while stack:
-            x = stack.pop()
-            for y in list(left):
-                if frozenset((x, y)) in edge_set:
-                    left.discard(y)
-                    stack.append(y)
-    return count
 
 
 def test_criterion_3_metrics_oracle_equivalence():
@@ -253,28 +238,6 @@ def test_criterion_6_multipartite_structure_suite():
         assert delta >= n - alpha
     announce(6, "300 multipartite graphs: trivial shatter, joined minimal cutsets,"
                 " kappa=delta, delta>=n-alpha")
-
-
-def brute_b_matching(g, x_side, y_side, f):
-    xs = list(bits(x_side))
-
-    def rec(i, used):
-        if i == len(xs):
-            return True
-        x = xs[i]
-        options = [y for y in bits(g.adj[x] & y_side) if y not in used]
-
-        def pick(chosen, start):
-            if len(chosen) == f[x]:
-                return rec(i + 1, used | set(chosen))
-            for j in range(start, len(options)):
-                if pick(chosen + [options[j]], j + 1):
-                    return True
-            return False
-
-        return pick([], 0)
-
-    return rec(0, set())
 
 
 def test_criterion_7_star_matching_suite():

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import all_graphs
+from oracles import all_graphs, random_edge_graph
 from toughham.graph import Graph, GraphError, mask_of
 from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
                                insert_vertices, multipartite_ham_path,
@@ -25,11 +25,6 @@ def brute_ham_cycle(g, forced=()):
                               for i in range(n)):
             return True
     return False
-
-
-def random_graph(rng, n, p):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if rng.random() < p])
 
 
 def test_forced_examples():
@@ -68,7 +63,7 @@ def test_oracle_equivalence_random_with_forced():
     rng = random.Random(6)
     for _ in range(120):
         n = rng.randrange(3, 10)
-        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+        g = random_edge_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
         edges = list(g.edges())
         rng.shuffle(edges)
         forced, used = [], 0
@@ -100,7 +95,7 @@ def test_dirac_examples():
 def dirac_instance(seed, n):
     """Random graph patched up to minimum degree n/2, deterministically."""
     rng = random.Random(seed)
-    g = random_graph(rng, n, 0.55 + 0.3 * rng.random())
+    g = random_edge_graph(rng, n, 0.55 + 0.3 * rng.random())
     rows = list(g.adj)
     need = (n + 1) // 2
     for v in range(n):

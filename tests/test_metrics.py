@@ -16,29 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import all_graphs, complete_multipartite_graphs, cutsets_by_brute_force
+from oracles import (all_graphs, complete_multipartite_graphs, cutsets_by_brute_force,
+                     naive_components, random_edge_graph)
 from toughham import metrics
 from toughham.graph import Graph, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
                               validate_scattering_set, validate_toughness_witness,
                               verify_tough)
-
-
-def naive_components(n, edge_set, removed):
-    left = set(range(n)) - removed
-    comps = 0
-    while left:
-        comps += 1
-        stack = [min(left)]
-        left.discard(stack[0])
-        while stack:
-            x = stack.pop()
-            for y in list(left):
-                if frozenset((x, y)) in edge_set:
-                    left.discard(y)
-                    stack.append(y)
-    return comps
 
 
 def naive_kappa(n, edge_set):
@@ -70,11 +55,6 @@ def naive_metrics(g):
     alpha = max(len(c) for k in range(n + 1) for c in combinations(range(n), k)
                 if all(frozenset(p) not in edge_set for p in combinations(c, 2)))
     return tough, scat, kappa, alpha
-
-
-def random_graph(rng, n, p):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if rng.random() < p])
 
 
 def test_toughness_examples():
@@ -128,7 +108,7 @@ def _closed_corpus():
 
 def test_oracle_equivalence_small():
     rng = random.Random(99)
-    randoms = [random_graph(rng, rng.randrange(1, 8), rng.choice([0.2, 0.5, 0.8]))
+    randoms = [random_edge_graph(rng, rng.randrange(1, 8), rng.choice([0.2, 0.5, 0.8]))
                for _ in range(80)]
     for g in [*_closed_corpus(), *randoms]:
         tough, scat, kappa, alpha = naive_metrics(g)
@@ -148,7 +128,7 @@ def test_oracle_equivalence_small():
 def test_verify_tough_agrees_with_toughness():
     rng = random.Random(42)
     grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(11)]
-    randoms = [random_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.6, 0.9]))
+    randoms = [random_edge_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.6, 0.9]))
                for _ in range(60)]
     for g in [*_closed_corpus(), *randoms]:
         tau, _ = toughness(g)
@@ -163,16 +143,16 @@ def test_kappa_at_most_delta():
     rng = random.Random(63)
     for _ in range(60):
         n = rng.randrange(1, 12)
-        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        g = random_edge_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         assert connectivity(g)[0] <= g.min_degree()
 
 
 def test_connectivity_cutset_is_minimum():
     # kappa against subset enumeration on n <= 8
     rng = random.Random(17)
-    graphs = [random_graph(rng, rng.randrange(2, 9), rng.choice([0.4, 0.7]))
+    graphs = [random_edge_graph(rng, rng.randrange(2, 9), rng.choice([0.4, 0.7]))
               for _ in range(40)]
-    graphs += [random_graph(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.95))
+    graphs += [random_edge_graph(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.95))
                for _ in range(260)]
     for g in graphs:
         kappa, cut = connectivity(g)
@@ -188,7 +168,7 @@ def _cut_corpus():
         yield from all_graphs(n)
     rng = random.Random(4242)
     for _ in range(300):
-        yield random_graph(rng, rng.randrange(7, 25), rng.uniform(0.2, 0.85))
+        yield random_edge_graph(rng, rng.randrange(7, 25), rng.uniform(0.2, 0.85))
 
 
 def test_connectivity_cuts_are_pinned():
@@ -220,7 +200,7 @@ def _witness_corpus():
         yield from all_graphs(n)
     rng = random.Random(6161)
     for _ in range(300):
-        yield random_graph(rng, rng.randrange(7, 15), rng.uniform(0.1, 0.95))
+        yield random_edge_graph(rng, rng.randrange(7, 15), rng.uniform(0.1, 0.95))
 
 
 def test_cutset_witnesses_are_pinned():
@@ -270,7 +250,7 @@ def _separator_corpus():
     rng = random.Random(1616)
     for p in (0.15, 0.3, 0.5, 0.7, 0.85):
         for n in range(7, 15):
-            yield random_graph(rng, n, p), n
+            yield random_edge_graph(rng, n, p), n
     grid = [(5 * i + j, 5 * i + j + 1) for i in range(4) for j in range(4)]
     grid += [(v, v + 5) for v in range(15)]
     yield Graph.cycle(12), 12
@@ -293,7 +273,7 @@ def test_independence_witness_is_independent():
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randrange(1, 20)
-        g = random_graph(rng, n, 0.5)
+        g = random_edge_graph(rng, n, 0.5)
         alpha, aset = independence(g)
         assert aset.bit_count() == alpha
         for v in bits(aset):
@@ -306,7 +286,7 @@ def _independence_corpus():
         yield from all_graphs(n)
     rng = random.Random(7373)
     for _ in range(1000):
-        yield random_graph(rng, rng.randrange(7, 41), rng.uniform(0.05, 0.95))
+        yield random_edge_graph(rng, rng.randrange(7, 41), rng.uniform(0.05, 0.95))
 
 
 def test_independence_sets_are_pinned(monkeypatch):
@@ -354,7 +334,7 @@ def test_probe_tough_is_sound():
     rng = random.Random(8)
     for _ in range(40):
         n = rng.randrange(2, 10)
-        g = random_graph(rng, n, 0.5)
+        g = random_edge_graph(rng, n, 0.5)
         for t in (Fraction(1), Fraction(2)):
             w = probe_tough(g, t)
             if w is not None:

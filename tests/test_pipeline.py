@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_graphs, split_violations
+from oracles import all_graphs, blob_with_attachments, split_violations
 from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
                                    RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
@@ -164,22 +165,30 @@ def test_case1_decomposition_invariants():
     assert split_violations(g, dec._replace(g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
 
 
+def ends_in_the_scans_witness(g, cfg):
+    """run_theorem stops at the forbidden-pattern scan: its witness is the
+    certificate, it passes the checker, and no stage ran."""
+    cert, trace = run_theorem(g, cfg)
+    assert isinstance(cert, ForbiddenWitness)
+    assert trace[1:] == ["freeness result=witness -- "
+                         + " ".join(map(str, cert.witness.vertices))]
+    assert check_certificate(g, cert, cfg)[0]
+
+
 def test_split_check_failure_into_pattern():
-    # D2 split into two pieces: a second nontrivial component appears and a
-    # third component completes the forbidden pattern
+    # D2 split into two pieces: uv, an edge of one piece and a vertex of the
+    # other induce the forbidden pattern, so the scan ends the run before
+    # any stage
     g = case1_synthetic([2, 1, 2], 6, [2] * 8)
     dec = case1_decompose(g, _case1_edge(g), RunConfig(), Trace())
-    drop = []
     d2 = sorted(bits(dec.d2_mask))
     half = mask_of(d2[:8])
     edges = [(u, v) for u, v in g.edges()
              if not (half >> u & 1 and dec.d2_mask >> v & 1 and not half >> v & 1)
              and not (half >> v & 1 and dec.d2_mask >> u & 1 and not half >> u & 1)]
     split = Graph.from_edges(g.n, edges)
-    cfg = RunConfig()
-    got = case1_decompose(split, _case1_edge(g), cfg, Trace())
-    assert isinstance(got, ForbiddenWitness)
-    assert check_certificate(split, got, cfg)[0]
+    assert len(split.components((split.adj[0] | split.adj[2]) & ~mask_of([0, 2]))) == 3
+    ends_in_the_scans_witness(split, RunConfig())
 
 
 def test_split_check_all_trivial_gives_cutset():
@@ -221,7 +230,9 @@ def test_block_structure_failure_independent_remainder():
 
 
 def test_block_structure_failure_pattern_completion():
-    # same trick but the far block has an edge in the missed region
+    # same trick but the far block has an edge in the missed region, which
+    # with G1's induced edge-plus-vertex induces the forbidden pattern, so
+    # the scan ends the run before any stage
     bridge = range(4, 10)
     far = list(range(10, 24))
     n = 24
@@ -230,10 +241,7 @@ def test_block_structure_failure_pattern_completion():
     # far block: complete bipartite between two halves
     edges += [(a, b) for a in far[:7] for b in far[7:]]
     g = Graph.from_edges(n, list({tuple(sorted(e)) for e in edges}))
-    cfg = RunConfig()
-    got = case1_decompose(g, (0, 1), cfg, Trace())
-    assert isinstance(got, ForbiddenWitness)
-    assert check_certificate(g, got, cfg)[0]
+    ends_in_the_scans_witness(g, RunConfig())
 
 
 COVER_VARIANTS = [
@@ -285,16 +293,6 @@ def test_case2_split_join_direct():
     cert = case2_run(g, cfg, Trace())
     assert isinstance(cert, HamiltonCycle)
     assert check_certificate(g, cert, cfg)[0]
-
-
-def blob_with_attachments(parts, attachments):
-    """Complete multipartite blob plus low-degree vertices glued to it."""
-    base = Graph.complete_multipartite(parts)
-    n = base.n + len(attachments)
-    edges = list(base.edges())
-    for i, targets in enumerate(attachments):
-        edges += [(base.n + i, t) for t in targets]
-    return Graph.from_edges(n, edges)
 
 
 def test_case2_splice_single_star():
@@ -393,17 +391,31 @@ EXHAUSTIVE_TALLIES = {
         {"forbidden-witness": 15, "hamilton-cycle": 229, "toughness-witness": 852}, {}),
 }
 
+# the same runs' bytes: sha256 over every trace line and cert record, each
+# newline-terminated, in enumeration order
+EXHAUSTIVE_DIGESTS = {
+    (Fraction(1), 6): "b59eeb7e48951ebea9d462c07af6c8c0a94ec918f4bf6e422d4d28c447a243af",
+    (Fraction(11), 6): "ff2016e9026cb14b9a016ea9c0f7a56b533f0415a40b17c7b89fae8faabca382",
+    (Fraction(1, 2), 5): "a60178873fb07bd79648f4429e4d09c92a96ad379f0b4e31a90e43956158363c",
+    (Fraction(3, 2), 5): "15b2ccec151ad4eed2664cf40c94c73b661286bfe431134e4c5dd8e87ccc2a90",
+    (Fraction(2), 5): "271cb803883991dc77b546ea5cbb2291998035ade4ab039355ea40eb73052842",
+}
+
 
 @pytest.mark.parametrize("t, top", EXHAUSTIVE_TALLIES,
                          ids=[f"t={t},n<={top}" for t, top in EXHAUSTIVE_TALLIES])
 def test_every_small_graph_ends_in_a_checked_certificate(t, top):
     # every certificate but an oracle-limit passes the checker, and none is
     # an oracle-limit from t = 3/2 up; the tallies pin each outcome's count
+    # and the digest every output byte
     cfg = RunConfig(t=t)
     kinds, stages = Counter(), Counter()
+    h = hashlib.sha256()
     for n in range(3, top + 1):
         for g in all_graphs(n):
-            cert, _ = run_theorem(g, cfg)
+            cert, trace = run_theorem(g, cfg)
+            for line in trace + [certificate_to_record(cert)]:
+                h.update(line.encode("ascii") + b"\n")
             kinds[certificate_kind(cert)] += 1
             if isinstance(cert, OracleLimit):
                 stages[cert.stage] += 1
@@ -412,6 +424,7 @@ def test_every_small_graph_ends_in_a_checked_certificate(t, top):
                 assert ok, (g.adj, reason)
     assert t < Fraction(3, 2) or not stages
     assert (kinds, stages) == EXHAUSTIVE_TALLIES[t, top]
+    assert h.hexdigest() == EXHAUSTIVE_DIGESTS[t, top]
 
 
 def tough_free_corpus():

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import all_graphs, complete_multipartite_graphs
+from oracles import all_graphs, complete_multipartite_graphs, random_edge_graph
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class
 from toughham.graph import Graph, GraphError, bits, mask_of
@@ -41,11 +41,6 @@ def brute_find(g, pattern):
     return None
 
 
-def random_graph(rng, n, p=0.5):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if rng.random() < p])
-
-
 def test_find_induced_examples():
     c5 = Graph.cycle(5)
     assert find_induced(c5, "2p2+p1") is None  # exhaustive: C5 has 5 edges, not 2
@@ -60,7 +55,7 @@ def test_find_induced_is_lexicographically_smallest():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randrange(3, 9)
-        g = random_graph(rng, n)
+        g = random_edge_graph(rng, n)
         for pattern in FORESTS:
             hit = find_induced(g, pattern)
             want = brute_find(g, pattern)
@@ -70,7 +65,7 @@ def test_find_induced_is_lexicographically_smallest():
 def test_find_induced_oracle_equivalence_n10():
     rng = random.Random(5)
     for _ in range(25):
-        g = random_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
+        g = random_edge_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
         for pattern in FORESTS:
             assert (find_induced(g, pattern) is None) == (brute_find(g, pattern) is None)
 
@@ -109,7 +104,7 @@ def test_scan_agrees_on_random_and_near_free_graphs():
     rng = random.Random(29)
     for _ in range(120):
         n = rng.randrange(7, 17)
-        assert_scan_agrees(random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
+        assert_scan_agrees(random_edge_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
     # near-free: one pair away from a complete multipartite or a sampled
     # pattern-free graph, so witnesses are rare and sit anywhere
     for seed in range(40):
@@ -143,7 +138,7 @@ def test_holds_decides_what_find_induced_finds():
                 assert holds(g, pattern) == (find_induced(g, pattern) is not None) == want
     rng = random.Random(43)
     for _ in range(90):
-        g = random_graph(rng, rng.randrange(7, 15), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        g = random_edge_graph(rng, rng.randrange(7, 15), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         for pattern in FORESTS:
             assert holds(g, pattern) == (find_induced(g, pattern) is not None), g.adj
 
@@ -223,7 +218,7 @@ def test_multipartition_iff_no_pattern():
     rng = random.Random(23)
     for _ in range(150):
         n = rng.randrange(1, 11)
-        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        g = random_edge_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         got = multipartite_decompose(g)
         free = find_induced(g, "p2+p1") is None
         assert isinstance(got, Multipartition) == free
