@@ -10,7 +10,9 @@ Four entry points:
   of a complete multipartite graph, by largest-remaining-part interleaving
   with an exact feasibility lookahead.
 * ``insert_vertices``: grows a cycle over pending vertices that have enough
-  neighbors on it, by simple insertion with an exact-search fallback.
+  neighbors on it, each between two consecutive neighbors or by one
+  rotation; when neither exists, an independent set of the vertex and the
+  successors of its neighbors is a toughness witness.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, bit, bits
-from .metrics import OracleLimitExceeded
+from .graph import Graph, GraphError, bit, bits, mask_of
+from .metrics import OracleLimitExceeded, ToughnessWitness, witness_from_independent_set
 from .recognition import multipartite_parts
 
 DEFAULT_ORACLE_CAP = 32
@@ -37,14 +39,6 @@ class PathCert(NamedTuple):
     @property
     def ends(self) -> tuple[int, int]:
         return self.order[0], self.order[-1]
-
-
-class CannotInsert(Exception):
-    """No cycle through the current vertices plus the pending one exists."""
-
-    def __init__(self, vertex: int):
-        super().__init__(f"vertex {vertex} cannot be inserted")
-        self.vertex = vertex
 
 
 def validate_cycle(g: Graph, cert: CycleCert) -> bool:
@@ -309,15 +303,22 @@ def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
     return PathCert(tuple(order))
 
 
-def insert_vertices(g: Graph, cyc: CycleCert, pending: int, t: Fraction,
-                    cap: int = DEFAULT_ORACLE_CAP) -> tuple[CycleCert, int]:
+def insert_vertices(g: Graph, cyc: CycleCert, pending: int,
+                    t: Fraction) -> tuple[CycleCert | ToughnessWitness, int]:
     """Extend the cycle over every pending vertex, one at a time.
 
-    Each pending vertex must have more than n/(t+1) - 1 neighbors on the
-    current cycle (checked; the cycle grows as vertices are inserted).
-    Simple insertion between two consecutive neighbors is tried first; when
-    no slot exists the exact oracle runs on the cycle vertices plus the new
-    one.  Returns the grown cycle and the number of oracle fallbacks.
+    Each pending vertex v must have more than n/(t+1) - 1 neighbors on the
+    current cycle C (checked; the cycle grows as vertices are inserted).
+    By the rotation lemma of Chvátal and Erdős, with x+ the successor of x
+    on C: v goes between two consecutive neighbors a, a+; else, when two
+    neighbors a, b have adjacent successors (the first such pair in cycle
+    order), v a (back along C) b+ a+ (on along C) b v is a cycle; else v
+    and the successors of its neighbors are independent (no consecutive
+    pair, no rotation) and more than n/(t+1), so
+    ``witness_from_independent_set`` makes them a witness that G is not
+    t-tough.  With no neighbor on C, n/(t+1) < 1 and any vertex of C
+    stands in for the successors.  Returns the grown cycle, or the first
+    stuck vertex's witness, and the number of rotations.
     """
     on_cycle = 0
     for v in cyc.order:
@@ -326,7 +327,7 @@ def insert_vertices(g: Graph, cyc: CycleCert, pending: int, t: Fraction,
         raise GraphError("pending vertices overlap the cycle")
     threshold = Fraction(g.n, t + 1) - 1
     order = list(cyc.order)
-    fallbacks = 0
+    rotations = 0
     for v in bits(pending):
         if (g.adj[v] & on_cycle).bit_count() <= threshold:
             raise GraphError(
@@ -340,11 +341,16 @@ def insert_vertices(g: Graph, cyc: CycleCert, pending: int, t: Fraction,
         if slot >= 0:
             order.insert(slot + 1, v)
         else:
-            sub, vmap = g.induced(on_cycle | bit(v))
-            fallbacks += 1
-            got = ham_cycle_forced(sub, (), cap=cap)
-            if got is None:
-                raise CannotInsert(v)
-            order = [vmap[w] for w in got.order]
+            k = len(order)
+            hits = [i for i in range(k) if g.adj[v] >> order[i] & 1]
+            pair = next(((i, j) for i in hits for j in hits
+                         if i < j and g.adj[order[i + 1]] >> order[(j + 1) % k] & 1), None)
+            if pair is None:
+                succ = mask_of(order[(i + 1) % k] for i in hits) or bit(order[0])
+                return witness_from_independent_set(g, bit(v) | succ, t), rotations
+            i, j = pair
+            # a = order[i], b = order[j]: a+ on to b, v, then a back round to b+
+            order = order[i + 1:j + 1] + [v] + order[i::-1] + order[:j:-1]
+            rotations += 1
         on_cycle |= bit(v)
-    return CycleCert(tuple(order)), fallbacks
+    return CycleCert(tuple(order)), rotations

@@ -37,10 +37,9 @@ from typing import NamedTuple
 from . import metrics
 from .certificates import (Certificate, ForbiddenWitness, HamiltonCycle, OracleLimit,
                            RunConfig, Trace)
-from .graph import Graph, GraphError, bit, bits, edge, lex_key, mask_of
-from .hamilton import (CannotInsert, CycleCert, PathCert, dirac_cycle, ham_cycle_forced,
-                       insert_vertices, multipartite_ham_path, validate_cycle,
-                       validate_path)
+from .graph import Graph, GraphError, bit, bits, edge, mask_of
+from .hamilton import (CycleCert, PathCert, dirac_cycle, ham_cycle_forced, insert_vertices,
+                       multipartite_ham_path, validate_cycle, validate_path)
 from .matchings import k1t_matching
 from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       independence, scattering, validate_toughness_witness,
@@ -67,7 +66,6 @@ class Decomposition(NamedTuple):
     in ascending order.
     """
 
-    uv: tuple[int, int]
     g1_mask: int
     g2_mask: int
     d2_mask: int
@@ -280,13 +278,13 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
 
     uv is the edge ``run_theorem`` picked (``_case1_edge``), so it is an
     edge with a small union neighborhood, and D1 = {u, v} is a component
-    of G - S.  First check: removing S leaves exactly two components; past
-    two, every component but D1 is a single vertex, as the scan found no
-    2p2+p1 (uv, an edge of another component and a vertex of a third would
-    induce one).  Second: the low-outside-degree part of S together with
-    u,v induces no edge-plus-isolated-vertex.  Each failure replays the
-    check's own counting argument into a certificate.  A step of
-    ``run_theorem``; it writes to that run's trace.
+    of G - S.  First check: removing S leaves exactly two components.  It
+    cannot leave one, as |S| + 2 <= 5n/12 < n; past two, S alone is the
+    cutset to try: S plus u,v leaves k - 1 of the k components, and
+    (|S| + 2)/(k - 1) > |S|/k.  Second: the low-outside-degree part of S
+    together with u,v induces no edge-plus-isolated-vertex.  Each failure
+    replays the check's own counting argument into a certificate.  A step
+    of ``run_theorem``; it writes to that run's trace.
     """
     u, v = uv
     n, t = g.n, cfg.t
@@ -295,17 +293,8 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
     comps = g.components(s_mask)
     trace.add("split-check", components=len(comps), s_size=s_mask.bit_count())
     if len(comps) != 2:
-        # every other component is one vertex: S (or S plus u,v) shatters G
-        candidates = []
-        for cut, count in ((s_mask, len(comps)), (s_mask | d1, len(comps) - 1)):
-            if count >= 2 and Fraction(cut.bit_count(), count) < t:
-                candidates.append(ToughnessWitness(cut, count))
-        if candidates:
-            best = min(candidates, key=lambda w: (w.ratio, lex_key(w.cutset)))
-            return _tough_or_dead_end(g, cfg, trace, "case1.split", best,
-                                      regime_impossible=True)
-        return _salvage_or_limit(g, cfg, trace, "case1.split",
-                                 regime_impossible=True)
+        return _tough_or_dead_end(g, cfg, trace, "case1.split",
+                                  ToughnessWitness(s_mask, len(comps)), regime_impossible=True)
 
     d2 = next(c for c in comps if c != d1)
     thr2 = _threshold(n, t, 2)
@@ -322,7 +311,7 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
         trace.add("block-structure", result="violated", ids=triple)
         return _block_structure_replay(g, d2, triple, cfg, trace)
     trace.add("block-structure", result="free", parts=len(structure.parts))
-    return Decomposition(uv=(u, v), g1_mask=s1 | d1, g2_mask=s2 | d2, d2_mask=d2,
+    return Decomposition(g1_mask=s1 | d1, g2_mask=s2 | d2, d2_mask=d2,
                          g1=g1, g1_structure=structure)
 
 
@@ -676,10 +665,9 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
         return got
     pending = s_mask & ~s1
     if pending:
-        try:
-            got, fallbacks = insert_vertices(g, got, pending, t, cap=cfg.cap_oracle)
-        except CannotInsert:
-            return _salvage_or_limit(g, cfg, trace, "case2.insert")
+        got, fallbacks = insert_vertices(g, got, pending, t)
+        if not isinstance(got, CycleCert):
+            return _tough_or_dead_end(g, cfg, trace, "case2.insert", got)
         trace.add("insertion", inserted=pending.bit_count(), fallbacks=fallbacks)
     return _finish(g, got, trace, "case2")
 

@@ -113,14 +113,15 @@ def cutsets_by_brute_force(g, k: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def split_violations(g, dec) -> list[str]:
-    """The relations of a case-1 ``Decomposition``, with S rebuilt from uv.
+def split_violations(g, uv, dec) -> list[str]:
+    """The relations of a case-1 ``Decomposition`` built around the edge uv,
+    with S rebuilt from it.
 
     S = N(u) ∪ N(v) minus u, v and D1 = {u, v}; G1 holds D1 and G2 holds
     D2; G1 and G2 are disjoint and split S between them; D2 is a component
     of G - S; S, D1 and D2 cover the graph.
     """
-    u, v = dec.uv
+    u, v = uv
     d1 = bit(u) | bit(v)
     s = (g.adj[u] | g.adj[v]) & ~d1
     g1, g2, d2 = dec.g1_mask, dec.g2_mask, dec.d2_mask

@@ -354,7 +354,7 @@ def test_criterion_9_stage_level_suite():
             trace = Trace()
             dec = case1_decompose(g, pick, cfg, trace)
             assert isinstance(dec, Decomposition), (g1p, seed)
-            assert split_violations(g, dec) == []
+            assert split_violations(g, pick, dec) == []
             cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover), (g1p, seed)
             g1, _ = g.induced(dec.g1_mask)
@@ -371,9 +371,10 @@ def test_criterion_9_stage_level_suite():
         for seed in range(5):
             g = case1_synthetic(g1p, 24, [9] * 7 + [2], seed=seed)
             trace = Trace()
-            dec = case1_decompose(g, _case1_edge(g), cfg, trace)
+            pick = _case1_edge(g)
+            dec = case1_decompose(g, pick, cfg, trace)
             assert isinstance(dec, Decomposition)
-            assert split_violations(g, dec) == []
+            assert split_violations(g, pick, dec) == []
             cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover)
             cert = case1_finish(g, dec, cover, cfg, trace)

@@ -56,7 +56,7 @@ def _case1_stages(graphs, cfg):
         trace = Trace()
         dec = got = case1_decompose(g, pick, cfg, trace)
         if isinstance(dec, Decomposition):
-            assert split_violations(g, dec) == []
+            assert split_violations(g, pick, dec) == []
             got = build_path_cover(g, dec, cfg, trace)
             if isinstance(got, PathCover):
                 got = case1_finish(g, dec, got, cfg, trace)

@@ -5,11 +5,13 @@ from itertools import permutations
 import pytest
 
 from oracles import all_graphs, random_edge_graph
-from toughham.graph import Graph, GraphError, mask_of
+from toughham import hamilton
+from toughham.graph import Graph, GraphError, bit, mask_of
 from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
                                insert_vertices, multipartite_ham_path,
                                validate_cycle, validate_path)
-from toughham.metrics import OracleLimitExceeded
+from toughham.metrics import (OracleLimitExceeded, ToughnessWitness,
+                              validate_toughness_witness)
 
 
 def brute_ham_cycle(g, forced=()):
@@ -189,12 +191,90 @@ def test_insert_vertices_hypothesis_check():
         insert_vertices(g, CycleCert((0, 1, 2, 3)), mask_of([4]), Fraction(1))
 
 
-def test_insert_vertices_oracle_fallback():
+def test_insert_vertices_rotation():
     # vertex adjacent to alternating cycle vertices but never a consecutive
-    # pair; insertion needs the exact oracle to reroute
+    # pair; the successors 1 and 3 of its neighbors 0 and 2 are adjacent,
+    # so one rotation places it
     g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)]
                          + [(6, 0), (6, 2), (6, 4), (1, 3), (1, 5), (3, 5)])
     grown, fallbacks = insert_vertices(g, CycleCert(tuple(range(6))), mask_of([6]),
                                        Fraction(1))
     assert validate_cycle(g, grown)
     assert fallbacks == 1
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("insert_vertices called the exact oracle")
+
+
+def test_insert_vertices_rotates_past_the_oracle_cap(monkeypatch):
+    # 40 vertices, over the exact oracle's cap of 32: the vertex sees 0, 2,
+    # ..., 36 of a 39-cycle, no two consecutive, and the chord 1-3 joins the
+    # successors of 0 and 2
+    g = Graph.from_edges(40, [(i, (i + 1) % 39) for i in range(39)]
+                         + [(39, i) for i in range(0, 37, 2)] + [(1, 3)])
+    monkeypatch.setattr(hamilton, "ham_cycle_forced", _no_oracle)
+    grown, rotations = insert_vertices(g, CycleCert(tuple(range(39))), mask_of([39]),
+                                       Fraction(11))
+    assert validate_cycle(g, grown)
+    assert rotations == 1
+
+
+def test_insert_vertices_witness():
+    # no consecutive pair and no chord between the successors 1, 3, 5: the
+    # vertex and the successors are independent, and N of them shatters G
+    g = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)]
+                         + [(6, 0), (6, 2), (6, 4)])
+    got = insert_vertices(g, CycleCert(tuple(range(6))), mask_of([6]), Fraction(1))
+    assert got == (ToughnessWitness(mask_of([0, 2, 4]), 4), 0)
+    assert validate_toughness_witness(g, got[0], Fraction(1))
+
+
+def consecutive_pair_insertion(g, order, v):
+    """The cycle with v after the first of two consecutive neighbors of v,
+    or None when there is no such pair."""
+    k = len(order)
+    for i in range(k):
+        if g.has_edge(v, order[i]) and g.has_edge(v, order[(i + 1) % k]):
+            return CycleCert(tuple(order[:i + 1]) + (v,) + tuple(order[i + 1:]))
+    return None
+
+
+def insertion_instances():
+    """(g, a Hamilton cycle of g - v, v) for each vertex v with g - v
+    Hamiltonian, over every labeled graph on 4-5 vertices and seeded random
+    graphs on 7-16."""
+    rng = random.Random(20)
+    graphs = [g for n in (4, 5) for g in all_graphs(n)]
+    graphs += [random_edge_graph(rng, n, p) for n in range(7, 17)
+               for p in (0.3, 0.5, 0.7) for _ in range(12)]
+    for g in graphs:
+        for v in range(g.n):
+            sub, vmap = g.induced(g.full & ~bit(v))
+            cyc = ham_cycle_forced(sub)
+            if cyc is not None:
+                yield g, CycleCert(tuple(vmap[i] for i in cyc.order)), v
+
+
+def test_insert_vertices_differential():
+    # just above its insertion threshold and at t = 11, each vertex goes in
+    # between a consecutive pair exactly as the reference puts it, or by one
+    # rotation, or else yields a witness the checker accepts
+    kinds = {"pair": 0, "rotation": 0, "witness": 0}
+    for g, cyc, v in insertion_instances():
+        degree = g.adj[v].bit_count()
+        ref = consecutive_pair_insertion(g, cyc.order, v)
+        for t in (Fraction(g.n, degree + 1) - 1 + Fraction(1, 100), Fraction(11)):
+            if degree <= Fraction(g.n, t + 1) - 1:
+                continue
+            got, rotations = insert_vertices(g, cyc, bit(v), t)
+            if ref is not None:
+                assert (got, rotations) == (ref, 0)
+                kinds["pair"] += 1
+            elif isinstance(got, CycleCert):
+                assert validate_cycle(g, got) and rotations == 1
+                kinds["rotation"] += 1
+            else:
+                assert validate_toughness_witness(g, got, t) and rotations == 0
+                kinds["witness"] += 1
+    assert min(kinds.values()) > 100, kinds

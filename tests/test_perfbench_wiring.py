@@ -3,6 +3,7 @@ wiring without touching ``perfbench/``."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,3 +59,19 @@ def test_traced_bridge_pass_reaches_every_stage(monkeypatch):
                                               "case2_run")]
     for name in stages + ["hamilton.multipartite_ham_path"]:
         assert tracer.counts[name + ".calls"] > 0, name
+
+
+def test_insertion_hook_reads_the_rotation_count(monkeypatch):
+    # no workload inserts a vertex, so a return shape the harness's
+    # fallbacks hook cannot read would go unseen without this call
+    run = _load_harness(monkeypatch)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    g = tk.graph.Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)]
+                                  + [(6, 0), (6, 2), (6, 4), (1, 3), (1, 5), (3, 5)])
+    tracer = run.spans.Tracer()
+    with tracer.installed(lambda tr: run.install_wrappers(tr, tk)):
+        grown, _ = tk.pipeline.insert_vertices(g, tk.hamilton.CycleCert(tuple(range(6))),
+                                               1 << 6, Fraction(1))
+    assert tk.hamilton.validate_cycle(g, grown)
+    assert tracer.counts["hamilton.insert_vertices.calls"] == 1
+    assert tracer.counts["hamilton.insert_vertices.fallbacks"] == 1

@@ -122,6 +122,20 @@ def test_gate_low_degree_witness():
     assert check_certificate(g, cert, cfg)[0]
 
 
+def test_gate_skips_alpha_past_its_cap():
+    # a split graph (no 2p2+p1): K70 plus 10 independent vertices with 6
+    # seeded clique neighbors each; at 80 vertices the independence number
+    # is past its cap, so the gate records the skip and passes through.
+    # The end stage moves once case 2's bridge has no oracle cap.
+    rng = random.Random(70)
+    edges = list(combinations(range(70), 2))
+    edges += [(70 + i, c) for i in range(10) for c in rng.sample(range(70), 6)]
+    cert, lines = run_theorem(Graph.from_edges(80, edges), RunConfig(t=Fraction(2)))
+    assert "gate-fact alpha=skipped fact=alpha" in lines
+    assert lines[-1] == "inconclusive stage=case2.ham-cycle-forced:cap"
+    assert cert == OracleLimit("case2.ham-cycle-forced:cap")
+
+
 def test_case1_edge_selection():
     g = case1_synthetic([2, 1, 2], 6, [2] * 8)
     assert _case1_edge(g) == (0, 2)
@@ -153,16 +167,17 @@ def test_case1_edge_matches_the_all_edges_loop():
 
 def test_case1_decomposition_invariants():
     g = case1_synthetic([2, 1, 2], 6, [2] * 8)
-    dec = case1_decompose(g, _case1_edge(g), RunConfig(), Trace())
+    uv = _case1_edge(g)
+    dec = case1_decompose(g, uv, RunConfig(), Trace())
     assert isinstance(dec, Decomposition)
-    assert split_violations(g, dec) == []
-    assert dec.uv == (0, 2)
+    assert split_violations(g, uv, dec) == []
+    assert uv == (0, 2)
     assert dec.g1_mask == mask_of([0, 1, 2, 3, 4])  # the G1 block
     assert (dec.g2_mask & ~dec.d2_mask).bit_count() == 6
     assert dec.d2_mask.bit_count() == 16
     # the oracle sees a split whose G2 also takes S1
     s = (g.adj[0] | g.adj[2]) & ~mask_of([0, 2])
-    assert split_violations(g, dec._replace(g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
+    assert split_violations(g, uv, dec._replace(g2_mask=s | dec.d2_mask)) == ["G1 and G2 overlap"]
 
 
 def ends_in_the_scans_witness(g, cfg):
@@ -328,7 +343,7 @@ def test_case1_fuzz_soundness():
         got = case1_decompose(g, pick, cfg, trace)
         outcomes.add(type(got).__name__)
         if isinstance(got, Decomposition):
-            assert split_violations(g, got) == [], i
+            assert split_violations(g, pick, got) == [], i
             cover = build_path_cover(g, got, cfg, trace)
             outcomes.add(type(cover).__name__)
             if isinstance(cover, PathCover):
