@@ -6,9 +6,11 @@ Machine-parsable line records first, human-readable second.  Exit codes:
 gets an ``error`` record and the batch goes on); 4 takes precedence over 3.
 
 A malformed graph6 line ends no batch: ``run`` and ``metrics`` give it an
-``error`` record, ``check`` fails it (``unreadable-graph``).  ``check``
-reads the certificate file in blocks (see ``_blocks``) and no trace line;
-a byte past ASCII fails only the graph6 line or record that holds it.
+``error`` record, ``check`` fails it (``unreadable-graph``).  A graph that
+``run`` cannot certify gets an ``error`` record with its graph6 line, ``t``
+and ``cap_oracle``, enough to rerun it.  ``check`` reads the certificate
+file in blocks (see ``_blocks``) and no trace line; a byte past ASCII fails
+only the graph6 line or record that holds it.
 """
 
 from __future__ import annotations
@@ -47,24 +49,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _error_record(index: int, exc: Exception, g: Graph | Graph6Error) -> str:
+def _error_record(index: int, exc: Exception, g: Graph | Graph6Error, config=()) -> str:
     """The ``error`` record of a graph that cannot be certified; a line that
-    does not parse (``g`` is its Graph6Error) has no ``n`` and no ``graph6``."""
+    does not parse (``g`` is its Graph6Error) has no ``n`` and no ``graph6``.
+    After ``graph6`` come the ``config`` fields that reproduce the run."""
     kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
     reason = ("reason", str(exc).replace(" ", "-"))
     if not isinstance(g, Graph):
         return record_line("error", [("index", index), ("kind", kind), reason])
     return record_line("error", [("index", index), ("n", g.n), ("kind", kind), reason,
-                                 ("graph6", write_graph6(g))])
+                                 ("graph6", write_graph6(g)), *config])
 
 
-def _batch(path: str, records, emit) -> int:
+def _batch(path: str, records, emit, config=()) -> int:
     """Hand ``emit`` the records of each graph of a graph6 file, in order,
     and return the batch's exit code.
 
     ``records(index, g)`` gives a graph's records and whether it hit an
     oracle limit; a line that does not parse, or a graph the engine
-    rejects, gets one ``error`` record instead and the batch goes on."""
+    rejects, gets one ``error`` record instead, which ends in the ``config``
+    fields when the line parsed, and the batch goes on."""
     errors = limit_hit = False
     for index, g in enumerate(read_graph6_lines(path)):
         try:
@@ -72,7 +76,7 @@ def _batch(path: str, records, emit) -> int:
                 raise g
             got, limited = records(index, g)
         except (Graph6Error, GraphError, PipelineInternalError) as exc:
-            got, limited, errors = [_error_record(index, exc, g)], False, True
+            got, limited, errors = [_error_record(index, exc, g, config)], False, True
         emit(got)
         limit_hit = limit_hit or limited
     return EXIT_GRAPH_ERROR if errors else EXIT_ORACLE_LIMIT if limit_hit else EXIT_OK
@@ -87,7 +91,8 @@ def cmd_run(args, out) -> int:
         return [head, *trace, certificate_to_record(cert)], isinstance(cert, OracleLimit)
 
     lines: list[str] = []
-    code = _batch(args.input, records, lines.extend)
+    code = _batch(args.input, records, lines.extend,
+                  [("t", cfg.t), ("cap_oracle", cfg.cap_oracle)])
     text = "\n".join(lines) + "\n"
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="ascii") as fh:

@@ -8,8 +8,12 @@ from replaying a failed step's own counting argument.  Case 1: some edge
 uv has a small union neighborhood; its split (a ``Decomposition``) yields
 a path cover of G1 through outside anchors.  Case 2: no edge does; the
 low-degree vertices form an independent set S, those of lowest degree are
-starred out, and the rest are inserted afterwards.  Both cases end in one
-bridge step: a forced-edge Hamilton cycle of G2 with the paths spliced in.
+starred out, and the rest are inserted afterwards.  Both cases end in
+``_bridge``: one test of the oracle's precondition κ(G2*) >= |L| + α(G2*),
+G2* being G2 plus the forced edges L, then a forced-edge Hamilton cycle of
+G2* with the paths spliced in.  Adding edges never lowers κ nor raises α,
+so each case's counting facts on G2 imply the test; only a failed test's
+replay computes them, and the first that fails becomes a certificate.
 
 ``run_theorem`` is the entry point.  The stage functions are its steps:
 each takes the run's trace and trusts what the dispatcher and the earlier
@@ -500,14 +504,16 @@ def _splice(order, cover_paths) -> tuple[int, ...]:
 
 
 def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: str,
-            precondition) -> CycleCert | Certificate:
-    """The step both cases end with: a Hamilton cycle of G2* (G2 plus one
-    forced edge joining the ends of each path) with the paths spliced in.
+            replay) -> CycleCert | Certificate:
+    """The step both cases end with: a Hamilton cycle of G2* (G2 plus the
+    forced edges L, one joining the ends of each path), paths spliced in.
 
-    ``precondition(g2, g2star, map2, l_size)`` verifies the oracle's
-    precondition along the case's own route and writes its records; it
-    returns None when the precondition holds, else the certificate its
-    failure replays into.  Returns the spliced cycle or a certificate.
+    It holds the one test of the oracle's precondition, κ(G2*) >= |L| +
+    α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).  Each
+    case's counting facts on G2 imply it, as adding edges never lowers κ
+    (n - 1 when complete) nor raises α; so on failure ``replay(g2, map2,
+    l_size, alpha_star, aset_star)`` computes G2's facts and returns the
+    certificate of the first that fails.
     """
     g2, map2 = g.induced(g2_mask)
     if g2.n < 3:
@@ -515,9 +521,14 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     inv2 = {orig: i for i, orig in enumerate(map2)}
     l_local = [edge(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
     g2star = g2.add_edges(l_local)
-    failed = precondition(g2, g2star, map2, len(l_local))
-    if failed is not None:
-        return failed
+    l_size = len(l_local)
+    alpha_star, aset_star = independence(g2star)
+    kappa_star, _ = connectivity(g2star)
+    holds = kappa_star >= l_size + alpha_star
+    trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
+              l_size=l_size, holds=holds, stage=case)
+    if not holds:
+        return replay(g2, map2, l_size, alpha_star, aset_star)
     cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
     if cyc is None:
         raise PipelineInternalError("forced-edge oracle failed with its precondition met")
@@ -535,47 +546,32 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
                  trace: Trace) -> Certificate:
     """Connect the cover through G2: forced-edge cycle, then splice.
 
-    The connectivity requirement is verified along the counting route: the path
-    count and the independence number of G2 stay below n/(t+1) and the
-    connectivity of G2 reaches 2n/(t+1); each failed check replays into a
-    certificate.  The oracle precondition then holds by monotonicity.  A
-    step of ``run_theorem``; it writes to that run's trace.
+    The counting facts |L|, α(G2) <= n/(t+1) and κ(G2) >= 2n/(t+1) imply
+    ``_bridge``'s test, as κ(G2*) >= κ(G2) >= |L| + α(G2) >= |L| + α(G2*);
+    its failure replays the first that fails: the paths, α(G2), a small cut
+    of G2.  A step of ``run_theorem``; it writes to that run's trace.
     """
     n, t = g.n, cfg.t
     bound, kappa_bound = _threshold(n, t), _threshold(n, t, 2)
 
-    def precondition(g2, g2star, map2, l_size):
+    def replay(g2, map2, l_size, alpha_star, aset_star):
         alpha2, aset2 = independence(g2)
         kappa2, cut2 = connectivity(g2)
-        route_ok = (Fraction(l_size) <= bound and Fraction(alpha2) <= bound
-                    and Fraction(kappa2) >= kappa_bound)
-        trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, l_size=l_size,
-                  bound=bound, route=("counting" if route_ok else "direct"))
-        if not route_ok:
-            # the counting route failed; check the needed inequality itself before
-            # replaying the counting argument into a witness
-            alpha_star, _ = independence(g2star)
-            kappa_star, _ = connectivity(g2star)
-            if kappa_star < l_size + alpha_star:
-                if Fraction(l_size) > bound:
-                    w = _lifted_witness(g, dec.g1_structure.largest_part(),
-                                        tuple(bits(dec.g1_mask)), cfg, trace,
-                                        "case1.connectivity.paths")
-                    if w is not None:
-                        return w
-                if Fraction(alpha2) > bound:
-                    w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
-                    if w is not None:
-                        return w
-                if Fraction(kappa2) < kappa_bound and cut2 is not None:
-                    return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
-                return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
-            trace.add("bridge-connectivity", kappa_g2star=kappa_star, alpha_g2star=alpha_star)
-        trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2=alpha2,
-                  l_size=l_size, stage="case1")
-        return None
+        trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, bound=bound)
+        if Fraction(l_size) > bound:
+            w = _lifted_witness(g, dec.g1_structure.largest_part(), tuple(bits(dec.g1_mask)),
+                                cfg, trace, "case1.connectivity.paths")
+            if w is not None:
+                return w
+        if Fraction(alpha2) > bound:
+            w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
+            if w is not None:
+                return w
+        if Fraction(kappa2) < kappa_bound and cut2 is not None:
+            return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
+        return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
 
-    got = _bridge(g, dec.g2_mask, cover.paths, cfg, trace, "case1", precondition)
+    got = _bridge(g, dec.g2_mask, cover.paths, cfg, trace, "case1", replay)
     return _finish(g, got, trace, "case1") if isinstance(got, CycleCert) else got
 
 
@@ -607,7 +603,10 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     vertices, cycle through the rest with forced edges, splice, and insert
     the leftovers.  A step of ``run_theorem``, taken once ``_case1_edge``
     found no edge; it writes to that run's trace.  The low-degree set is
-    still checked to be independent."""
+    still checked to be independent.  The counting facts
+    α(G2*) <= n/(t+1) and κ(G2) >= |L| + n/(t+1) imply ``_bridge``'s test,
+    as κ(G2*) >= κ(G2); its failure replays the first that fails: α(G2*),
+    then a small cut of G2."""
     n, t = g.n, cfg.t
     s_mask = 0
     for x in range(n):
@@ -637,30 +636,18 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     star_paths = [PathCert((leaves[0], center, leaves[1])) for center, leaves in stars]
     trace.add("star-matching", centers=s1.bit_count(), stage="case2")
 
-    def precondition(g2, g2star, map2, l_size):
-        alpha_star, aset = independence(g2star)
+    def replay(g2, map2, l_size, alpha_star, aset_star):
         kappa2, cut2 = connectivity(g2)
-        route_ok = (Fraction(alpha_star) <= thr
-                    and Fraction(kappa2) >= Fraction(l_size) + thr)
-        trace.add("bridge-connectivity", alpha_g2star=alpha_star, kappa_g2=kappa2,
-                  l_size=l_size, bound=thr,
-                  route=("counting" if route_ok else "direct"))
-        if not route_ok:
-            kappa_star, _ = connectivity(g2star)
-            if kappa_star < l_size + alpha_star:
-                if Fraction(alpha_star) > thr:
-                    w = _lifted_witness(g, aset, map2, cfg, trace, "case2.connectivity.alpha")
-                    if w is not None:
-                        return w
-                if Fraction(kappa2) < Fraction(l_size) + thr and cut2 is not None:
-                    return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), cfg, trace)
-                return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
-            trace.add("bridge-connectivity", kappa_g2star=kappa_star)
-        trace.add("oracle-precondition", kappa_g2=kappa2, alpha_g2star=alpha_star,
-                  l_size=l_size, stage="case2")
-        return None
+        trace.add("bridge-connectivity", kappa_g2=kappa2, bound=thr)
+        if Fraction(alpha_star) > thr:
+            w = _lifted_witness(g, aset_star, map2, cfg, trace, "case2.connectivity.alpha")
+            if w is not None:
+                return w
+        if Fraction(kappa2) < Fraction(l_size) + thr and cut2 is not None:
+            return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), cfg, trace)
+        return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
 
-    got = _bridge(g, g.full & ~s_mask, star_paths, cfg, trace, "case2", precondition)
+    got = _bridge(g, g.full & ~s_mask, star_paths, cfg, trace, "case2", replay)
     if not isinstance(got, CycleCert):
         return got
     pending = s_mask & ~s1

@@ -35,6 +35,22 @@ def blob_with_attachments(parts, attachments):
     return Graph.from_edges(n, edges)
 
 
+def case2_instance(pairs, low, joins, rng):
+    """complete_multipartite([2] * pairs) plus low independent vertices,
+    each joined to ``joins`` whole parts drawn from the caller's rng, then
+    relabelled."""
+    base = Graph.complete_multipartite([2] * pairs)
+    chosen = rng.sample(range(pairs), low * joins)
+    edges = list(base.edges())
+    for i in range(low):
+        x = 2 * pairs + i
+        for part in chosen[i * joins:(i + 1) * joins]:
+            edges += [(2 * part, x), (2 * part + 1, x)]
+    perm = list(range(2 * pairs + low))
+    rng.shuffle(perm)
+    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
 def naive_components(n, edge_set, removed) -> int:
     """The number of components of the graph on 0..n-1 with edges
     ``edge_set`` (frozenset pairs) once the set ``removed`` is deleted."""

@@ -277,7 +277,8 @@ def test_run_batch_goes_on_past_an_invalid_graph(tmp_path):
     assert code == 4
     lines = out.splitlines()
     assert ("error index=1 n=2 kind=input "
-            "reason=certification-needs-at-least-three-vertices graph6=A_") in lines
+            "reason=certification-needs-at-least-three-vertices graph6=A_ t=11/1 "
+            "cap_oracle=32") in lines
     # the valid graphs' records are those of a batch without the bad graph
     code, clean = run_cli(["run", "--input", write_inputs(tmp_path, [k3, c5], "clean.g6")])
     assert code == 0
@@ -453,8 +454,15 @@ def test_module_entry_point_exit_code(tmp_path):
 def test_check_fails_a_graph_that_run_rejected(tmp_path):
     inp = write_inputs(tmp_path, [Graph.complete(3), Graph.complete(2), Graph.cycle(5)])
     cert_path = str(tmp_path / "certs.txt")
-    code, _ = run_cli(["run", "--input", inp, "--out", cert_path])
+    code, _ = run_cli(["run", "--t", "3/2", "--cap-oracle", "20", "--input", inp,
+                       "--out", cert_path])
     assert code == 4
+    # the error record carries what reruns the graph: its graph6 line and the config
+    errors = [line for line in (tmp_path / "certs.txt").read_text().splitlines()
+              if line.startswith("error ")]
+    assert errors == ["error index=1 n=2 kind=input "
+                      "reason=certification-needs-at-least-three-vertices graph6=A_ "
+                      "t=3/2 cap_oracle=20"]
     code, report = run_cli(["check", "--graph", inp, "--cert", cert_path])
     assert code == 1
     assert report.splitlines()[1] == ("check index=1 result=fail "
@@ -478,7 +486,7 @@ def test_run_internal_error_record_beats_oracle_limit(tmp_path, monkeypatch):
     assert code == 4
     assert out.count("cert kind=oracle-limit") == 2
     assert ("error index=1 n=4 kind=internal reason=unreachable-state-at-test "
-            "graph6=Cl") in out.splitlines()
+            "graph6=Cl t=11/1 cap_oracle=32") in out.splitlines()
 
 
 def test_run_rejects_caps_that_are_not_positive(tmp_path):

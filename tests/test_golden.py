@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import blob_with_attachments, split_violations
+from oracles import blob_with_attachments, case2_instance, split_violations
+from toughham import pipeline
 from toughham.certificates import RunConfig, Trace, certificate_to_record
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  random_graph, random_in_class)
@@ -23,21 +24,6 @@ from toughham.graph import Graph
 from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
                                case1_decompose, case1_finish, case2_run, run_theorem)
 from toughham.recognition import holds
-
-
-def _case2_instance(pairs, low, joins, rng):
-    """complete_multipartite([2] * pairs) plus low independent vertices,
-    each joined to whole parts, then relabelled."""
-    base = Graph.complete_multipartite([2] * pairs)
-    chosen = rng.sample(range(pairs), low * joins)
-    edges = list(base.edges())
-    for i in range(low):
-        x = 2 * pairs + i
-        for part in chosen[i * joins:(i + 1) * joins]:
-            edges += [(2 * part, x), (2 * part + 1, x)]
-    perm = list(range(2 * pairs + low))
-    rng.shuffle(perm)
-    return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
 
 
 def _theorem(cases):
@@ -105,8 +91,8 @@ def corpus_case2():
                             cfg)
     rng = random.Random(4)
     bridge = RunConfig(t=Fraction(3, 2))
-    yield from _theorem([(_case2_instance(6, 2, 2, rng), bridge),
-                         (_case2_instance(9, 2, 2, rng), bridge)])
+    yield from _theorem([(case2_instance(6, 2, 2, rng), bridge),
+                         (case2_instance(9, 2, 2, rng), bridge)])
 
 
 def corpus_caps():
@@ -114,7 +100,7 @@ def corpus_caps():
     each salvaged by run_theorem into a witness or an oracle limit."""
     rng = random.Random(6)
     small = RunConfig(t=Fraction(3, 2), cap_oracle=16)
-    yield from _theorem([(_case2_instance(9, 2, 2, rng), small),
+    yield from _theorem([(case2_instance(9, 2, 2, rng), small),
                          (complete_split_join(7, 10), RunConfig(cap_oracle=16)),
                          (case1_synthetic([2, 1, 2], 6, [2] * 9), small),
                          (case1_synthetic([2, 1], 3, [2] * 9), small)])
@@ -157,11 +143,11 @@ def corpus_replays():
 
 
 GOLDEN = {
-    "caps": "7b55baa0de0d98809c8e2b4bdf5f4989f9889e328ea83cf2d21df907177c0450",
-    "case1-cover": "ec13620b9f9104fc6a5b74c460c2c2d365f1cb36c7c519ed3ea471696ff19fcb",
-    "case2": "9d75fa6f45f65cc16f823301cdaee10b41a9e8b3c885e13b8408aa3744104e56",
+    "caps": "c9e6d18e5612c817524ee1ed66899be53340873bdf072db816b10b514f10edc7",
+    "case1-cover": "5aaeddce44f6d344bd8c65ad3f91e573590f21c029363f3d03eb3f75f12c508d",
+    "case2": "49f5344cb36a18fc7d6e8cb380ecf30a0fac2725dc935b70fd39ddd23e1cfdbc",
     "gate": "abcca8a681ab8d6565ac7087e979626f24221cec3ebb18b7c894b3941fc39c5a",
-    "replays": "f25e47ec169fab53c664349f22b03e4b2770106a0122f03b9edb2fa3ca98530c",
+    "replays": "7641ff63c6f8b11b965f89af986fdebf96c73e51eacfcb7c3d9c42f2109bf2b0",
 }
 
 # the cert records alone, so that a change which moves only trace bytes
@@ -204,3 +190,64 @@ def test_golden_bytes(name):
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_golden_certificates(name):
     assert digest(line for line in output(name) if line.startswith("cert ")) == GOLDEN_CERTS[name]
+
+
+def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
+    # each _bridge computes κ and α once, both on G2* (G2 plus the forced
+    # edges), and decides by them alone; only a failed test's replay
+    # computes G2's own facts.  The case-1 and case-2 corpora hold at every
+    # bridge; the t = 1 inputs after them fail some, in both cases.
+    real_bridge = pipeline._bridge
+    bridges = []
+    calls = None  # the list the spies append to: a bridge's test, or its replay's
+
+    def spy(name):
+        solver = getattr(pipeline, name)
+
+        def wrapped(g, *args, **kwargs):
+            if calls is not None:
+                calls.append((name, g))
+            return solver(g, *args, **kwargs)
+        return wrapped
+
+    def bridge(g, g2_mask, paths, cfg, trace, case, replay):
+        nonlocal calls
+        g2star, _ = g.add_edges([p.ends for p in paths]).induced(g2_mask)
+        seen = {"g2": g.induced(g2_mask)[0], "g2star": g2star, "test": [], "replay": []}
+        bridges.append(seen)
+
+        def replay_spy(*args):
+            nonlocal calls
+            calls = seen["replay"]
+            try:
+                return replay(*args)
+            finally:
+                calls = seen["test"]
+        calls = seen["test"]
+        try:
+            return real_bridge(g, g2_mask, paths, cfg, trace, case, replay_spy)
+        finally:
+            calls = None
+
+    for name in ("connectivity", "independence", "ham_cycle_forced"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    monkeypatch.setattr(pipeline, "_bridge", bridge)
+    t1 = RunConfig(t=1)
+    for lines in (corpus_case1_cover(), corpus_case2(),
+                  _case1_stages([case1_synthetic([1, 1], 2, [8, 2]),
+                                 case1_synthetic([1, 1], 2, [5, 1, 1])], t1),
+                  _theorem((random_in_class(9, 0.5, seed=i), t1) for i in range(40))):
+        for _ in lines:
+            pass
+    held = failed = 0
+    for seen in bridges:
+        facts = [("independence", seen["g2star"]), ("connectivity", seen["g2star"])]
+        assert seen["test"][:2] == facts
+        if seen["test"][2:] == [("ham_cycle_forced", seen["g2star"])]:
+            held += 1
+            assert seen["replay"] == []
+        else:
+            failed += 1
+            assert seen["test"] == facts and seen["replay"]
+            assert all(g == seen["g2"] for _, g in seen["replay"])
+    assert (held, failed) == (25, 15)

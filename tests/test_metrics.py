@@ -147,6 +147,52 @@ def test_kappa_at_most_delta():
         assert connectivity(g)[0] <= g.min_degree()
 
 
+def _seeded_matching(rng, n):
+    """1 to n // 2 disjoint pairs of a shuffled vertex order; a pair may
+    already be an edge."""
+    order = rng.sample(range(n), n)
+    return [(order[2 * i], order[2 * i + 1]) for i in range(rng.randrange(1, n // 2 + 1))]
+
+
+def _graphs_with_matchings():
+    """Every graph on 2 to 6 vertices with one seeded matching, then seeded
+    graphs on 7 to 14 vertices with two each."""
+    rng = random.Random(21)
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            yield g, _seeded_matching(rng, n)
+    for _ in range(300):
+        n = rng.randrange(7, 15)
+        g = random_edge_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+        for _ in range(2):
+            yield g, _seeded_matching(rng, n)
+
+
+def test_forced_edges_keep_the_bridge_inequality():
+    # The bridge's one test is κ(G + L) >= |L| + α(G + L) for the forced
+    # matching L.  Adding L never lowers κ (n - 1 on a complete graph) and
+    # never raises α, so each case's counting facts on G imply it: case 1's
+    # |L|, α(G) <= b and κ(G) >= 2b, and case 2's α(G + L) <= b and
+    # κ(G) >= |L| + b.  The facts compare integers with b and 2b, so their
+    # truth changes only at half-integers b = h/2, and past n no κ <= n - 1
+    # meets them; below, every fact is doubled to stay in integers.
+    implied = Counter()
+    for g, matching in _graphs_with_matchings():
+        kappa, alpha = connectivity(g)[0], independence(g)[0]
+        forced = g.add_edges(matching)
+        kappa_l, alpha_l = connectivity(forced)[0], independence(forced)[0]
+        assert kappa_l >= kappa and alpha_l <= alpha, (g.adj, matching)
+        l_size = len(matching)
+        holds = kappa_l >= l_size + alpha_l
+        for h in range(2 * g.n + 1):
+            case1 = 2 * l_size <= h and 2 * alpha <= h and kappa >= h
+            case2 = 2 * alpha_l <= h and 2 * kappa >= 2 * l_size + h
+            assert holds or not (case1 or case2), (g.adj, matching, h)
+            implied["case1"] += case1
+            implied["case2"] += case2
+    assert min(implied.values()) > 300, implied
+
+
 def test_connectivity_cutset_is_minimum():
     # kappa against subset enumeration on n <= 8
     rng = random.Random(17)

@@ -6,17 +6,19 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_graphs, blob_with_attachments, split_violations
+from oracles import all_graphs, blob_with_attachments, case2_instance, split_violations
 from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
                                    RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, parse_record)
-from toughham.generators import (case1_synthetic, complete_split_join, random_graph,
-                                 random_in_class)
+from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
+                                 random_graph, random_in_class)
 from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.hamilton import CycleCert
-from toughham.metrics import ToughnessWitness, probe_tough, scattering
-from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
+from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
+                              validate_toughness_witness)
+from toughham.pipeline import (Decomposition, PathCover, _case1_cut_replay, _case1_edge,
+                               _case2_cut_replay, _lift, _threshold, build_path_cover,
                                case1_decompose, case1_finish, case2_run,
                                expected_cover_size, min_degree_gate, run_theorem)
 from toughham.recognition import InducedWitness, holds
@@ -385,6 +387,101 @@ def test_below_regime_runs_stay_sound():
     assert "hamilton-cycle" in kinds
 
 
+def _case1_replay_on_the_min_cut(g, t):
+    """_case1_cut_replay on the minimum cut of G2, when κ(G2) is below
+    2n/(t+1); None otherwise.  Returns the certificate and its trace."""
+    cfg = RunConfig(t=t)
+    dec = case1_decompose(g, _case1_edge(g), cfg, Trace())
+    if not isinstance(dec, Decomposition):
+        return None
+    g2, map2 = g.induced(dec.g2_mask)
+    kappa2, cut2 = connectivity(g2)
+    if cut2 is None or kappa2 >= _threshold(g.n, t, 2):
+        return None
+    trace = Trace()
+    return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace), trace
+
+
+def _case2_replay_on_the_min_cut(g, t):
+    """_case2_cut_replay on the minimum cut of G2 = G - S, when κ(G2) is
+    below |S1| + n/(t+1); None otherwise.  S holds the vertices of degree
+    under 5n/24, S1 those of degree under n/(t+1)."""
+    n = g.n
+    s_mask = mask_of(x for x in range(n) if 24 * g.adj[x].bit_count() < 5 * n)
+    s1 = mask_of(x for x in bits(s_mask) if (t + 1) * g.adj[x].bit_count() < n)
+    g2, map2 = g.induced(g.full & ~s_mask)
+    kappa2, cut2 = connectivity(g2)
+    if cut2 is None or kappa2 >= s1.bit_count() + _threshold(n, t):
+        return None
+    trace = Trace()
+    return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), RunConfig(t=t), trace), trace
+
+
+def _cut_replay_inputs():
+    """Pattern-free inputs, each with the replay of its case: case1_synthetic
+    shapes, the case-2 family of the golden corpora, and random_in_class
+    draws.  The three named draws are where a search over seeds 0..2999
+    found bare-remainder (1264, 1909) and component-alpha (241)."""
+    shapes = [([1, 1], 6, [2] * 8), ([2, 1, 2], 6, [2] * 8), ([3, 1, 1], 6, [2] * 8),
+              ([4, 1, 1], 6, [2] * 9), ([2, 2], 6, [2] * 8), ([1, 1], 2, [8, 2]),
+              ([1, 1], 2, [5, 1, 1]), ([1, 1], 2, [4, 4]), ([2, 1], 4, [10, 1])]
+    for shape in shapes:
+        yield _case1_replay_on_the_min_cut, case1_synthetic(*shape)
+    rng = random.Random(4)
+    for pairs in range(4, 10):
+        for low, joins in ((1, 1), (2, 1), (2, 2), (3, 1)):
+            yield _case2_replay_on_the_min_cut, case2_instance(pairs, low, joins, rng)
+    draws = [(8, 0.5, 1264), (11, 0.3, 1909), (8, 0.4, 241)]
+    draws += [(rng.randrange(7, 11), rng.choice((0.3, 0.5)), 2100 + i) for i in range(40)]
+    for n, p, seed in draws:
+        try:
+            g = random_in_class(n, p, seed=seed)
+        except GenerationError:
+            continue
+        yield (_case2_replay_on_the_min_cut if _case1_edge(g) is None
+               else _case1_replay_on_the_min_cut), g
+
+
+def _stage_of(trace):
+    """The stage named by the last trace record that names one."""
+    return next(parse_record(line)[1]["stage"] for line in reversed(trace.lines)
+                if "stage=" in line)
+
+
+# the endings the cut replays reach on _cut_replay_inputs, by certificate kind
+CUT_REPLAY_ENDINGS = {
+    ("case1.connectivity.bare-remainder", "toughness-witness"): 2,
+    ("case1.connectivity.shattered", "oracle-limit"): 23,
+    ("case1.connectivity.shattered", "toughness-witness"): 27,
+    ("case2.connectivity.component-alpha", "toughness-witness"): 2,
+    ("case2.connectivity.small-component", "oracle-limit"): 7,
+    ("case2.connectivity.small-component", "toughness-witness"): 22,
+    ("case2.connectivity.trivial", "oracle-limit"): 84,
+    ("case2.connectivity.trivial", "toughness-witness"): 94,
+}
+
+
+def test_cut_replays_end_in_a_witness_or_a_named_limit():
+    # each replay gets G2's true minimum cut, at each t where κ(G2) is
+    # below its case's bound
+    endings = Counter()
+    for replay, g in _cut_replay_inputs():
+        assert not holds(g, "2p2+p1")
+        for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
+                  Fraction(5), Fraction(11)):
+            got = replay(g, t)
+            if got is None:
+                continue
+            cert, trace = got
+            stage = _stage_of(trace)
+            if isinstance(cert, OracleLimit):
+                assert cert.stage == stage
+            else:
+                assert validate_toughness_witness(g, cert, t), (g.adj, t, stage)
+            endings[stage, certificate_kind(cert)] += 1
+    assert endings == CUT_REPLAY_ENDINGS
+
+
 # (t, largest n): the certificate kinds and the oracle-limit stages of
 # run_theorem over every labelled graph on 3..n vertices
 EXHAUSTIVE_TALLIES = {
@@ -409,9 +506,9 @@ EXHAUSTIVE_TALLIES = {
 # the same runs' bytes: sha256 over every trace line and cert record, each
 # newline-terminated, in enumeration order
 EXHAUSTIVE_DIGESTS = {
-    (Fraction(1), 6): "b59eeb7e48951ebea9d462c07af6c8c0a94ec918f4bf6e422d4d28c447a243af",
+    (Fraction(1), 6): "03565b738126b95bf4a62c92d0f2fcd7224fb22e404204a7e8be8742df4c62a0",
     (Fraction(11), 6): "ff2016e9026cb14b9a016ea9c0f7a56b533f0415a40b17c7b89fae8faabca382",
-    (Fraction(1, 2), 5): "a60178873fb07bd79648f4429e4d09c92a96ad379f0b4e31a90e43956158363c",
+    (Fraction(1, 2), 5): "627cc04f3fef372397637b8b4f0146d5c361a6cfdb40d9f5c169cb1fdc662710",
     (Fraction(3, 2), 5): "15b2ccec151ad4eed2664cf40c94c73b661286bfe431134e4c5dd8e87ccc2a90",
     (Fraction(2), 5): "271cb803883991dc77b546ea5cbb2291998035ade4ab039355ea40eb73052842",
 }
