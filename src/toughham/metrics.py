@@ -16,22 +16,24 @@ isolated vertices, n = 24) tractable, where blind subset enumeration would
 pay for 2^24 masks.
 
 Every other graph goes through one cutset enumerator, by subset size from
-kappa up, as no smaller set is a cutset; a sweep stops at the first size
-where even min(n - k, alpha) components, the most any set of size k can
-leave, could not beat the incumbent.  It visits separators only and counts
+kappa up, as no smaller set is a cutset.  Its caller gives need(k), the
+fewest components a cutset of size k must leave to matter, and the sweep
+ends at the first size where need(k) exceeds min(n - k, alpha), the most
+any set of size k can leave.  It visits separators only and counts
 components for nothing else.  Let r be the smallest vertex outside a
 cutset S and A its component in G - S: then A is connected, S holds every
 vertex below r and every neighbour of A, and some vertex outside S is not
 in A.  So the sweep grows each connected A from each r <= k by extension
 sets and completes N(A), plus the vertices below r, to S with the other
 vertices in every way that leaves one of them out; each cutset comes from
-its own r and A once.  A branch stops growing A when a larger A would leave
-fewer than two vertices outside S, when more than k boundary vertices can
-no longer join A, or when A and its boundary cover the graph.
-Toughness and scattering share one sweep that keeps both incumbents and
-stops where both stop rules hold; ``verify_tough`` runs its own.  Within a
-size both prefer the most components, and each witness is the first
-optimal cutset in (size, lexicographic) order.
+its own r and A once.  A branch stops growing A when a larger A would
+leave fewer than need(k) components, when more than k boundary vertices
+can no longer join A, or when A and its boundary cover the graph; no
+cutset that leaves need(k) components or more is skipped.  Toughness and
+scattering share one sweep that keeps both incumbents and needs the fewer
+components that improve either; ``verify_tough`` runs its own and needs
+those of a violator.  Within a size both prefer the most components, and
+each witness is the first optimal cutset in (size, lexicographic) order.
 
 The shared sweep, kappa's pair flows, the closed forms of ``_closed`` and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
@@ -110,15 +112,20 @@ def _closed(g: Graph):
             2 * c - g.n, ScatteringSet(cutset, 2 * c - g.n))
 
 
-def _cutsets(g: Graph, stop):
+def _cutsets(g: Graph, need):
     """The cutsets S of a non-complete g, one size at a time from kappa up,
-    as (k, [(S, c(G - S)), ...]) in no set order within a size.
-    ``stop(k, room)`` is asked before each size k and ends the sweep when
-    true; room = min(n - k, alpha) bounds c(G - S) for every S of size k,
-    since one vertex from each component of G - S is an independent set
-    (Chvatal 1973).  Both bounds grow weaker with k, so a stop test that
-    holds at k holds at every larger size.  Callers stop at SUBSET_CAP
-    vertices first, so alpha's larger cap cannot bind.
+    as (k, [(S, c(G - S)), ...]) in no set order within a size: every
+    cutset with c(G - S) >= need(k) and possibly some with fewer.
+    ``need(k)`` is asked before each size k, once the caller has seen the
+    sizes below it; the sweep takes it as at least 2 and ends at the first
+    k with need(k) > room = min(n - k, alpha), which bounds c(G - S) for
+    every S of size k, since one vertex from each component of G - S is an
+    independent set (Chvatal 1973).  With the callers' bounds, need(k) >
+    room says room <= k*tc/tk and room <= sv + k for the incumbents of
+    ``_optima`` (neither can improve) and room <= k/t for ``verify_tough``
+    (no violator).  Their need never falls as k grows while the incumbent
+    stands, and room never grows, so no later size has a cutset they need.
+    Callers stop at SUBSET_CAP vertices first; alpha's larger cap cannot bind.
 
     Only cutsets are counted.  Let r be the smallest vertex outside a
     cutset S and A its component in G - S: A is connected, every vertex
@@ -131,13 +138,16 @@ def _cutsets(g: Graph, stop):
     cutset base | T, as every A grown has |A| < n - k and so leaves a free
     vertex over; S fixes r and A, so each cutset is found once.  A branch
     stops growing A when
-      - |A| + 1 >= n - k: a larger A leaves no second component;
+      - |A| + need(k) > n - k: a cutset of size k with a larger A leaves
+        at most n - k - |A| components besides A, fewer than need(k) (with
+        need(k) = 2, no second component);
       - the boundary vertices its branch can no longer add to A, those of
         base outside ext, number more than k: they stay in every base;
       - |base| - k > n - k - 1 - |A|, that is, no vertex is free: each
         vertex added to A takes at most one vertex off the boundary, and
         the branch can add at most n - k - 1 - |A| of them.
-    The last is tested on each A before it is grown."""
+    The last is tested on each A before it is grown.  So no cutset with
+    c(G - S) >= need(k) is skipped: its A has |A| <= n - k + 1 - need(k)."""
     n, adj = g.n, g.adj
     kappa, _ = _pair_flows(g)
     alpha, _ = independence(g)
@@ -150,7 +160,7 @@ def _cutsets(g: Graph, stop):
             for t in map(sum, combinations([1 << v for v in bits(free)], rest)):
                 s = base | t
                 found.append((s, g.component_count(s)))
-        if size + 1 >= n - k:
+        if size + least > n - k:
             return
         while ext and (base & ~ext).bit_count() <= k:
             w = ext & -ext
@@ -160,7 +170,8 @@ def _cutsets(g: Graph, stop):
                 grow(a | w, size + 1, ext | gain, base ^ w | gain, free ^ gain)
 
     for k in range(kappa, n - 1):
-        if stop(k, min(n - k, alpha)):
+        least = max(need(k), 2)  # a cutset leaves two components or more
+        if least > min(n - k, alpha):
             return
         found = []
         for r in range(k + 1):
@@ -178,17 +189,20 @@ def _optima(g: Graph):
     strict improvement: a smaller |S|/c, by cross-multiplication, or a
     larger c - |S|.  Within a size both prefer the largest c, so a size
     that improves an incumbent gives it the lexicographically first cutset
-    with that c.  Each stop rule rules out a strict improvement at its
-    size and every later one, so stopping where both hold leaves each
-    incumbent the first optimal cutset in (size, lexicographic) order."""
+    with that c.  need(k) is the fewest components that improve either
+    incumbent at size k, and the sweep yields every cutset that leaves as
+    many, so the cutsets that improve one are all there; a size that yields
+    none takes c = 0 and improves nothing.  The sweep ends where neither
+    can improve, which leaves each incumbent the first optimal cutset in
+    (size, lexicographic) order."""
     tk = tc = ts = 0  # toughness incumbent tk/tc, cutset ts
     sv = ss = None  # scattering incumbent c - |S|, cutset ss
 
-    def stop(k, room):
-        return sv is not None and k * tc >= room * tk and room - k <= sv
+    def need(k):  # the fewest components that improve an incumbent
+        return 2 if sv is None else min(k * tc // tk + 1 if tk else INF, sv + k + 1)
 
-    for k, cuts in _cutsets(g, stop):
-        c = max(count for _, count in cuts)
+    for k, cuts in _cutsets(g, need):
+        c = max((count for _, count in cuts), default=0)
         tough = sv is None or k * tc < tk * c
         scatter = sv is None or c - k > sv
         if tough or scatter:
@@ -249,8 +263,8 @@ def verify_tough(g: Graph, t: Fraction):
         return probe
     if g.n > SUBSET_CAP:
         raise OracleLimitExceeded("verify-tough")
-    # a violator of size k needs c > k/t, so k/room >= t rules it out
-    for k, cuts in _cutsets(g, lambda k, room: Fraction(k, room) >= t):
+    # a violator of size k needs c > k/t; no cutset has |S|/c < t <= 0
+    for k, cuts in _cutsets(g, lambda k: k // t + 1 if t > 0 else INF):
         violators = [cut for cut in cuts if Fraction(k, cut[1]) < t]
         if violators:
             return ToughnessWitness(*min(violators, key=lambda cut: lex_key(cut[0])))
@@ -279,7 +293,7 @@ def _split_residual(g: Graph) -> list[int]:
     res = []
     for v in range(g.n):
         res.append(1 << (2 * v + 1))
-        res.append(sum(1 << (2 * w) for w in bits(g.adj[v])))
+        res.append(int(bin(g.adj[v])[2:], 4))  # bit w -> bit 2w
     return res
 
 

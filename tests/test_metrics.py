@@ -74,6 +74,8 @@ def test_verify_tough_examples():
     assert wit is not None and wit.cutset == 0
     wit = verify_tough(Graph.cycle(6), Fraction(2))
     assert wit is not None and wit.ratio < 2
+    # no ratio is below 0, so the sweep ends at once
+    assert verify_tough(Graph.cycle(6), Fraction(0)) is None
 
 
 def test_scattering_examples():
@@ -283,6 +285,15 @@ def test_cutset_sweep_starts_at_kappa(monkeypatch):
     assert toughness(g)[0] == 4
     assert sizes and min(sizes) == 8
     assert len(decompositions) == 1
+    # the whole sweep, needing only a second component at every size
+    sizes.clear()
+    swept = [k for k, _ in metrics._cutsets(g, lambda k: 2)]
+    assert swept[0] == 8 and sizes and min(sizes) == 8
+
+
+def _grid_4x5():
+    grid = [(5 * i + j, 5 * i + j + 1) for i in range(4) for j in range(4)]
+    return Graph.from_edges(20, grid + [(v, v + 5) for v in range(15)])
 
 
 def _separator_corpus():
@@ -297,22 +308,90 @@ def _separator_corpus():
     for p in (0.15, 0.3, 0.5, 0.7, 0.85):
         for n in range(7, 15):
             yield random_edge_graph(rng, n, p), n
-    grid = [(5 * i + j, 5 * i + j + 1) for i in range(4) for j in range(4)]
-    grid += [(v, v + 5) for v in range(15)]
     yield Graph.cycle(12), 12
     yield Graph.path(12), 12
-    yield Graph.from_edges(20, grid), 7
+    yield _grid_4x5(), 7
     yield Graph.from_edges(10, [(0, v) for v in range(1, 10)]), 10
 
 
 def test_cutset_sweep_visits_each_cutset_once():
     # every size's cutsets with their component counts, as a multiset, so
-    # each once: against a count of components for every subset of that size
+    # each once: against a count of components for every subset of that
+    # size; need = 2 keeps every cutset, and an infinite need ends the sweep.
+    # A need below 2 is taken as 2, so need = 1 yields no set that leaves
+    # one component
     for g, top in _separator_corpus():
-        swept = {} if g.is_complete() else dict(metrics._cutsets(g, lambda k, room: k > top))
-        for k in range(top + 1):
-            cuts = swept.get(k, [])
-            assert sorted(cuts) == sorted(cutsets_by_brute_force(g, k)), (g.adj, k)
+        for low in (2, 1) if g.n < 20 else (2,):
+            need = lambda k: low if k <= top else INF  # noqa: E731
+            swept = {} if g.is_complete() else dict(metrics._cutsets(g, need))
+            for k in range(top + 1):
+                cuts = swept.get(k, [])
+                assert sorted(cuts) == sorted(cutsets_by_brute_force(g, k)), (g.adj, k, low)
+
+
+def test_sweep_bounds_agree_with_brute_force(monkeypatch):
+    # toughness, scattering and verify_tough skip the cutsets that cannot
+    # beat an incumbent or violate t; values and witnesses must not move.
+    # verify_tough is also run with its probe switched off, since on sparse
+    # graphs the probe nearly always answers before the sweep
+    grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(11)]
+    rng = random.Random(2222)
+    for p in (0.15, 0.3):
+        for n in range(7, 15):
+            for _ in range(3):
+                g = random_edge_graph(rng, n, p)
+                # every cutset in (size, lexicographic) order, so min and
+                # max return the first optimal one
+                cuts = [(Fraction(k, c), c - k, s, c) for k in range(n)
+                        for s, c in cutsets_by_brute_force(g, k)]
+                tough = min(cuts, key=lambda cut: cut[0])
+                scat = max(cuts, key=lambda cut: cut[1])
+                assert toughness(g)[0] == tough[0] and scattering(g)[0] == scat[1], g.adj
+                if metrics._closed(g) is None:
+                    assert toughness(g)[1].cutset == tough[2], g.adj
+                    assert scattering(g)[1].cutset == scat[2], g.adj
+                for t in grid:
+                    first = next((metrics.ToughnessWitness(s, c)
+                                  for ratio, _, s, c in cuts if ratio < t), None)
+                    probe = probe_tough(g, t)
+                    want = first if probe is None and first is not None else probe
+                    assert verify_tough(g, t) == want, (g.adj, t)
+                    if metrics._closed(g) is None:
+                        with monkeypatch.context() as patch:
+                            patch.setattr(metrics, "probe_tough", lambda g, t: None)
+                            assert verify_tough(g, t) == first, (g.adj, t)
+
+
+def test_grid_toughness_counts_are_pinned(monkeypatch):
+    # the 4 x 5 grid (tau = 1 at size 2, alpha = 10): with need(k) the sweep
+    # counts components only while a size could still beat the incumbent,
+    # and grows no component too large to leave that many; a looser bound
+    # shows up here as more counts
+    g = _grid_4x5()
+    metrics._optima.cache_clear()
+    counts = []
+    real = Graph.component_count
+    monkeypatch.setattr(Graph, "component_count",
+                        lambda self, removed=0: counts.append(removed) or real(self, removed))
+    assert toughness(g) == (1, metrics.ToughnessWitness(0b100010, 2))
+    assert len(counts) == 117292
+
+
+def test_split_residual_is_bit_spread():
+    # the out-row of v holds the in-node 2w of every neighbour w
+    def per_bit(g):
+        res = []
+        for v in range(g.n):
+            res += [1 << (2 * v + 1), sum(1 << (2 * w) for w in bits(g.adj[v]))]
+        return res
+
+    rng = random.Random(4040)
+    randoms = (random_edge_graph(rng, rng.randrange(1, 41), rng.random()) for _ in range(1000))
+    for n in range(7):
+        for g in all_graphs(n):
+            assert metrics._split_residual(g) == per_bit(g)
+    for g in randoms:
+        assert metrics._split_residual(g) == per_bit(g), g.adj
 
 
 def test_independence_witness_is_independent():
