@@ -8,12 +8,15 @@ certificate types are ``NamedTuple``s and ``RunConfig`` a plain class, so
 importing them generates no code.
 
 Records are single lines of whitespace-separated tokens: a record name,
-``key=value`` fields (rationals as ``num/den``), and, after a ``--``
-separator, a vertex list as space-separated ids.
+``key=value`` fields, each formatted by its exact type (``bool`` as
+``true``/``false``, ``Fraction`` as ``num/den``, anything else as its
+``str``, which must hold no whitespace), and, after a ``--`` separator, a
+vertex list as space-separated ids.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,6 +26,7 @@ from .metrics import ToughnessWitness
 from .recognition import InducedWitness, induces_pattern
 
 FORBIDDEN_PATTERN = "2p2+p1"
+_SPACE = re.compile(r"\s")  # any whitespace: parse_record splits on each
 
 
 class RunConfig:
@@ -76,9 +80,8 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
             return False, f"cycle is not a permutation of 0..{g.n - 1}"
         if g.n < 3:
             return False, "cycles need at least three vertices"
-        for i, u in enumerate(order):
-            v = order[(i + 1) % len(order)]
-            if not g.has_edge(u, v):
+        for u, v in zip(order, order[1:] + order[:1]):  # ids are 0..n-1 here
+            if not g.adj[u] >> v & 1:
                 return False, f"edge {u}-{v} missing from the graph"
         return True, "hamilton cycle verified"
     if isinstance(cert, ToughnessWitness):
@@ -110,7 +113,7 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
 # --- line records ------------------------------------------------------------
 
 def fmt_q(x) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -126,17 +129,19 @@ def parse_q(s: str) -> Fraction:
 def record_line(name: str, fields=(), ids=None) -> str:
     parts = [name]
     for key, value in fields:
-        if isinstance(value, (Fraction,)):
-            value = fmt_q(value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        text = str(value)
-        if " " in text:
-            raise ValueError(f"record field {key} contains a space: {text!r}")
+        kind = type(value)
+        if kind is bool:
+            text = "true" if value else "false"
+        elif kind is Fraction:
+            text = fmt_q(value)
+        else:
+            text = str(value)
+            if kind is not int and _SPACE.search(text):
+                raise ValueError(f"record field {key} contains whitespace: {text!r}")
         parts.append(f"{key}={text}")
     if ids is not None:
         parts.append("--")
-        parts.extend(str(v) for v in ids)
+        parts.extend(map(str, ids))
     return " ".join(parts)
 
 

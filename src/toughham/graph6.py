@@ -2,10 +2,11 @@
 
 Upper-triangle bits in column order (0,1),(0,2),(1,2),(0,3),... packed six
 per byte, each byte offset by 63.  The optional ``>>graph6<<`` header is
-stripped on parse.  Both directions are linear in the line: the parser
-turns the bytes into a bit string with one ``str.translate``, cuts the
-lower-triangle rows out of it and ORs in their transpose; the writer packs
-the lower-triangle rows into one int and formats it once.
+stripped on parse.  Both directions pack the lower-triangle rows into one
+int, bit k the k-th pair in column order: the parser turns the bytes into
+a bit string with one ``str.translate``, reads it reversed with one
+``int(., 2)``, takes the rows off its low end and ORs in their transpose;
+the writer formats that int once.
 """
 
 from __future__ import annotations
@@ -68,13 +69,12 @@ def parse_graph6(line: str) -> Graph:
         for i in range(pos, len(line)):
             if ord(line[i]) not in _BITS:
                 raise Graph6Error("adjacency byte out of range", i)
-    # reversed and unpadded, the pairs (u, v) of row v run from u = v - 1
-    # down to u = 0, most significant bit first
-    stream = stream[:need_bits][::-1]
+    # reversed and unpadded, pair k is bit k: row v is the next v bits
+    pairs = int(stream[need_bits - 1::-1], 2) if need_bits else 0
     lower = [0] * n
     for v in range(1, n):
-        end = need_bits - v * (v - 1) // 2
-        lower[v] = int(stream[end - v:end], 2)
+        lower[v] = pairs & ((1 << v) - 1)
+        pairs >>= v
     return Graph._of_rows(n, [a | b for a, b in zip(lower, transpose(lower, n))])
 
 

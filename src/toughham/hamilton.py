@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import Graph, GraphError, bit, bits, mask_of
-from .metrics import OracleLimitExceeded, ToughnessWitness, witness_from_independent_set
+from .metrics import OracleLimitExceeded, ToughnessWitness, threshold, witness_from_independent_set
 from .recognition import multipartite_parts
 
 DEFAULT_ORACLE_CAP = 32
@@ -325,11 +325,11 @@ def insert_vertices(g: Graph, cyc: CycleCert, pending: int,
         on_cycle |= bit(v)
     if pending & on_cycle:
         raise GraphError("pending vertices overlap the cycle")
-    threshold = Fraction(g.n, t + 1) - 1
+    low = threshold(g.n, t) - 1
     order = list(cyc.order)
     rotations = 0
     for v in bits(pending):
-        if (g.adj[v] & on_cycle).bit_count() <= threshold:
+        if (g.adj[v] & on_cycle).bit_count() <= low:
             raise GraphError(
                 f"vertex {v} has too few neighbors on the cycle for insertion")
         slot = -1

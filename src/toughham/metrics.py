@@ -507,6 +507,12 @@ def validate_scattering_set(g: Graph, s: ScatteringSet) -> bool:
     return c >= 2 and c - s.cutset.bit_count() == s.value
 
 
+def threshold(n: int, t, num: int = 1) -> Fraction:
+    """num·n/(t+1), as Fraction(num·n·q, p + q) for t = p/q; at num = 1, the
+    most vertices an independent set of a t-tough graph holds (see below)."""
+    return Fraction(num * n * t.denominator, t.numerator + t.denominator)
+
+
 def witness_from_independent_set(g: Graph, indep: int, t) -> ToughnessWitness | None:
     """Toughness witness from an independent set larger than n/(t+1).
 

@@ -46,7 +46,7 @@ from .hamilton import (CycleCert, PathCert, dirac_cycle, ham_cycle_forced, inser
                        multipartite_ham_path, validate_cycle, validate_path)
 from .matchings import k1t_matching
 from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
-                      independence, scattering, validate_toughness_witness,
+                      independence, scattering, threshold, validate_toughness_witness,
                       verify_tough, witness_from_independent_set)
 from .recognition import (InducedWitness, Multipartition, find_induced,
                           multipartite_decompose, multipartite_parts)
@@ -114,10 +114,6 @@ def expected_cover_size(s_value) -> int:
     if s_value == INF or s_value <= 0:
         return 1
     return int(s_value)
-
-
-def _threshold(n: int, t: Fraction, num: int = 1) -> Fraction:
-    return Fraction(num * n, 1) / (t + 1)
 
 
 def _salvage_or_limit(g: Graph, cfg: RunConfig, trace: Trace, stage: str,
@@ -236,7 +232,8 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
     """
     n = g.n
     delta = g.min_degree()
-    thr = _threshold(n, cfg.t) - 1
+    bound = threshold(n, cfg.t)
+    thr = bound - 1
     if delta > thr:
         if 2 * delta >= n:
             cyc = dirac_cycle(g)
@@ -253,7 +250,7 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
                 "non-Hamiltonian t-tough graph above the degree threshold")
         return _witness(trace, "gate", witness)
     trace.add("gate", fired=False, delta=delta, threshold=thr)
-    if Fraction(delta) < 2 * cfg.t:
+    if delta < 2 * cfg.t:
         v = min(range(n), key=lambda x: (g.adj[x].bit_count(), x))
         w = ToughnessWitness(g.adj[v], g.component_count(g.adj[v]))
         trace.add("gate-fact", fact="min-degree-below-2t", vertex=v)
@@ -265,9 +262,8 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
     except OracleLimitExceeded:
         trace.add("gate-fact", fact="alpha", alpha="skipped")
         return None
-    bound = _threshold(n, cfg.t)
     trace.add("gate-fact", fact="alpha", alpha=alpha, bound=bound)
-    if Fraction(alpha) > bound:
+    if alpha > bound:
         w = witness_from_independent_set(g, aset, cfg.t)
         return _tough_or_dead_end(g, cfg, trace, "gate.alpha", w,
                                   regime_impossible=True)
@@ -301,10 +297,10 @@ def case1_decompose(g: Graph, uv: tuple[int, int], cfg: RunConfig,
                                   ToughnessWitness(s_mask, len(comps)), regime_impossible=True)
 
     d2 = next(c for c in comps if c != d1)
-    thr2 = _threshold(n, t, 2)
+    thr2 = threshold(n, t, 2)
     s1 = 0
     for x in bits(s_mask):
-        if Fraction((g.adj[x] & d2).bit_count()) < thr2:
+        if (g.adj[x] & d2).bit_count() < thr2:
             s1 |= bit(x)
     s2 = s_mask & ~s1
 
@@ -327,7 +323,7 @@ def _block_structure_replay(g: Graph, d2: int, triple, cfg: RunConfig,
     tough graph."""
     missed = d2 & ~g.set_neighborhood(mask_of(triple))
     w = witness_from_independent_set(g, missed, cfg.t)
-    if w is not None and Fraction(missed.bit_count()) > _threshold(g.n, cfg.t):
+    if w is not None and missed.bit_count() > threshold(g.n, cfg.t):
         return _witness(trace, "case1.block-structure", w)
     return _salvage_or_limit(g, cfg, trace, "case1.block-structure", regime_impossible=True)
 
@@ -552,22 +548,22 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
     of G2.  A step of ``run_theorem``; it writes to that run's trace.
     """
     n, t = g.n, cfg.t
-    bound, kappa_bound = _threshold(n, t), _threshold(n, t, 2)
+    bound, kappa_bound = threshold(n, t), threshold(n, t, 2)
 
     def replay(g2, map2, l_size, alpha_star, aset_star):
         alpha2, aset2 = independence(g2)
         kappa2, cut2 = connectivity(g2)
         trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, bound=bound)
-        if Fraction(l_size) > bound:
+        if l_size > bound:
             w = _lifted_witness(g, dec.g1_structure.largest_part(), tuple(bits(dec.g1_mask)),
                                 cfg, trace, "case1.connectivity.paths")
             if w is not None:
                 return w
-        if Fraction(alpha2) > bound:
+        if alpha2 > bound:
             w = _lifted_witness(g, aset2, map2, cfg, trace, "case1.connectivity.alpha")
             if w is not None:
                 return w
-        if Fraction(kappa2) < kappa_bound and cut2 is not None:
+        if kappa2 < kappa_bound and cut2 is not None:
             return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
         return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
 
@@ -615,14 +611,14 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     if not metrics.is_independent(g, s_mask):
         raise PipelineInternalError("low-degree set has an edge the dispatcher missed")
     s1 = 0
-    thr = _threshold(n, t)
+    thr = threshold(n, t)
     for x in bits(s_mask):
-        if Fraction(g.adj[x].bit_count()) < thr:
+        if g.adj[x].bit_count() < thr:
             s1 |= bit(x)
     trace.add("case2-setup", s_size=s_mask.bit_count(), s1_size=s1.bit_count(),
               threshold=thr)
 
-    if Fraction(s_mask.bit_count()) > thr:
+    if s_mask.bit_count() > thr:
         w = witness_from_independent_set(g, s_mask, t)
         return _tough_or_dead_end(g, cfg, trace, "case2.s-bound", w,
                                   regime_impossible=True)
@@ -639,11 +635,11 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     def replay(g2, map2, l_size, alpha_star, aset_star):
         kappa2, cut2 = connectivity(g2)
         trace.add("bridge-connectivity", kappa_g2=kappa2, bound=thr)
-        if Fraction(alpha_star) > thr:
+        if alpha_star > thr:
             w = _lifted_witness(g, aset_star, map2, cfg, trace, "case2.connectivity.alpha")
             if w is not None:
                 return w
-        if Fraction(kappa2) < Fraction(l_size) + thr and cut2 is not None:
+        if kappa2 < l_size + thr and cut2 is not None:
             return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), cfg, trace)
         return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
 
@@ -683,7 +679,7 @@ def _case2_cut_replay(g: Graph, s_mask: int, s1: int, w_global: int, cfg: RunCon
         if parts is None:
             raise PipelineInternalError("a component past a small cut is not multipartite")
         part = Multipartition(parts).largest_part()
-        if Fraction(part.bit_count()) > _threshold(n, t):
+        if part.bit_count() > threshold(n, t):
             w = witness_from_independent_set(g, _lift(part, smap), t)
             return _tough_or_dead_end(g, cfg, trace, "case2.connectivity.component-alpha",
                                       w, regime_impossible=True)

@@ -14,9 +14,9 @@ O(|X|) mask operations.  G holds an induced ``2p2+p1`` exactly when some
 edge ab leaves such a G[X] in X = V - (N(a) u N(b)), so deciding freeness
 costs O(n*m) mask operations.  Every such X lies inside G - N[a], and a
 superset of a set holding ``p2+p1`` holds it too, so the scan skips a
-after one test when G - N[a] is complete multipartite: on complete
-multipartite graphs and complete split-joins that is one test per vertex,
-O(n^2) mask operations.  The ``p2+p1`` witness is built greedily: each
+after one test when G - N[a] is complete multipartite (one test per
+vertex when every G - N[a] is), and ``holds`` first tests G itself: a
+complete multipartite graph costs that one O(n) test.  The ``p2+p1`` witness is built greedily: each
 position takes the smallest vertex above the previous one for which an
 exact completion test (a role for every chosen vertex, then the missing
 edges, partners and isolated vertex inside masks) still finds a witness, at
@@ -258,7 +258,10 @@ def _forest_witness(g: Graph, edges: int, solo: int) -> tuple[int, ...] | None:
 def holds(g: Graph, pattern: str) -> bool:
     """Does g induce the named forest?  O(n*m) mask operations, no witness."""
     edges, solo = _forest(pattern)
-    return 2 * edges + solo <= g.n and _holds(g.adj, g.full, edges, solo)
+    # each named forest holds p2+p1, which a complete multipartite G does not
+    if 2 * edges + solo > g.n or _parts(g.adj, g.full) is not None:
+        return False
+    return _holds(g.adj, g.full, edges, solo)
 
 
 def find_induced(g: Graph, pattern: str) -> InducedWitness | None:

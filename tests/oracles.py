@@ -6,6 +6,7 @@ a test that runs a stage and then an oracle checks the stage.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from toughham.graph import Graph, bit, bits
@@ -181,3 +182,24 @@ def validate_star_matching(g, m, centers=None, degree=None) -> bool:
             return False
         seen |= star
     return centers is None or star_centers(m) == centers
+
+
+def plain_record_line(name, fields=(), ids=None) -> str:
+    """The line-record formatter written from the format: rationals as
+    num/den, booleans as true/false, everything else as its str, which may
+    hold no whitespace; then ``--`` and the ids."""
+    parts = [name]
+    for key, value in fields:
+        if isinstance(value, Fraction):
+            text = f"{value.numerator}/{value.denominator}"
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        else:
+            text = str(value)
+        if any(c.isspace() for c in text):
+            raise ValueError(f"record field {key} contains whitespace: {text!r}")
+        parts.append(f"{key}={text}")
+    if ids is not None:
+        parts.append("--")
+        parts.extend(str(v) for v in ids)
+    return " ".join(parts)

@@ -75,3 +75,18 @@ def test_insertion_hook_reads_the_rotation_count(monkeypatch):
     assert tk.hamilton.validate_cycle(g, grown)
     assert tracer.counts["hamilton.insert_vertices.calls"] == 1
     assert tracer.counts["hamilton.insert_vertices.fallbacks"] == 1
+
+
+def test_rendered_pass_zero_matches_the_cli(monkeypatch, tmp_path):
+    # the harness renders its records through certificates.record_line and
+    # compares them with what toughham prints for the same graph6 files, so
+    # a formatter that drifts from the CLI shows up here as it would there
+    run = _load_harness(monkeypatch)
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    for workload, build in run.workloads.WORKLOADS.items():
+        (tmp_path / workload).mkdir()
+        groups = build(tk, run.workloads.pass_seed(7, 0))
+        outputs = run.run_pass(tk, groups, run.configs_for(tk, groups))
+        texts = run.render(tk, groups, outputs)
+        assert texts == run.cli_texts(tk, workload, groups), workload

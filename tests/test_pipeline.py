@@ -6,19 +6,20 @@ from itertools import combinations
 
 import pytest
 
-from oracles import all_graphs, blob_with_attachments, case2_instance, split_violations
+from oracles import (all_graphs, blob_with_attachments, case2_instance, plain_record_line,
+                     split_violations)
 from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
                                    RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
-                                   check_certificate, parse_record)
+                                   check_certificate, fmt_q, parse_record, record_line)
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  random_graph, random_in_class)
 from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.hamilton import CycleCert
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
-                              validate_toughness_witness)
+                              threshold, validate_toughness_witness)
 from toughham.pipeline import (Decomposition, PathCover, _case1_cut_replay, _case1_edge,
-                               _case2_cut_replay, _lift, _threshold, build_path_cover,
+                               _case2_cut_replay, _lift, build_path_cover,
                                case1_decompose, case1_finish, case2_run,
                                expected_cover_size, min_degree_gate, run_theorem)
 from toughham.recognition import InducedWitness, holds
@@ -396,7 +397,7 @@ def _case1_replay_on_the_min_cut(g, t):
         return None
     g2, map2 = g.induced(dec.g2_mask)
     kappa2, cut2 = connectivity(g2)
-    if cut2 is None or kappa2 >= _threshold(g.n, t, 2):
+    if cut2 is None or kappa2 >= threshold(g.n, t, 2):
         return None
     trace = Trace()
     return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace), trace
@@ -411,7 +412,7 @@ def _case2_replay_on_the_min_cut(g, t):
     s1 = mask_of(x for x in bits(s_mask) if (t + 1) * g.adj[x].bit_count() < n)
     g2, map2 = g.induced(g.full & ~s_mask)
     kappa2, cut2 = connectivity(g2)
-    if cut2 is None or kappa2 >= s1.bit_count() + _threshold(n, t):
+    if cut2 is None or kappa2 >= s1.bit_count() + threshold(n, t):
         return None
     trace = Trace()
     return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), RunConfig(t=t), trace), trace
@@ -602,6 +603,16 @@ def test_check_certificate_rejects_bad_cycle():
         assert not ok, reason
 
 
+def test_check_certificate_names_a_missing_closing_edge_and_a_repeat():
+    p5 = Graph.path(5)
+    assert check_certificate(p5, HamiltonCycle(CycleCert((0, 1, 2, 3, 4))), RunConfig()) == (
+        False, "edge 4-0 missing from the graph")
+    c5 = Graph.cycle(5)
+    for order in ((0, 1, 2, 3, 3), (0, 1, 2, 3, 4, 0)):
+        assert check_certificate(c5, HamiltonCycle(CycleCert(order)), RunConfig()) == (
+            False, "cycle is not a permutation of 0..4")
+
+
 def test_check_certificate_toughness_and_limit():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     cfg = RunConfig()
@@ -624,6 +635,40 @@ def test_certificate_record_round_trip():
         assert certificate_from_record(line) == cert
     name, fields, ids = parse_record("probe kappa_g2=5 need=4/1 -- 0 2 7")
     assert name == "probe" and fields["need"] == "4/1" and ids == (0, 2, 7)
+
+
+def test_record_line_formats_each_type_as_the_plain_formatter():
+    values = [0, -3, 12, True, False, Fraction(4), Fraction(0), Fraction(-3, 2),
+              Fraction(2, 3), "free", "case2.connectivity.trivial", "", None]
+    fields = [(f"f{i}", value) for i, value in enumerate(values)]
+    for ids in (None, (), (4, 0, 17), [2, 1]):
+        assert record_line("probe", fields, ids) == plain_record_line("probe", fields, ids)
+    line = record_line("probe", fields, (v for v in (3, 1)))
+    assert line == plain_record_line("probe", fields, (3, 1))
+    assert line.endswith(" f3=true f4=false f5=4/1 f6=0/1 f7=-3/2 f8=2/3 f9=free"
+                         " f10=case2.connectivity.trivial f11= f12=None -- 3 1")
+    # a bool never prints as the int it also is
+    assert record_line("gate", [("fired", True), ("regime", False)]) == (
+        "gate fired=true regime=false")
+    assert [fmt_q(x) for x in (Fraction(3, 6), Fraction(-4), 2, 0)] == ["1/2", "-4/1", "2/1",
+                                                                        "0/1"]
+
+
+def test_trace_writes_its_fields_in_sorted_order():
+    trace = Trace()
+    fields = dict(threshold=Fraction(5, 2), method="dirac", fired=True, delta=3)
+    trace.add("gate", ids=(2, 0), **fields)
+    assert trace.lines == [plain_record_line("gate", sorted(fields.items()), (2, 0))] == [
+        "gate delta=3 fired=true method=dirac threshold=5/2 -- 2 0"]
+
+
+def test_record_line_rejects_any_whitespace_in_a_value():
+    # parse_record splits on any whitespace, so such a value could not be read back
+    for text in ("a b", "a\tb", "a\nb", "end\n", "\x0bx", "a\u00a0b"):
+        with pytest.raises(ValueError, match="record field stage contains whitespace"):
+            record_line("inconclusive", [("stage", text)])
+        with pytest.raises(ValueError):
+            plain_record_line("inconclusive", [("stage", text)])
 
 
 def test_trace_mentions_thresholds_as_rationals():

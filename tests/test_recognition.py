@@ -116,8 +116,10 @@ def test_scan_agrees_on_random_and_near_free_graphs():
 
 
 def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
-    # G - N[a] is complete multipartite at every a, so the scan skips each
-    # vertex after one test instead of testing once per edge
+    # a complete multipartite G holds no p2+p1, so one test of G answers;
+    # in two disjoint cliques G - N[a] is complete multipartite at every a,
+    # so the scan skips each vertex after one test instead of testing once
+    # per edge
     calls = []
     parts = recognition._parts
     monkeypatch.setattr(recognition, "_parts",
@@ -125,7 +127,21 @@ def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
     for g in (Graph.complete_multipartite([5, 5, 5]), complete_split_join(20, 10)):
         calls.clear()
         assert find_induced(g, "2p2+p1") is None
-        assert len(calls) <= g.n + 1 < g.edge_count()
+        assert calls == [g.full]
+    two_cliques = Graph.from_edges(10, [(u, v) for u, v in combinations(range(10), 2)
+                                        if u // 5 == v // 5])
+    calls.clear()
+    assert find_induced(two_cliques, "2p2+p1") is None
+    assert len(calls) <= two_cliques.n + 1 < two_cliques.edge_count()
+
+
+def test_complete_multipartite_graphs_hold_no_forest():
+    graphs = 0
+    for g in complete_multipartite_graphs(10, seed=8):
+        graphs += 1
+        for pattern in FORESTS:
+            assert not holds(g, pattern) and find_induced(g, pattern) is None, g.adj
+    assert graphs == 138  # the partitions of n = 1..10
 
 
 def test_holds_decides_what_find_induced_finds():
