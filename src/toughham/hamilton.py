@@ -7,8 +7,8 @@ Four entry points:
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
-  of a complete multipartite graph, by largest-remaining-part interleaving
-  with an exact feasibility lookahead.
+  of a complete multipartite graph given by its parts, by
+  largest-remaining-part interleaving with an exact feasibility lookahead.
 * ``insert_vertices``: grows a cycle over pending vertices that have enough
   neighbors on it, each between two consecutive neighbors or by one
   rotation; when neither exists, an independent set of the vertex and the
@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 from .graph import Graph, GraphError, bit, bits, mask_of
 from .metrics import OracleLimitExceeded, ToughnessWitness, threshold, witness_from_independent_set
-from .recognition import multipartite_parts
 
 DEFAULT_ORACLE_CAP = 32
 
@@ -249,27 +248,20 @@ def _interleave_feasible(counts, forbid: int | None, last: int) -> bool:
     return True
 
 
-def multipartite_ham_path(g: Graph, x: int, y: int) -> PathCert | None:
-    """Hamiltonian (x,y)-path of a complete multipartite graph, or None.
+def multipartite_ham_path(parts, x: int, y: int) -> PathCert | None:
+    """Hamiltonian (x,y)-path of the complete multipartite graph with these
+    parts (vertex masks, ordered by minimum vertex), or None.
 
-    The parts come from ``multipartite_parts``.  Consecutive path
-    vertices must come from different parts, so this is a
+    Consecutive path vertices must come from different parts, so this is a
     color-interleaving problem; the builder always places a largest
     remaining part next, subject to an exact feasibility lookahead, which
     makes infeasibility detection exact as well.
     """
     if x == y:
         raise GraphError("path endpoints must differ")
-    g._check_vertex(x)
-    g._check_vertex(y)
-    parts = multipartite_parts(g)
-    if parts is None:
-        raise GraphError("graph is not complete multipartite")
-
-    part_of = {}
-    for idx, part in enumerate(parts):
-        for v in bits(part):
-            part_of[v] = idx
+    part_of = {v: i for i, part in enumerate(parts) for v in bits(part)}
+    if x not in part_of or y not in part_of:
+        raise GraphError("path endpoints must lie in the parts")
     a, b = part_of[x], part_of[y]
     counts = [p.bit_count() for p in parts]
 

@@ -237,18 +237,20 @@ def _extends(adj, prefix: list[int], above: int, edges: int, solo: int) -> bool:
     return False
 
 
-def _forest_witness(g: Graph, edges: int, solo: int) -> tuple[int, ...] | None:
-    """Smallest ascending tuple inducing `edges` disjoint edges plus `solo`
-    isolated vertices, by a greedy over positions with an exact completion
-    test; O(n*m) mask operations when there is none."""
-    adj = g.adj
-    if not _extends(adj, [], g.full, edges, solo):
+def _forest_witness(adj, x: int, edges: int, solo: int) -> tuple[int, ...] | None:
+    """Smallest ascending tuple of vertices of x inducing `edges` disjoint
+    edges plus `solo` isolated vertices, by a greedy over positions with an
+    exact completion test; O(n*m) mask operations when there is none."""
+    if not _extends(adj, [], x, edges, solo):
         return None
     prefix: list[int] = []
+    above = x
     for _ in range(2 * edges + solo):
-        for v in range(prefix[-1] + 1 if prefix else 0, g.n):
-            if _extends(adj, prefix + [v], g.full & ~((2 << v) - 1), edges, solo):
+        for v in bits(above):
+            rest = above & ~((2 << v) - 1)
+            if _extends(adj, prefix + [v], rest, edges, solo):
                 prefix.append(v)
+                above = rest
                 break
         else:
             raise AssertionError("a witness exists but no prefix of it extends")
@@ -269,7 +271,7 @@ def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
     if not holds(g, pattern):
         return None
     # the backtracker stops at its first complete tuple
-    hit = _forest_witness(g, 1, 1) if pattern == "p2+p1" else _backtrack(g)
+    hit = _forest_witness(g.adj, g.full, 1, 1) if pattern == "p2+p1" else _backtrack(g)
     return InducedWitness(hit, pattern)
 
 
@@ -289,21 +291,23 @@ def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
     return ends == 2 * edges
 
 
-def multipartite_decompose(g: Graph) -> Multipartition | InducedWitness:
-    """Complete-multipartite structure of the graph, or its lexicographically
-    smallest induced p2+p1 witness.
+def multipartite_decompose(g: Graph, x: int | None = None) -> Multipartition | InducedWitness:
+    """Complete-multipartite structure of G[x] (x defaults to every vertex),
+    or its lexicographically smallest induced p2+p1 witness, in g's ids.
 
     The parts are the non-adjacency classes, which are also the components
     of the complement.
     """
-    parts = multipartite_parts(g)
+    x = g.full if x is None else x
+    parts = multipartite_parts(g, x)
     if parts is not None:
         return Multipartition(parts)
-    return InducedWitness(_forest_witness(g, 1, 1), "p2+p1")
+    return InducedWitness(_forest_witness(g.adj, x, 1, 1), "p2+p1")
 
 
-def multipartite_parts(g: Graph) -> tuple[int, ...] | None:
-    """Parts of a complete multipartite graph, ordered by minimum vertex;
-    None for any other graph.  O(n) mask operations, no witness."""
-    parts = _parts(g.adj, g.full)
+def multipartite_parts(g: Graph, x: int | None = None) -> tuple[int, ...] | None:
+    """Parts of G[x] (x defaults to every vertex) when it is complete
+    multipartite, ordered by minimum vertex; None otherwise.  O(|x|) mask
+    operations, no witness."""
+    parts = _parts(g.adj, g.full if x is None else x)
     return tuple(parts) if parts is not None else None

@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -628,3 +629,27 @@ def test_fresh_import_generates_no_code():
     loaded, dataclasses_loaded = done.stdout.splitlines()
     assert loaded == repr([f"toughham.{m}" for m in modules])
     assert dataclasses_loaded == "False"
+
+
+# bound only so that perfbench/run.py's install_wrappers can patch them by name
+HARNESS_NAMES = {("generators", "find_induced"), ("metrics", "multipartite_decompose"),
+                 ("pipeline", "induces_pattern"), ("pipeline", "scattering")}
+
+
+def test_every_module_level_import_is_used():
+    src = Path(__file__).resolve().parents[1] / "src" / "toughham"
+    unused = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["__all__"]):
+                exported |= set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused == HARNESS_NAMES

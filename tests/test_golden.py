@@ -11,6 +11,7 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,10 @@ from toughham.certificates import RunConfig, Trace, certificate_to_record
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  random_graph, random_in_class)
 from toughham.graph import Graph
+from toughham.metrics import INF, scattering
 from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
                                case1_decompose, case1_finish, case2_run, run_theorem)
-from toughham.recognition import holds
+from toughham.recognition import Multipartition, holds
 
 
 def _theorem(cases):
@@ -126,9 +128,17 @@ def _in_class_graphs(sizes, densities, seed):
 
 def corpus_replays():
     """Pattern-free graphs through the case stages, in and below the proven
-    regime, and random graphs through the whole run: the witness replays,
-    the salvage probes and the inconclusive ends.  The stages get only
-    pattern-free graphs, as in a run, where the scan comes first."""
+    regime, and random graphs through the whole run.  The case-1 draws end
+    in witnesses of the split check and of the path cover (anchors, star),
+    the case-2 draws in one salvage or at a bridge that holds, and the
+    whole runs at the scan or the gate.  So the corpus pins those
+    witnesses, the salvage probe and the case-2 oracle route, but reaches
+    no case-1 bridge and no failed bridge.  The bridge replays are pinned by
+    ``test_bridge_computes_the_facts_of_g2_only_in_a_replay`` below, by
+    ``test_cut_replays_end_in_a_witness_or_a_named_limit`` and by
+    ``EXHAUSTIVE_DIGESTS`` (case 2 only) in ``test_pipeline.py``.  The
+    stages get only pattern-free graphs, as in a run, where the scan comes
+    first."""
     draws = _in_class_graphs(range(8, 15), (0.2, 0.3, 0.4, 0.5), 7000)
     sparse = list(itertools.islice((g for g in draws if _case1_edge(g) is not None), 100))
     for t in (Fraction(1), Fraction(11)):
@@ -251,3 +261,37 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
             assert seen["test"] == facts and seen["replay"]
             assert all(g == seen["g2"] for _, g in seen["replay"])
     assert (held, failed) == (25, 15)
+
+
+def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):
+    # every corpus, rerun under two spies with its bytes unchanged: the
+    # cover plan's s(G1), read off G1's parts, is the scattering number of
+    # G1 built as its own graph, and no stage but _bridge builds one
+    decompositions, callers = [], set()
+    real_decompose, real_induced = pipeline.multipartite_decompose, Graph.induced
+
+    def decompose(g, x):
+        got = real_decompose(g, x)
+        if isinstance(got, Multipartition):
+            decompositions.append((g, x))
+        return got
+
+    def induced(g, s):
+        caller = sys._getframe(1)
+        if caller.f_globals["__name__"].startswith("toughham"):
+            callers.add(caller.f_code.co_name)
+        return real_induced(g, s)
+
+    monkeypatch.setattr(pipeline, "multipartite_decompose", decompose)
+    monkeypatch.setattr(Graph, "induced", induced)
+    plans = []
+    for name in sorted(CORPORA):
+        lines = tuple(CORPORA[name]())
+        assert digest(lines) == GOLDEN[name]
+        plans += [line for line in lines if line.startswith("cover-plan ")]
+    assert callers == {"_bridge"}
+    assert len(plans) == len(decompositions) == 13
+    for (g, g1_mask), plan in zip(decompositions, plans):
+        s_value, _ = scattering(real_induced(g, g1_mask)[0])
+        s_text = "inf" if s_value == INF else s_value
+        assert plan == f"cover-plan g1_size={g1_mask.bit_count()} s={s_text}"

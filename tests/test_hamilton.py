@@ -12,6 +12,7 @@ from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
                                validate_cycle, validate_path)
 from toughham.metrics import (OracleLimitExceeded, ToughnessWitness,
                               validate_toughness_witness)
+from toughham.recognition import multipartite_parts
 
 
 def brute_ham_cycle(g, forced=()):
@@ -128,16 +129,17 @@ def mp_path_brute(g, x, y):
 
 def test_multipartite_ham_path_examples():
     k22 = Graph.complete_multipartite([2, 2])
-    path = multipartite_ham_path(k22, 0, 2)
+    path = multipartite_ham_path(multipartite_parts(k22), 0, 2)
     assert path is not None and validate_path(k22, path)
     assert len(path.order) == 4 and path.ends == (0, 2)
-    k2 = Graph.complete(2)
-    path = multipartite_ham_path(k2, 0, 1)
+    path = multipartite_ham_path(multipartite_parts(Graph.complete(2)), 0, 1)
     assert path.order == (0, 1)
     star = Graph.complete_multipartite([1, 3])
-    assert multipartite_ham_path(star, 1, 2) is None
-    with pytest.raises(GraphError):  # C5 has no multipartition
-        multipartite_ham_path(Graph.cycle(5), 0, 1)
+    assert multipartite_ham_path(multipartite_parts(star), 1, 2) is None
+    # the parts alone define the graph: ends must differ and lie in them
+    for x, y in [(0, 0), (0, 4), (-1, 0), (3, 7)]:
+        with pytest.raises(GraphError):
+            multipartite_ham_path(multipartite_parts(k22), x, y)
 
 
 def test_multipartite_ham_path_brute_force_agreement():
@@ -153,11 +155,12 @@ def test_multipartite_ham_path_brute_force_agreement():
     for n in range(2, 9):
         for sizes in partitions(n, n):
             g = Graph.complete_multipartite(sizes)
+            parts = multipartite_parts(g)
             for x in range(n):
                 for y in range(n):
                     if x == y:
                         continue
-                    got = multipartite_ham_path(g, x, y)
+                    got = multipartite_ham_path(parts, x, y)
                     assert (got is not None) == mp_path_brute(g, x, y), (sizes, x, y)
                     if got is not None:
                         assert validate_path(g, got)

@@ -332,6 +332,40 @@ def test_case2_with_insertion():
     assert any(line.startswith("insertion") for line in trace.lines)
 
 
+def test_case2_low_degree_set_is_independent_when_no_edge_qualifies():
+    # case2_run takes S = {x : 24·deg(x) < 5n} as independent: adjacent
+    # u, v in S have 12·|N(u) ∪ N(v)| < 5n, so _case1_edge finds an edge
+    def low_set_is_independent(g):
+        low = mask_of(x for x in range(g.n) if 24 * g.adj[x].bit_count() < 5 * g.n)
+        return all(g.adj[x] & low == 0 for x in bits(low)), low.bit_count()
+
+    def seeded():
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randrange(3, 41)
+            yield random_graph(n, rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]), rng.randrange(1 << 30))
+        for pairs in range(8, 18):
+            for low in (2, 3, 4):
+                g = case2_instance(pairs, low, 1, rng)
+                yield g
+                # the same with its two lowest-degree vertices joined
+                x, y = sorted(range(g.n), key=lambda v: g.adj[v].bit_count())[:2]
+                yield g.add_edges([(x, y)])
+
+    tallies = []
+    for graphs in ((g for n in range(7) for g in all_graphs(n)), seeded()):
+        case2 = nontrivial = 0
+        for g in graphs:
+            if _case1_edge(g) is None:
+                independent, size = low_set_is_independent(g)
+                assert independent, g.adj
+                case2 += 1
+                nontrivial += size >= 2
+        tallies.append((case2, nontrivial))
+    # (graphs with no case-1 edge, those with two low-degree vertices or more)
+    assert tallies == [(32918, 9552), (211, 52)]
+
+
 def test_case1_fuzz_soundness():
     rng = random.Random(314)
     cfg = RunConfig()

@@ -5,8 +5,9 @@ import pytest
 
 from oracles import all_graphs, complete_multipartite_graphs, random_edge_graph
 from toughham import recognition
-from toughham.generators import complete_split_join, random_in_class
+from toughham.generators import complete_split_join, random_in_class, relabel
 from toughham.graph import Graph, GraphError, bits, mask_of
+from toughham.hamilton import multipartite_ham_path
 from toughham.metrics import independence
 from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
                                   _backtrack, _forest_witness, find_induced, holds,
@@ -79,7 +80,7 @@ def assert_scan_agrees(g):
             assert _backtrack(g) == want, g.adj
         hit = find_induced(g, pattern)
         assert (hit.vertices if hit is not None else None) == want, (g.adj, pattern)
-        assert _forest_witness(g, *shape) == want, (g.adj, pattern)
+        assert _forest_witness(g.adj, g.full, *shape) == want, (g.adj, pattern)
         if pattern == "p2+p1":
             mp = multipartite_decompose(g)
             assert (mp.vertices if isinstance(mp, InducedWitness) else None) == want
@@ -165,6 +166,49 @@ def test_multipartite_parts_are_the_decomposition():
             mp = multipartite_decompose(g)
             parts = multipartite_parts(g)
             assert parts == (mp.parts if isinstance(mp, Multipartition) else None)
+
+
+def assert_masked_routes_match_the_induced_route(g, x):
+    """multipartite_parts, multipartite_decompose and multipartite_ham_path
+    inside the mask x give what they give on G[x] built as its own graph,
+    mapped back to g's ids."""
+    sub, vmap = g.induced(x)
+    parts, sub_parts = multipartite_parts(g, x), multipartite_parts(sub)
+    assert parts == (None if sub_parts is None else
+                     tuple(mask_of(vmap[i] for i in bits(p)) for p in sub_parts)), (g.adj, x)
+    got, want = multipartite_decompose(g, x), multipartite_decompose(sub)
+    if isinstance(want, Multipartition):
+        assert got == Multipartition(parts)
+    else:
+        assert got == InducedWitness(tuple(vmap[i] for i in want.vertices), "p2+p1")
+    if parts is None:
+        return 0
+    for i, j in permutations(range(sub.n), 2):
+        local = multipartite_ham_path(sub_parts, i, j)
+        path = multipartite_ham_path(parts, vmap[i], vmap[j])
+        assert (path and path.order) == (local and tuple(vmap[v] for v in local.order))
+    return sub.n * (sub.n - 1)
+
+
+def test_masked_routes_match_the_induced_route():
+    # every graph on at most five vertices, every mask
+    small = sum(assert_masked_routes_match_the_induced_route(g, x)
+                for n in range(6) for g in all_graphs(n) for x in range(1 << n))
+    # seeded graphs on 7-14 vertices: random, complete multipartite with
+    # shuffled ids (every mask of one is complete multipartite) and one pair
+    # away from that
+    seeded = 0
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randrange(7, 15)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(2, 6)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        multipartite = relabel(Graph.complete_multipartite(sizes), rng.sample(range(n), n))
+        for g in (random_edge_graph(rng, n, rng.choice([0.3, 0.6, 0.9])),
+                  multipartite, toggled(rng, multipartite)):
+            for _ in range(8):
+                seeded += assert_masked_routes_match_the_induced_route(g, rng.getrandbits(g.n))
+    assert (small, seeded) == (76310, 23090)  # endpoint pairs compared
 
 
 def test_largest_part_breaks_ties_by_smallest_minimum_vertex():
