@@ -3,7 +3,10 @@
 Every factory builds row masks, never an edge list: a random draw sets the
 upper rows pair by pair in row-major order, one ``rng.random()`` per pair,
 and ORs them with their transpose; ``relabel`` renames rows, transposes
-them and renames them again.
+them and renames them again.  The seeded dense families ``two_cliques``,
+``cobip`` and ``split`` set their cross edges in one block of rows and
+take the rest from the transpose; every draw of them is 2p2+p1-free, at
+any n up to the graph size cap.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ class GenerationError(ValueError):
     pass
 
 
+def _closed_under_transpose(n: int, rows) -> Graph:
+    """The graph whose rows are ``rows`` ORed with their transpose; each
+    edge needs its bit in one of its two rows only."""
+    return Graph._of_rows(n, [a | b for a, b in zip(rows, transpose(rows, n))])
+
+
 def _draw(n: int, p: float, rng: random.Random) -> Graph:
     """Each pair u < v in row-major order is an edge when its draw is below
     p; the upper rows are ORed with their transpose."""
@@ -32,7 +41,7 @@ def _draw(n: int, p: float, rng: random.Random) -> Graph:
             if rng.random() < p:
                 row |= 1 << v
         upper[u] = row
-    return Graph._of_rows(n, [a | b for a, b in zip(upper, transpose(upper, n))])
+    return _closed_under_transpose(n, upper)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -53,6 +62,42 @@ def random_in_class(n: int, p: float, seed: int) -> Graph:
             return g
     raise GenerationError(
         f"no pattern-free sample within {REJECTION_CAP} tries at n={n}, p={p}")
+
+
+def _cliques_joined(a: int, b: int, cross) -> Graph:
+    """K_a on 0..a-1 and K_b on a..a+b-1, with ``cross[u]`` the mask, over
+    0..b-1, of the neighbours of u < a in K_b.  The complement is
+    bipartite, hence triangle-free, while the complement of 2p2+p1 has a
+    triangle, so the graph is in the class."""
+    ka, kb = (1 << a) - 1, ((1 << b) - 1) << a
+    rows = [ka & ~(1 << u) | row << a for u, row in enumerate(cross)]
+    return _closed_under_transpose(a + b, rows + [kb & ~(1 << v) for v in range(a, a + b)])
+
+
+def two_cliques(a: int, b: int, d: int, seed: int) -> Graph:
+    """K_a and K_b, each vertex of K_a joined to d vertices of K_b, one
+    ``rng.sample`` per vertex in order."""
+    rng = random.Random(seed)
+    return _cliques_joined(a, b, [sum(1 << w for w in rng.sample(range(b), d))
+                                  for _ in range(a)])
+
+
+def cobip(a: int, b: int, p: float, seed: int) -> Graph:
+    """K_a and K_b, each cross pair, in row-major order, an edge when its
+    draw is below p; alpha <= 2."""
+    rng = random.Random(seed)
+    return _cliques_joined(a, b, [sum(1 << w for w in range(b) if rng.random() < p)
+                                  for _ in range(a)])
+
+
+def split(b: int, a: int, d: int, seed: int) -> Graph:
+    """K_b on 0..b-1 and an independent set on b..b+a-1, each of its
+    vertices joined to d vertices of K_b, one ``rng.sample`` per vertex in
+    order.  A split graph induces no 2K2, so every draw is in the class."""
+    rng = random.Random(seed)
+    rows = [(1 << b) - 1 & ~(1 << v) for v in range(b)]
+    rows += [sum(1 << w for w in rng.sample(range(b), d)) for _ in range(a)]
+    return _closed_under_transpose(b + a, rows)
 
 
 def case1_synthetic(g1_parts, s2: int, d2_parts, seed: int = 0) -> Graph:

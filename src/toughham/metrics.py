@@ -27,13 +27,16 @@ in A.  So the sweep grows each connected A from each r <= k by extension
 sets and completes N(A), plus the vertices below r, to S with the other
 vertices in every way that leaves one of them out; each cutset comes from
 its own r and A once.  A branch stops growing A when a larger A would
-leave fewer than need(k) components, when more than k boundary vertices
-can no longer join A, or when A and its boundary cover the graph; no
-cutset that leaves need(k) components or more is skipped.  Toughness and
-scattering share one sweep that keeps both incumbents and needs the fewer
-components that improve either; ``verify_tough`` runs its own and needs
-those of a violator.  Within a size both prefer the most components, and
-each witness is the first optimal cutset in (size, lexicographic) order.
+leave fewer than need(k) components, when |B| + |A| + need(k) > n + 1 for
+B = N(A) plus the vertices below r (each step takes at most one vertex off
+B, and a cutset needs |B| <= k), when more than k vertices of B can no
+longer join A (a counter, one step per vertex), or when A and B cover the
+graph; no cutset that leaves need(k) components or more is skipped.
+Toughness and scattering share one sweep that keeps both incumbents and
+needs the fewer components that improve either; ``verify_tough`` runs its
+own and needs those of a violator.  Within a size both prefer the most
+components, and each witness is the first optimal cutset in (size,
+lexicographic) order.
 
 The shared sweep, kappa's pair flows, the closed forms of ``_closed`` and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
@@ -43,14 +46,17 @@ constants, and exceptions are never cached.
 
 Vertex connectivity runs unit max flows on the vertex-split digraph, whose
 residual graph is held as one int mask per node: a pair's flow starts from
-its paths through common neighbours, augmenting paths come from a BFS over
-masks, and augmenting flips bits.  Even's bound limits the flows to pairs
-whose smaller vertex is among the first kappa + 1, and a pair stops once
-its flow reaches the best cut so far.  None of this changes the cut that is
-returned: each pair's cut is the one nearest to its smaller vertex, which
-every maximum flow determines alike, and the pair that supplies the answer
-is still the first pair, in lexicographic order, whose cut has kappa
-vertices (see ``connectivity``).
+its paths through common neighbours and then from disjoint paths
+s - x - y - t taken greedily, both counted on the masks first, so a pair
+they already bring to its limit copies no residual; augmenting paths come
+from a BFS over masks, and augmenting flips bits.  On a dense graph the
+two families carry nearly all of each pair's flow.  Even's bound limits
+the flows to pairs whose smaller vertex is among the first kappa + 1, and
+a pair stops once its flow reaches the best cut so far.  None of this
+changes the cut that is returned: each pair's cut is the one nearest to
+its smaller vertex, which every maximum flow determines alike, and the
+pair that supplies the answer is still the first pair, in lexicographic
+order, whose cut has kappa vertices (see ``connectivity``).
 """
 
 from __future__ import annotations
@@ -141,33 +147,47 @@ def _cutsets(g: Graph, need):
       - |A| + need(k) > n - k: a cutset of size k with a larger A leaves
         at most n - k - |A| components besides A, fewer than need(k) (with
         need(k) = 2, no second component);
+      - |base| + |A| + need(k) > n + 1: ext lies in base, so each vertex
+        added to A takes at most one vertex off the boundary, and a base
+        of at most k needs |base| - k more vertices in A than it has,
+        which would leave fewer than need(k) components.  A step that
+        would make such a child with a base of more than k is not taken,
+        since that child neither yields nor grows;
       - the boundary vertices its branch can no longer add to A, those of
-        base outside ext, number more than k: they stay in every base;
-      - |base| - k > n - k - 1 - |A|, that is, no vertex is free: each
-        vertex added to A takes at most one vertex off the boundary, and
-        the branch can add at most n - k - 1 - |A| of them.
+        base outside ext, number more than k: they stay in every base.
+        Each step of the branch moves one vertex of ext there, so they
+        are counted once per A and then one by one;
+      - |base| - k > n - k - 1 - |A|, that is, no vertex is free: the
+        branch can add at most n - k - 1 - |A| vertices to A.
     The last is tested on each A before it is grown.  So no cutset with
     c(G - S) >= need(k) is skipped: its A has |A| <= n - k + 1 - need(k)."""
     n, adj = g.n, g.adj
     kappa, _ = _pair_flows(g)
     alpha, _ = independence(g)
 
-    def grow(a, size, ext, base, free):
-        # a: the component A; ext: the vertices its branch may add next;
+    def grow(size, ext, base, free):
+        # size: |A|; ext: the vertices its branch may add next, all in base;
         # base: N(A) and the vertices below r; free: the rest, never empty
         rest = k - base.bit_count()
         if rest >= 0:
             for t in map(sum, combinations([1 << v for v in bits(free)], rest)):
                 s = base | t
                 found.append((s, g.component_count(s)))
-        if size + least > n - k:
+        # a step whose w has more than spare exclusive neighbours makes a
+        # child with |base| + |A| + need(k) > n + 1 and, as size + least
+        # <= n - k past the test below, more than k vertices in base: it
+        # neither yields nor grows, so the step is not taken
+        spare = n + 1 - size - least - (k - rest)
+        if spare < 0 or size + least > n - k:
             return
-        while ext and (base & ~ext).bit_count() <= k:
+        fixed = (base & ~ext).bit_count()  # boundary this branch can no longer add
+        while ext and fixed <= k:
             w = ext & -ext
             ext ^= w
+            fixed += 1
             gain = adj[w.bit_length() - 1] & free  # w's exclusive neighbours
-            if free != gain:
-                grow(a | w, size + 1, ext | gain, base ^ w | gain, free ^ gain)
+            if free != gain and gain.bit_count() <= spare:
+                grow(size + 1, ext | gain, base ^ w | gain, free ^ gain)
 
     for k in range(kappa, n - 1):
         least = max(need(k), 2)  # a cutset leaves two components or more
@@ -178,7 +198,7 @@ def _cutsets(g: Graph, need):
             base = adj[r] | (1 << r) - 1
             free = g.full & ~base & ~(1 << r)
             if free:
-                grow(1 << r, 1, adj[r] >> r << r, base, free)
+                grow(1, adj[r] >> r << r, base, free)
         yield k, found
 
 
@@ -301,24 +321,41 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
     """Mask of the minimum vertex cut separating non-adjacent s and t that
     lies nearest to s, or None once ``limit`` disjoint s-t paths are found.
 
-    ``base`` is ``_split_residual`` of the graph.  The flow starts with one
-    unit on each path s - w - t through a common neighbour w; these paths
-    are disjoint.  Augmenting paths come from a BFS over residual masks, and
-    augmenting flips bits: a unit arc (vertex arcs, and reversed edge arcs)
-    moves to the other direction, while an uncapacitated edge arc stays and
-    gains its reverse.  Each vertex carries at most one unit, so one bit per
-    direction holds the whole residual.  The cut is the set of vertices
-    whose in-node is reachable from s in the final residual graph and whose
-    out-node is not; that set is the same for every maximum flow, whatever
-    flow it started from and whatever order the augmentations take.
+    ``base`` is ``_split_residual`` of the graph.  The flow starts from two
+    families of disjoint paths: s - w - t through each common neighbour w,
+    then s - x - y - t taken greedily, lowest x first and for it the lowest
+    unused y, with x a neighbour of s only, y one of t only and x ~ y.
+    Both are counted on the masks, so a pair they already bring to
+    ``limit`` returns None before any residual is written.  Augmenting
+    paths come from a BFS over residual masks, and augmenting flips bits: a
+    unit arc (vertex arcs, and reversed edge arcs) moves to the other
+    direction, while an uncapacitated edge arc stays and gains its reverse.
+    Each vertex carries at most one unit, so one bit per direction holds the
+    whole residual.  The cut is the set of vertices whose in-node is
+    reachable from s in the final residual graph and whose out-node is not;
+    that set is the same for every maximum flow, whatever flow it started
+    from and whatever order the augmentations take.
     """
-    res = base[:]
     source, sink = 2 * s + 1, 2 * t
     sink_bit = 1 << sink
-    common = base[source] & base[sink + 1]  # in-nodes of common neighbours
+    near, far = base[source], base[sink + 1]  # in-nodes of N(s) and of N(t)
+    common = near & far
     flow = common.bit_count()
+    free, hops = far & ~near, []
+    xs = near & ~far
+    while xs and flow < limit:
+        low = xs & -xs
+        x_in = low.bit_length() - 1
+        ys = base[x_in + 1] & free
+        if ys:
+            y = ys & -ys
+            free ^= y
+            hops.append((x_in, y.bit_length() - 1))
+            flow += 1
+        xs ^= low
     if flow >= limit:
         return None
+    res = base[:]
     res[sink] |= common << 1
     while common:
         low = common & -common
@@ -326,6 +363,12 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
         res[w_in] = 1 << source
         res[w_in + 1] |= low
         common ^= low
+    for x_in, y_in in hops:  # s_out -> x_in -> x_out -> y_in -> y_out -> t_in
+        res[x_in] = 1 << source
+        res[x_in + 1] |= 1 << x_in
+        res[y_in] = 1 << (x_in + 1)
+        res[y_in + 1] |= 1 << y_in
+        res[sink] |= 1 << (y_in + 1)
     while True:
         layers = []
         seen = frontier = 1 << source
@@ -373,9 +416,11 @@ def _pair_flows(g: Graph):
     kappa vertices, so some i <= kappa lies outside it, and i with a vertex
     of another component of G - C is a pair with smaller vertex at most i
     whose cut has kappa vertices.  A pair stops augmenting once its flow
-    reaches the best cut size, since it can then no longer beat it.  The
-    best cut is replaced only on a strict improvement, so the cut returned
-    is the one a loop over every non-adjacent pair would return.
+    reaches the best cut size, since it can then no longer beat it, and
+    does not start when its common-neighbour and greedy s - x - y - t paths
+    already reach it (see ``_min_vertex_cut_pair``).  The best cut is
+    replaced only on a strict improvement, so the cut returned is the one a
+    loop over every non-adjacent pair would return.
     """
     n = g.n
     base = _split_residual(g)

@@ -7,6 +7,7 @@ a test that runs a stage and then an oracle checks the stage.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from toughham.graph import Graph, bit, bits
@@ -128,6 +129,66 @@ def cutsets_by_brute_force(g, k: int) -> list[tuple[int, int]]:
         if c >= 2:
             pairs.append((s, c))
     return pairs
+
+
+@lru_cache(maxsize=1)
+def _split_digraph(g):
+    """(capacities, arcs) of g's vertex-split digraph: node 2v is v_in and
+    2v+1 is v_out, v_in -> v_out has capacity one and v_out -> w_in, for
+    every edge vw, capacity n, which no flow fills; capacities form a node
+    by node matrix, and each node lists its arcs both ways."""
+    m = 2 * g.n
+    cap = [[0] * m for _ in range(m)]
+    arcs = [[] for _ in range(m)]
+
+    def arc(x, y, c):
+        cap[x][y] = c
+        arcs[x].append(y)
+        arcs[y].append(x)
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges():
+        arc(2 * u + 1, 2 * v, g.n)
+        arc(2 * v + 1, 2 * u, g.n)
+    return cap, arcs
+
+
+def reference_pair_cut(g, s: int, t: int, limit: int) -> int | None:
+    """The minimum vertex cut between non-adjacent s and t nearest to s, or
+    None once ``limit`` disjoint s-t paths are found, by unit augmentations
+    from the zero flow on the explicit ``_split_digraph``: augmenting paths
+    come from a plain BFS over the residual capacities, and the cut is
+    every vertex whose in-node the final BFS reaches and whose out-node it
+    does not."""
+    template, arcs = _split_digraph(g)
+    m = len(arcs)
+    cap = [row[:] for row in template]
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        if flow >= limit:
+            return None
+        parent = [-1] * m
+        parent[source] = source
+        queue = [source]
+        for x in queue:
+            for y in arcs[x]:
+                if parent[y] < 0 and cap[x][y] > 0:
+                    parent[y] = x
+                    queue.append(y)
+            if parent[sink] >= 0:
+                break
+        if parent[sink] < 0:
+            break
+        flow += 1
+        y = sink
+        while y != source:
+            x = parent[y]
+            cap[x][y] -= 1
+            cap[y][x] += 1
+            y = x
+    return sum(bit(v) for v in range(g.n) if parent[2 * v] >= 0 and parent[2 * v + 1] < 0)
 
 
 def split_violations(g, uv, dec) -> list[str]:

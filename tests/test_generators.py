@@ -5,11 +5,11 @@ import pytest
 
 from toughham import generators, recognition
 from oracles import all_graphs
-from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
-                                 random_graph, random_in_class, relabel)
+from toughham.generators import (GenerationError, case1_synthetic, cobip, complete_split_join,
+                                 random_graph, random_in_class, relabel, split, two_cliques)
 from toughham.graph import Graph, bit, mask_of
 from toughham.graph6 import write_graph6
-from toughham.recognition import find_induced
+from toughham.recognition import find_induced, holds
 
 
 def test_complete_split_join_shape():
@@ -97,6 +97,46 @@ def test_case1_synthetic_validation():
         case1_synthetic([2, 1], 6, [3])  # disconnected far block
     with pytest.raises(GenerationError):
         case1_synthetic([5, 5], 6, [2, 2])  # union neighborhood too big
+
+
+def _family_draws():
+    """(name, shape, graph): the three dense families over a grid of shapes,
+    densities and seeds."""
+    for seed in range(4):
+        for a, b in ((1, 1), (2, 5), (6, 9), (12, 20), (25, 40)):
+            for d in sorted({0, 1, b // 2, b}):
+                yield "two_cliques", (a, b, d), two_cliques(a, b, d, seed)
+                yield "split", (b, a, d), split(b, a, d, seed)
+            for p in (0.0, 0.1, 0.5, 1.0):
+                yield "cobip", (a, b, p), cobip(a, b, p, seed)
+
+
+def test_dense_families_have_their_shape_and_are_pattern_free():
+    # two cliques on 0..a-1 and a..a+b-1 (split: a clique on 0..b-1 and an
+    # independent set after it); each vertex of K_a (of the independent
+    # set) has exactly d neighbours across; every draw is 2p2+p1-free
+    for name, shape, g in _family_draws():
+        first = shape[0]
+        low, high = (1 << first) - 1, g.full & ~((1 << first) - 1)
+        assert g.n == shape[0] + shape[1]
+        assert all(g.adj[v] & low == low & ~bit(v) for v in range(first)), (name, shape)
+        if name == "split":
+            assert all(g.adj[v] & high == 0 for v in range(first, g.n)), shape
+        else:
+            assert all(g.adj[v] & high == high & ~bit(v) for v in range(first, g.n)), shape
+        if name != "cobip":
+            side = range(first) if name == "two_cliques" else range(first, g.n)
+            other = high if name == "two_cliques" else low
+            assert all((g.adj[v] & other).bit_count() == shape[2] for v in side), (name, shape)
+        assert not holds(g, "2p2+p1"), (name, shape)
+
+
+def test_dense_families_are_seeded():
+    assert two_cliques(6, 9, 4, 1) == two_cliques(6, 9, 4, 1) != two_cliques(6, 9, 4, 2)
+    assert split(9, 6, 4, 1) == split(9, 6, 4, 1) != split(9, 6, 4, 2)
+    assert cobip(6, 9, 0.5, 1) == cobip(6, 9, 0.5, 1) != cobip(6, 9, 0.5, 2)
+    assert cobip(6, 9, 0.0, 1).edge_count() == 15 + 36
+    assert cobip(6, 9, 1.0, 1).is_complete()
 
 
 def test_case1_synthetic_relabeling_seed():

@@ -4,7 +4,8 @@ import pytest
 
 from oracles import all_graphs
 from toughham import generators
-from toughham.generators import GenerationError, random_graph, random_in_class, relabel
+from toughham.generators import (GenerationError, cobip, random_graph, random_in_class, relabel,
+                                 split, two_cliques)
 from toughham.graph import (Graph, GraphError, bit, bits, mask_of, reach,
                             transpose)
 from toughham.graph6 import parse_graph6, write_graph6
@@ -199,6 +200,18 @@ def test_unchecked_builders_agree_with_checking_constructor(monkeypatch):
             except GenerationError:
                 continue
             assert agrees_with_checking_constructor(h), (n, p)
+    for a in range(5):
+        for b in range(1, 6):
+            for seed in range(3):
+                for d in range(b + 1):
+                    assert agrees_with_checking_constructor(two_cliques(a, b, d, seed))
+                    assert agrees_with_checking_constructor(split(b, a, d, seed))
+                for p in (0.0, 0.5, 1.0):
+                    assert agrees_with_checking_constructor(cobip(a, b, p, seed))
+    for shape in ((30, 80, 24), (23, 277, 2), (60, 200, 40)):
+        assert agrees_with_checking_constructor(two_cliques(*shape, 1))
+    assert agrees_with_checking_constructor(split(290, 10, 24, 1))
+    assert agrees_with_checking_constructor(cobip(120, 150, 0.1, 1))
 
 
 def naive_components(n, edges, removed):

@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from oracles import (all_graphs, complete_multipartite_graphs, cutsets_by_brute_force,
-                     naive_components, random_edge_graph)
+                     naive_components, random_edge_graph, reference_pair_cut)
 from toughham import metrics
+from toughham.generators import two_cliques
 from toughham.graph import Graph, bits
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
@@ -230,6 +231,20 @@ def test_connectivity_cuts_are_pinned():
         "902b0bef20bac178f84b9ce71b3d5660c35e2da0a37d591277e475e56559eb82")
 
 
+def test_dense_family_cuts_are_pinned():
+    # dense graphs with high kappa, where the greedy s-x-y-t paths carry most
+    # of each pair's flow; the digests were taken from the flow that started
+    # from the common-neighbour paths alone
+    for g, kappa, digest in (
+            (two_cliques(30, 80, 24, 1), 53,
+             "4b0d91d3060df62ef1e4a250f21de99b3dde490af52dbd3844eec0f317c4984d"),
+            (two_cliques(23, 277, 2, 1), 24,
+             "fb0799ff49cd54a1c254f21d90c3f2024606b915fc22a617317c0e37599b03f8")):
+        got = connectivity(g)
+        assert got[0] == kappa
+        assert hashlib.sha256(f"{got}".encode()).hexdigest() == digest, g.n
+
+
 def test_connectivity_flows_start_only_below_kappa(monkeypatch):
     # Even's bound: pairs whose smaller vertex is past kappa are never solved
     from toughham import metrics
@@ -240,6 +255,50 @@ def test_connectivity_flows_start_only_below_kappa(monkeypatch):
                         lambda base, s, t, limit: starts.append(s) or real(base, s, t, limit))
     assert connectivity(Graph.cycle(12)) == (2, 0b100000000010)
     assert starts and max(starts) <= 2
+
+
+def _pair_corpus():
+    """Every graph on n <= 6, then 500 seeded random graphs on n <= 40 with
+    p from 0.1 to 0.95, one in ten of them on more than 20 vertices."""
+    for n in range(7):
+        yield from all_graphs(n)
+    rng = random.Random(2626)
+    for i in range(500):
+        n = rng.randrange(21, 41) if i % 10 == 0 else rng.randrange(2, 21)
+        yield random_edge_graph(rng, n, rng.uniform(0.1, 0.95))
+
+
+def test_pair_flow_matches_reference():
+    # the pair flow starts from the common-neighbour paths and the greedy
+    # s-x-y-t paths; the reference starts from the zero flow.  The cut
+    # nearest to s is the same for every maximum flow, and a limit only
+    # says whether the flow reaches it, so the reference runs once per pair
+    # without a limit and every limit is read off its cut (Menger: the max
+    # flow is the cut's size)
+    for g in _pair_corpus():
+        kappa = connectivity(g)[0]
+        base = metrics._split_residual(g)
+        for s in range(g.n):
+            for t in bits(g.full & ~g.adj[s] & ~((2 << s) - 1)):
+                cut = reference_pair_cut(g, s, t, g.n + 1)
+                for limit in {1, 2, kappa, kappa + 1, g.n + 1}:
+                    want = None if cut.bit_count() >= limit else cut
+                    got = metrics._min_vertex_cut_pair(base, s, t, limit)
+                    assert got == want, (g.adj, s, t, limit)
+
+
+def test_reference_pair_cut_stops_at_its_limit():
+    # the reference's own limit against its unlimited cut
+    rng = random.Random(2727)
+    for _ in range(60):
+        g = random_edge_graph(rng, rng.randrange(2, 13), rng.uniform(0.2, 0.9))
+        for s in range(g.n):
+            for t in bits(g.full & ~g.adj[s] & ~((2 << s) - 1)):
+                cut = reference_pair_cut(g, s, t, g.n + 1)
+                assert not any(part >> s & part >> t & 1 for part in g.components(cut))
+                for limit in range(g.n + 1):
+                    want = None if cut.bit_count() >= limit else cut
+                    assert reference_pair_cut(g, s, t, limit) == want, (g.adj, s, t, limit)
 
 
 def _witness_corpus():
@@ -327,6 +386,30 @@ def test_cutset_sweep_visits_each_cutset_once():
             for k in range(top + 1):
                 cuts = swept.get(k, [])
                 assert sorted(cuts) == sorted(cutsets_by_brute_force(g, k)), (g.adj, k, low)
+
+
+def test_sweep_keeps_every_cutset_a_rising_need_asks_for():
+    # a branch stops growing A once |base| + |A| + need(k) > n + 1: each
+    # step takes at most one vertex off the boundary, and a cutset leaving
+    # need(k) components has |A| <= n - k + 1 - need(k).  Under need
+    # schedules that rise with k, every cutset that leaves need(k)
+    # components or more is still yielded, each once, and nothing else but
+    # cutsets; some with fewer components are skipped
+    skipped = 0
+    for g, top in _separator_corpus():
+        if g.is_complete():
+            continue
+        brute = [cutsets_by_brute_force(g, k) for k in range(top + 1)]
+        for schedule in (lambda k: 2 + k // 3, lambda k: 3):
+            need = lambda k: schedule(k) if k <= top else INF  # noqa: E731
+            swept = dict(metrics._cutsets(g, need))
+            for k in range(top + 1):
+                cuts = swept.get(k, [])
+                assert len(set(cuts)) == len(cuts) and set(cuts) <= set(brute[k]), (g.adj, k)
+                wanted = {cut for cut in brute[k] if cut[1] >= schedule(k)}
+                assert wanted <= set(cuts), (g.adj, k)
+                skipped += len(brute[k]) - len(cuts)
+    assert skipped > 0
 
 
 def test_sweep_bounds_agree_with_brute_force(monkeypatch):
