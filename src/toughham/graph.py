@@ -17,9 +17,9 @@ and swaps the row and column index bits in log2(w) word-parallel delta
 swaps; the (shift, mask) table of each of the ten strides up to
 ``MAX_VERTICES`` is built on first use.
 
-The constructor checks every row.  The builders above, whose rows are
-symmetric and loop-free by construction, store them through
-``Graph._of_rows`` instead, which checks nothing.
+The constructor checks every row.  The builders above and ``add_edges``,
+whose rows are symmetric and loop-free by construction, store them
+through ``Graph._of_rows`` instead, which checks nothing.
 """
 
 from __future__ import annotations
@@ -262,8 +262,7 @@ class Graph:
         return comps
 
     def component_count(self, removed: int = 0) -> int:
-        """c(G - removed); unchecked, as it runs once per enumerated cutset
-        and once per oracle node."""
+        """c(G - removed); unchecked, as it runs once per enumerated cutset."""
         remaining = self.full & ~removed
         count = 0
         while remaining:
@@ -284,6 +283,7 @@ class Graph:
         return Graph._of_rows(len(vmap), [cols[v] for v in vmap]), vmap
 
     def add_edges(self, edges) -> "Graph":
+        """g plus the edges, OR-ed both ways into valid rows: still symmetric."""
         rows = list(self.adj)
         for u, v in edges:
             self._check_vertex(u)
@@ -292,4 +292,4 @@ class Graph:
                 raise GraphError(f"loop edge at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(self.n, rows)
+        return Graph._of_rows(self.n, rows)

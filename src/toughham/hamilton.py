@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, bit, bits, mask_of
+from .graph import Graph, GraphError, bit, bits, mask_of, reach
 from .metrics import OracleLimitExceeded, ToughnessWitness, threshold, witness_from_independent_set
 
 DEFAULT_ORACLE_CAP = 32
@@ -48,10 +48,10 @@ def validate_cycle(g: Graph, cert: CycleCert) -> bool:
     for v in order:
         if not 0 <= v < g.n:
             return False
-        m |= bit(v)
+        m |= 1 << v
     if m != g.full:
         return False
-    return all(g.has_edge(order[i], order[(i + 1) % len(order)]) for i in range(len(order)))
+    return all(g.adj[u] >> v & 1 for u, v in zip(order, order[1:] + order[:1]))
 
 
 def validate_path(g: Graph, cert: PathCert) -> bool:
@@ -82,11 +82,12 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
     vertex whose forced partner is not yet consumed admits only that
     partner as successor.  Successors are tried fewest-options-first
     (remaining degree, then id), which keeps high-degree hub vertices in
-    reserve as separators.  Prunes: remaining vertices plus both endpoints
-    must stay connected, every remaining vertex must keep two usable
-    neighbors, at most one remaining vertex may depend exclusively on the
-    endpoints, and no independent-twin class may outgrow the interior
-    positions left for it.
+    reserve as separators.  Prunes, each necessary for the path to close
+    into a Hamilton cycle, so the first cycle in this order is returned:
+    every remaining vertex must keep two usable neighbors, at most one
+    remaining vertex may depend exclusively on the endpoints, no
+    independent-twin class may outgrow the interior positions left for
+    it, and remaining vertices plus both endpoints must stay connected.
     """
     n = g.n
     if n > cap:
@@ -95,71 +96,61 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
     if n < 3:
         return None
     adj = g.adj
-    full = g.full
     path = [0]
-    visited = 1
 
     # identical adjacency rows are automatically pairwise non-adjacent;
     # such a class needs a separator between any two of its members
     row_groups: dict[int, int] = {}
     for v in range(n):
-        row_groups[adj[v]] = row_groups.get(adj[v], 0) | bit(v)
+        row_groups[adj[v]] = row_groups.get(adj[v], 0) | 1 << v
     twin_classes = [m for m in row_groups.values() if m.bit_count() >= 2]
 
     def feasible(last: int, rest: int) -> bool:
-        blob = rest | bit(last) | 1
-        if g.component_count(full & ~blob) != 1:
+        one = two = 0  # vertices with at least one / two neighbours so far
+        left = rest
+        while left:
+            row = adj[(left & -left).bit_length() - 1]
+            two |= one & row
+            one |= row
+            left &= left - 1
+        lonely = rest & ~one
+        two |= one & (adj[last] | adj[0]) | adj[last] & adj[0]  # then the two ends
+        if rest & ~two:
             return False
-        lonely = 0
-        for v in bits(rest):
-            inside = adj[v] & blob
-            if inside.bit_count() < 2:
-                return False
-            if inside & rest == 0:
-                lonely += 1
         # a vertex adjacent only to both endpoints must be the last one placed
-        if lonely > (1 if rest.bit_count() == 1 else 0):
+        if lonely and rest & (rest - 1):
             return False
-        interior = rest.bit_count()
-        limit = (interior + 1) // 2
+        limit = (rest.bit_count() + 1) // 2
         for cls in twin_classes:
             if (cls & rest).bit_count() > limit:
                 return False
-        return True
+        blob = rest | 1 << last | 1
+        return reach(adj, 1, blob) == blob
 
-    def step() -> bool:
-        nonlocal visited
+    def step(free: int) -> bool:
+        """Extend the path over ``free``, the vertices not on it yet."""
         last = path[-1]
-        if len(path) == n:
-            p = partner.get(last)
-            return bool(adj[last] & 1) and (p is None or p == path[-2])
         p = partner.get(last)
+        if not free:
+            return bool(adj[last] & 1) and (p is None or p == path[-2])
+        candidates = adj[last] & free
         if p is not None and (len(path) < 2 or p != path[-2]):
-            candidates = adj[last] & ~visited & bit(p)
-        else:
-            candidates = adj[last] & ~visited
-        order = sorted(bits(candidates),
-                       key=lambda v: ((adj[v] & ~visited).bit_count(), v))
-        for v in order:
+            candidates &= 1 << p
+        for _, v in sorted([((adj[v] & free).bit_count(), v) for v in bits(candidates)]):
             path.append(v)
-            visited |= bit(v)
-            rest = full & ~visited
-            if (rest == 0 or feasible(v, rest)) and step():
+            rest = free & ~(1 << v)
+            if (rest == 0 or feasible(v, rest)) and step(rest):
                 return True
             path.pop()
-            visited &= ~bit(v)
         return False
 
+    free = g.full & ~1
     p0 = partner.get(0)
     if p0 is not None:
         # WLOG the forced edge at vertex 0 is traversed first (cycle reversal)
         path.append(p0)
-        visited |= bit(p0)
-        if not step():
-            return None
-    elif not step():
-        return None
-    return CycleCert(tuple(path))
+        free &= ~(1 << p0)
+    return CycleCert(tuple(path)) if step(free) else None
 
 
 def dirac_cycle(g: Graph) -> CycleCert:

@@ -331,10 +331,15 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
     unit arc (vertex arcs, and reversed edge arcs) moves to the other
     direction, while an uncapacitated edge arc stays and gains its reverse.
     Each vertex carries at most one unit, so one bit per direction holds the
-    whole residual.  The cut is the set of vertices whose in-node is
-    reachable from s in the final residual graph and whose out-node is not;
-    that set is the same for every maximum flow, whatever flow it started
-    from and whatever order the augmentations take.
+    whole residual.  The starting paths write only the arcs a BFS can use:
+    the in-node of a neighbour of s is always reached straight from s_out,
+    whose edge arcs stay, so its reverse vertex arc is never needed; the
+    out-node of a neighbour of t that sends its unit to t has no residual
+    arc into it but from the sink; and the BFS never expands the sink.  The
+    cut is the set of vertices whose in-node is reachable from s in the
+    final residual graph and whose out-node is not; that set is the same for
+    every maximum flow, whatever flow it started from and whatever order the
+    augmentations take.
     """
     source, sink = 2 * s + 1, 2 * t
     sink_bit = 1 << sink
@@ -356,19 +361,13 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
     if flow >= limit:
         return None
     res = base[:]
-    res[sink] |= common << 1
     while common:
         low = common & -common
-        w_in = low.bit_length() - 1
-        res[w_in] = 1 << source
-        res[w_in + 1] |= low
+        res[low.bit_length() - 1] = 1 << source
         common ^= low
     for x_in, y_in in hops:  # s_out -> x_in -> x_out -> y_in -> y_out -> t_in
         res[x_in] = 1 << source
-        res[x_in + 1] |= 1 << x_in
         res[y_in] = 1 << (x_in + 1)
-        res[y_in + 1] |= 1 << y_in
-        res[sink] |= 1 << (y_in + 1)
     while True:
         layers = []
         seen = frontier = 1 << source

@@ -16,19 +16,21 @@ costs O(n*m) mask operations.  Every such X lies inside G - N[a], and a
 superset of a set holding ``p2+p1`` holds it too, so the scan skips a
 after one test when G - N[a] is complete multipartite (one test per
 vertex when every G - N[a] is), and ``holds`` first tests G itself: a
-complete multipartite graph costs that one O(n) test.  The ``p2+p1`` witness is built greedily: each
-position takes the smallest vertex above the previous one for which an
-exact completion test (a role for every chosen vertex, then the missing
-edges, partners and isolated vertex inside masks) still finds a witness, at
-most n completion tests per position.  The same greedy finds ``2p2+p1``
-witnesses and is tested on them, but ``find_induced`` still takes those
-from a backtracker over ascending 5-tuples once the bitset test has found
-that one exists (routing them through the greedy is open work, ROADMAP
-item 8).  Rejection sampling only asks whether the forest is there, through
-``holds``, so it runs no witness search.  Checking a claimed witness needs
-no search at all: the ids must be distinct and of the forest's size, and
-each must see at most one of the others, with twice the edge count of such
-incidences in all.
+complete multipartite graph costs that one O(n) test, which also decides
+``p2+p1``.  The ``2p2+p1`` scan runs on one vertex of each distinct row
+(see ``holds``), so the blow-ups of the case split pay once per row.  The
+``p2+p1`` witness is built greedily: each position takes the smallest
+vertex above the previous one for which an exact completion test (a role
+for every chosen vertex, then the missing edges, partners and isolated
+vertex inside masks) still finds a witness, at most n completion tests per
+position.  The same greedy finds ``2p2+p1`` witnesses and is tested on
+them, but ``find_induced`` still takes those from a backtracker over
+ascending 5-tuples once the bitset test has found that one exists (routing
+them through the greedy is open work, ROADMAP item 8).  Rejection sampling
+only asks whether the forest is there, through ``holds``, so it runs no
+witness search.  Checking a claimed witness needs no search at all: the ids
+must be distinct and of the forest's size, and each must see at most one of
+the others, with twice the edge count of such incidences in all.
 """
 
 from __future__ import annotations
@@ -258,12 +260,21 @@ def _forest_witness(adj, x: int, edges: int, solo: int) -> tuple[int, ...] | Non
 
 
 def holds(g: Graph, pattern: str) -> bool:
-    """Does g induce the named forest?  O(n*m) mask operations, no witness."""
+    """Does g induce the named forest?  O(n*m) mask operations, no witness.
+
+    The scan runs on ``keep``, the lowest vertex of each distinct row: no
+    two vertices of a named forest have equal neighbourhoods inside it, so
+    moving each vertex of an induced copy to the representative of its row
+    is injective and keeps every adjacency, and G[keep] is induced in G.
+    """
     edges, solo = _forest(pattern)
     # each named forest holds p2+p1, which a complete multipartite G does not
     if 2 * edges + solo > g.n or _parts(g.adj, g.full) is not None:
         return False
-    return _holds(g.adj, g.full, edges, solo)
+    if edges == 1:  # the test above decides p2+p1
+        return True
+    keep = mask_of({g.adj[v]: v for v in range(g.n - 1, -1, -1)}.values())
+    return _holds(g.adj, keep, edges, solo)
 
 
 def find_induced(g: Graph, pattern: str) -> InducedWitness | None:

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from toughham.graph import Graph, bit, bits
+from toughham.recognition import FORESTS, _holds
 
 
 def all_graphs(n: int):
@@ -51,6 +52,75 @@ def case2_instance(pairs, low, joins, rng):
     perm = list(range(2 * pairs + low))
     rng.shuffle(perm)
     return Graph.from_edges(len(perm), [(perm[u], perm[v]) for u, v in edges])
+
+
+def random_matching(rng, pairs, size: int) -> list[tuple[int, int]]:
+    """Up to ``size`` pairwise disjoint pairs, taken greedily from the
+    vertex pairs in an order shuffled by the caller's rng."""
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    matching, used = [], 0
+    for u, v in pairs:
+        if len(matching) == size:
+            break
+        if not (used >> u | used >> v) & 1:
+            matching.append((u, v))
+            used |= 1 << u | 1 << v
+    return matching
+
+
+def false_twin_blow_up(g, sizes, rng):
+    """g with vertex v replaced by sizes[v] false twins, pairwise
+    non-adjacent and joined to every twin of each neighbour of v, then
+    relabelled by a permutation drawn from the caller's rng."""
+    owner = [v for v in range(g.n) for _ in range(sizes[v])]
+    perm = list(range(len(owner)))
+    rng.shuffle(perm)
+    return Graph.from_edges(len(owner), [(perm[a], perm[b])
+                                         for a, b in combinations(range(len(owner)), 2)
+                                         if g.adj[owner[a]] >> owner[b] & 1])
+
+
+def reference_holds(g, pattern) -> bool:
+    """Does g induce the named forest, by the mask scan over every vertex
+    of g: no complete-multipartite guard and no quotient by equal rows.
+    The scan itself is held to brute force in ``test_recognition``."""
+    edges, solo = FORESTS[pattern]
+    return 2 * edges + solo <= g.n and _holds(g.adj, g.full, edges, solo)
+
+
+def reference_ham_cycle_forced(g, forced=()):
+    """The forced-edge oracle's search with no pruning: a path grows from 0,
+    taking 0's forced partner first; a vertex whose forced partner is not
+    its predecessor goes on to that partner only; successors are tried by
+    (unvisited neighbours, id); a full path closes when its last vertex
+    sees 0 and its forced partner, if any, is its predecessor.  The first
+    closed path, as a tuple, or None."""
+    partner = {}
+    for u, v in forced:
+        partner[u], partner[v] = v, u
+    n = g.n
+    if n < 3:
+        return None
+    path = [0] if 0 not in partner else [0, partner[0]]
+
+    def grow():
+        last = path[-1]
+        p = partner.get(last)
+        if len(path) == n:
+            return g.adj[last] & 1 and p in (None, path[-2])
+        nexts = [v for v in range(n) if g.adj[last] >> v & 1 and v not in path]
+        if p is not None and (len(path) < 2 or p != path[-2]):
+            nexts = [v for v in nexts if v == p]
+        for v in sorted(nexts, key=lambda v: (sum(g.adj[v] >> w & 1 for w in range(n)
+                                                   if w not in path), v)):
+            path.append(v)
+            if grow():
+                return True
+            path.pop()
+        return False
+
+    return tuple(path) if grow() else None
 
 
 def naive_components(n, edge_set, removed) -> int:

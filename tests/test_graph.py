@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from oracles import all_graphs
+from oracles import all_graphs, random_matching
 from toughham import generators
 from toughham.generators import (GenerationError, cobip, random_graph, random_in_class, relabel,
                                  split, two_cliques)
@@ -176,6 +177,8 @@ def unchecked_builds(g, rng):
     rng.shuffle(perm)
     yield relabel(g, perm)
     yield relabel(g, perm[::-1])
+    non_edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.adj[u] >> v & 1]
+    yield g.add_edges(random_matching(rng, non_edges, g.n))
 
 
 def test_unchecked_builders_agree_with_checking_constructor(monkeypatch):
@@ -212,6 +215,17 @@ def test_unchecked_builders_agree_with_checking_constructor(monkeypatch):
         assert agrees_with_checking_constructor(two_cliques(*shape, 1))
     assert agrees_with_checking_constructor(split(290, 10, 24, 1))
     assert agrees_with_checking_constructor(cobip(120, 150, 0.1, 1))
+
+
+def test_add_edges_rejects_bad_vertices_and_loops():
+    g = Graph.path(4)
+    rows = g.adj
+    assert g.add_edges([(0, 3), (1, 3)]) == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3),
+                                                               (0, 3), (1, 3)])
+    for bad in ([(0, 4)], [(-1, 2)], [(0, 2), (3, 3)], [(0, 2), (1, 9)]):
+        with pytest.raises(GraphError):
+            g.add_edges(bad)
+        assert g.adj is rows and g == Graph.path(4)
 
 
 def naive_components(n, edges, removed):

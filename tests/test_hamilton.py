@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import all_graphs, random_edge_graph
+from oracles import all_graphs, random_edge_graph, random_matching, reference_ham_cycle_forced
 from toughham import hamilton
 from toughham.graph import Graph, GraphError, bit, mask_of
 from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
@@ -67,22 +67,31 @@ def test_oracle_equivalence_random_with_forced():
     for _ in range(120):
         n = rng.randrange(3, 10)
         g = random_edge_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        edges = list(g.edges())
-        rng.shuffle(edges)
-        forced, used = [], 0
-        for u, v in edges:
-            if used & (1 << u) or used & (1 << v):
-                continue
-            forced.append((u, v))
-            used |= (1 << u) | (1 << v)
-            if len(forced) == 2:
-                break
+        forced = random_matching(rng, g.edges(), 2)
         got = ham_cycle_forced(g, forced)
         assert (got is not None) == brute_ham_cycle(g, forced)
         if got is not None:
             assert validate_cycle(g, got)
             es = {frozenset((got.order[i], got.order[(i + 1) % n])) for i in range(n)}
             assert all(frozenset(e) in es for e in forced)
+
+
+def test_oracle_returns_the_unpruned_search_cycle():
+    # every prune is a necessary condition, so the pruned search meets the
+    # same first cycle, or proves there is none
+    def agree(g, forced):
+        got = ham_cycle_forced(g, forced)
+        assert (got.order if got else None) == reference_ham_cycle_forced(g, forced), (g.adj,
+                                                                                        forced)
+
+    for n in range(7):
+        for g in all_graphs(n):
+            agree(g, ())
+            agree(g, list(g.edges())[:1])
+    rng = random.Random(19)
+    for _ in range(300):
+        g = random_edge_graph(rng, rng.randrange(7, 10), rng.choice([0.3, 0.5, 0.7, 0.9]))
+        agree(g, random_matching(rng, g.edges(), rng.randrange(3)))
 
 
 def test_dirac_examples():

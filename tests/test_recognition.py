@@ -3,7 +3,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import all_graphs, complete_multipartite_graphs, random_edge_graph
+from oracles import (all_graphs, case2_instance, complete_multipartite_graphs, false_twin_blow_up,
+                     random_edge_graph, reference_holds)
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class, relabel
 from toughham.graph import Graph, GraphError, bits, mask_of
@@ -134,6 +135,39 @@ def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
     calls.clear()
     assert find_induced(two_cliques, "2p2+p1") is None
     assert len(calls) <= two_cliques.n + 1 < two_cliques.edge_count()
+
+
+def test_quotient_scan_matches_the_full_scan():
+    for n in range(7):
+        for g in all_graphs(n):
+            for pattern in FORESTS:
+                assert holds(g, pattern) == reference_holds(g, pattern), (g.adj, pattern)
+    rng = random.Random(23)
+    for _ in range(1200):
+        base = random_edge_graph(rng, rng.randrange(1, 11), rng.choice([0.3, 0.5, 0.7]))
+        blow = false_twin_blow_up(base, [rng.randrange(1, 5) for _ in range(base.n)], rng)
+        for pattern in FORESTS:
+            want = reference_holds(blow, pattern)
+            assert holds(blow, pattern) == want == holds(base, pattern), (base.adj, pattern)
+
+
+def test_scan_pays_once_per_distinct_row(monkeypatch):
+    # nine pairs of false twins plus two low vertices: 11 distinct rows of 20
+    calls = []
+    parts = recognition._parts
+    monkeypatch.setattr(recognition, "_parts",
+                        lambda adj, x: calls.append(x) or parts(adj, x))
+    g = case2_instance(9, 2, 2, random.Random(9))
+    assert len(set(g.adj)) == 11
+    assert not holds(g, "2p2+p1")
+    assert len(calls) == 14
+    calls.clear()
+    assert not reference_holds(g, "2p2+p1")
+    assert len(calls) == 26
+    # the complete-multipartite guard alone answers p2+p1
+    calls.clear()
+    assert holds(g, "p2+p1")
+    assert calls == [g.full]
 
 
 def test_complete_multipartite_graphs_hold_no_forest():
