@@ -1,11 +1,13 @@
 """Certificates, their checker, and the line-record serialization.
 
-Every pipeline run ends in exactly one certificate: a Hamilton cycle, a
-toughness-violating cutset, an induced forbidden-pattern witness, or an
-oracle-limit marker.  The checker revalidates each kind from scratch
-against the input graph, so a certificate never has to be trusted.  The
-certificate types are ``NamedTuple``s and ``RunConfig`` a plain class, so
-importing them generates no code.
+Every pipeline run ends in exactly one certificate, its producer's own
+record: a Hamilton cycle (``CycleCert``), a toughness-violating cutset
+(``ToughnessWitness``), an induced forbidden-pattern witness
+(``InducedWitness``) or an oracle-limit marker.  The checker revalidates
+each kind, told apart by exact type, from scratch against the input graph,
+so a certificate never has to be trusted.  The certificate types are
+``NamedTuple``s and ``RunConfig`` a plain class, so importing them
+generates no code.
 
 Records are single lines of whitespace-separated tokens: a record name,
 ``key=value`` fields, each formatted by its exact type (``bool`` as
@@ -23,9 +25,8 @@ from typing import NamedTuple
 from .graph import MAX_VERTICES, Graph, bits, mask_of
 from .hamilton import DEFAULT_ORACLE_CAP, CycleCert
 from .metrics import ToughnessWitness
-from .recognition import InducedWitness, induces_pattern
+from .recognition import FORBIDDEN_PATTERN, InducedWitness, induces_pattern
 
-FORBIDDEN_PATTERN = "2p2+p1"
 _SPACE = re.compile(r"\s")  # any whitespace: parse_record splits on each
 
 
@@ -43,25 +44,17 @@ class RunConfig:
         self.cap_oracle = cap_oracle    # Hamilton-cycle backtracking
 
 
-class HamiltonCycle(NamedTuple):
-    cycle: CycleCert
-
-
-class ForbiddenWitness(NamedTuple):
-    witness: InducedWitness
-
-
 class OracleLimit(NamedTuple):
     stage: str
 
 
-Certificate = HamiltonCycle | ToughnessWitness | ForbiddenWitness | OracleLimit
+Certificate = CycleCert | ToughnessWitness | InducedWitness | OracleLimit
 
 
 # the record kind of each certificate type: the kind= field of its cert record
 # and its column in a survey line
-KINDS = {HamiltonCycle: "hamilton-cycle", ToughnessWitness: "toughness-witness",
-         ForbiddenWitness: "forbidden-witness", OracleLimit: "oracle-limit"}
+KINDS = {CycleCert: "hamilton-cycle", ToughnessWitness: "toughness-witness",
+         InducedWitness: "forbidden-witness", OracleLimit: "oracle-limit"}
 _TYPES = {kind: cls for cls, kind in KINDS.items()}  # and back, for reading records
 
 
@@ -74,8 +67,9 @@ def certificate_kind(cert: Certificate) -> str:
 
 def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool, str]:
     """Revalidate a certificate against the graph; returns (ok, reason)."""
-    if isinstance(cert, HamiltonCycle):
-        order = cert.cycle.order
+    kind = type(cert)
+    if kind is CycleCert:
+        order = cert.order
         if len(order) != g.n or set(order) != set(range(g.n)):
             return False, f"cycle is not a permutation of 0..{g.n - 1}"
         if g.n < 3:
@@ -84,7 +78,7 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
             if not g.adj[u] >> v & 1:
                 return False, f"edge {u}-{v} missing from the graph"
         return True, "hamilton cycle verified"
-    if isinstance(cert, ToughnessWitness):
+    if kind is ToughnessWitness:
         if cert.cutset & ~g.full:
             return False, "cutset has out-of-range vertices"
         c = g.component_count(cert.cutset)
@@ -96,16 +90,15 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
         if ratio >= cfg.t:
             return False, f"ratio {ratio} is not below t={cfg.t}"
         return True, f"toughness violated at ratio {ratio}"
-    if isinstance(cert, ForbiddenWitness):
-        w = cert.witness
-        if w.pattern != FORBIDDEN_PATTERN:
-            return False, f"witness pattern {w.pattern} is not {FORBIDDEN_PATTERN}"
-        if any(not 0 <= v < g.n for v in w.vertices):
+    if kind is InducedWitness:
+        if cert.pattern != FORBIDDEN_PATTERN:
+            return False, f"witness pattern {cert.pattern} is not {FORBIDDEN_PATTERN}"
+        if any(not 0 <= v < g.n for v in cert.vertices):
             return False, "witness has out-of-range vertices"
-        if not induces_pattern(g, w.vertices, FORBIDDEN_PATTERN):
-            return False, f"vertices {w.vertices} do not induce {FORBIDDEN_PATTERN}"
+        if not induces_pattern(g, cert.vertices, FORBIDDEN_PATTERN):
+            return False, f"vertices {cert.vertices} do not induce {FORBIDDEN_PATTERN}"
         return True, "forbidden induced pattern verified"
-    if isinstance(cert, OracleLimit):
+    if kind is OracleLimit:
         return False, f"inconclusive: oracle limit at {cert.stage}"
     return False, f"unknown certificate {cert!r}"
 
@@ -168,15 +161,14 @@ def parse_record(line: str):
 
 def certificate_to_record(cert: Certificate) -> str:
     fields = [("kind", certificate_kind(cert))]
-    if isinstance(cert, HamiltonCycle):
-        return record_line("cert", fields, ids=cert.cycle.order)
+    if isinstance(cert, CycleCert):
+        return record_line("cert", fields, ids=cert.order)
     if isinstance(cert, ToughnessWitness):
         fields += [("components", cert.component_count),
                    ("ratio", Fraction(cert.cutset.bit_count(), cert.component_count))]
         return record_line("cert", fields, ids=bits(cert.cutset))
-    if isinstance(cert, ForbiddenWitness):
-        fields.append(("pattern", cert.witness.pattern))
-        return record_line("cert", fields, ids=cert.witness.vertices)
+    if isinstance(cert, InducedWitness):
+        return record_line("cert", fields + [("pattern", cert.pattern)], ids=cert.vertices)
     return record_line("cert", fields + [("stage", cert.stage)])
 
 
@@ -188,14 +180,14 @@ def certificate_from_record(line: str) -> Certificate:
     cls = _TYPES.get(kind)
     if cls is None:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    if cls is HamiltonCycle:
-        return HamiltonCycle(CycleCert(ids or ()))
+    if cls is CycleCert:
+        return CycleCert(ids or ())
     if cls is ToughnessWitness:
         if not all(0 <= v < MAX_VERTICES for v in ids or ()):
             raise ValueError("toughness witness names a vertex id out of range")
         return ToughnessWitness(mask_of(ids or ()), int(fields["components"]))
-    if cls is ForbiddenWitness:
-        return ForbiddenWitness(InducedWitness(ids or (), fields["pattern"]))
+    if cls is InducedWitness:
+        return InducedWitness(ids or (), fields["pattern"])
     return OracleLimit(fields["stage"])
 
 

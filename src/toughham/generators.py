@@ -15,20 +15,15 @@ import random
 from fractions import Fraction
 
 from .graph import Graph, transpose
+from .recognition import FORBIDDEN_PATTERN, holds
 # find_induced stays bound: the benchmark harness times generators.find_induced by name
-from .recognition import find_induced, holds  # noqa: F401
+from .recognition import find_induced  # noqa: F401
 
 REJECTION_CAP = 2000
 
 
 class GenerationError(ValueError):
     pass
-
-
-def _closed_under_transpose(n: int, rows) -> Graph:
-    """The graph whose rows are ``rows`` ORed with their transpose; each
-    edge needs its bit in one of its two rows only."""
-    return Graph._of_rows(n, [a | b for a, b in zip(rows, transpose(rows, n))])
 
 
 def _draw(n: int, p: float, rng: random.Random) -> Graph:
@@ -41,7 +36,7 @@ def _draw(n: int, p: float, rng: random.Random) -> Graph:
             if rng.random() < p:
                 row |= 1 << v
         upper[u] = row
-    return _closed_under_transpose(n, upper)
+    return Graph._closed_under_transpose(n, upper)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -58,7 +53,7 @@ def random_in_class(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     for _ in range(REJECTION_CAP):
         g = _draw(n, p, rng)
-        if not holds(g, "2p2+p1"):
+        if not holds(g, FORBIDDEN_PATTERN):
             return g
     raise GenerationError(
         f"no pattern-free sample within {REJECTION_CAP} tries at n={n}, p={p}")
@@ -71,7 +66,7 @@ def _cliques_joined(a: int, b: int, cross) -> Graph:
     triangle, so the graph is in the class."""
     ka, kb = (1 << a) - 1, ((1 << b) - 1) << a
     rows = [ka & ~(1 << u) | row << a for u, row in enumerate(cross)]
-    return _closed_under_transpose(a + b, rows + [kb & ~(1 << v) for v in range(a, a + b)])
+    return Graph._closed_under_transpose(a + b, rows + [kb & ~(1 << v) for v in range(a, a + b)])
 
 
 def two_cliques(a: int, b: int, d: int, seed: int) -> Graph:
@@ -97,7 +92,7 @@ def split(b: int, a: int, d: int, seed: int) -> Graph:
     rng = random.Random(seed)
     rows = [(1 << b) - 1 & ~(1 << v) for v in range(b)]
     rows += [sum(1 << w for w in rng.sample(range(b), d)) for _ in range(a)]
-    return _closed_under_transpose(b + a, rows)
+    return Graph._closed_under_transpose(b + a, rows)
 
 
 def case1_synthetic(g1_parts, s2: int, d2_parts, seed: int = 0) -> Graph:

@@ -19,7 +19,9 @@ swaps; the (shift, mask) table of each of the ten strides up to
 
 The constructor checks every row.  The builders above and ``add_edges``,
 whose rows are symmetric and loop-free by construction, store them
-through ``Graph._of_rows`` instead, which checks nothing.
+through ``Graph._of_rows`` instead, which checks nothing (the decoder and
+the draws through ``Graph._closed_under_transpose``, which first ORs each
+row with its transpose).
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ class Graph:
         g = cls.__new__(cls)
         g.n, g.adj, g.full = n, tuple(rows), (1 << n) - 1
         return g
+
+    @classmethod
+    def _closed_under_transpose(cls, n: int, rows) -> "Graph":
+        """Loop-free rows ORed with their transpose: an edge needs one bit."""
+        return cls._of_rows(n, [a | b for a, b in zip(rows, transpose(rows, n))])
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":

@@ -11,7 +11,7 @@ the writer formats that int once.
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph, transpose
+from .graph import MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
 
@@ -75,7 +75,7 @@ def parse_graph6(line: str) -> Graph:
     for v in range(1, n):
         lower[v] = pairs & ((1 << v) - 1)
         pairs >>= v
-    return Graph._of_rows(n, [a | b for a, b in zip(lower, transpose(lower, n))])
+    return Graph._closed_under_transpose(n, lower)
 
 
 def write_graph6(g: Graph) -> str:

@@ -56,11 +56,9 @@ def validate_cycle(g: Graph, cert: CycleCert) -> bool:
 
 def validate_path(g: Graph, cert: PathCert) -> bool:
     order = cert.order
-    if len(order) == 0 or len(set(order)) != len(order):
+    if not order or len(set(order)) != len(order) or any(not 0 <= v < g.n for v in order):
         return False
-    if any(not 0 <= v < g.n for v in order):
-        return False
-    return all(g.has_edge(order[i], order[i + 1]) for i in range(len(order) - 1))
+    return all(g.adj[u] >> v & 1 for u, v in zip(order, order[1:]))
 
 
 def _check_forced(g: Graph, forced) -> dict[int, int]:

@@ -39,8 +39,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import metrics
-from .certificates import (Certificate, ForbiddenWitness, HamiltonCycle, OracleLimit,
-                           RunConfig, Trace)
+from .certificates import Certificate, OracleLimit, RunConfig, Trace
 from .graph import Graph, GraphError, bit, bits, edge, mask_of
 from .hamilton import (CycleCert, PathCert, dirac_cycle, ham_cycle_forced, insert_vertices,
                        multipartite_ham_path, validate_cycle, validate_path)
@@ -50,7 +49,7 @@ from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       witness_from_independent_set)
 # scattering stays bound: the benchmark harness times pipeline.scattering by name
 from .metrics import scattering  # noqa: F401
-from .recognition import (InducedWitness, Multipartition, find_induced,
+from .recognition import (FORBIDDEN_PATTERN, InducedWitness, Multipartition, find_induced,
                           multipartite_decompose, multipartite_parts)
 # induces_pattern stays bound: the benchmark harness counts pipeline.induces_pattern by name
 from .recognition import induces_pattern  # noqa: F401
@@ -174,10 +173,10 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
     trace.add("config", t=cfg.t, n=g.n, cap_oracle=cfg.cap_oracle,
               regime=(cfg.t >= PROVEN_T))
 
-    hit = find_induced(g, "2p2+p1")
+    hit = find_induced(g, FORBIDDEN_PATTERN)
     if hit is not None:
         trace.add("freeness", result="witness", ids=hit.vertices)
-        return ForbiddenWitness(hit), trace.lines
+        return hit, trace.lines
     trace.add("freeness", result="free")
 
     where = "gate"
@@ -236,14 +235,13 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
     thr = bound - 1
     if delta > thr:
         if 2 * delta >= n:
-            cyc = dirac_cycle(g)
             trace.add("gate", fired=True, method="dirac", delta=delta, threshold=thr)
-            return HamiltonCycle(cyc)
+            return dirac_cycle(g)
         cyc = ham_cycle_forced(g, (), cap=cfg.cap_oracle)
         trace.add("gate", fired=True, method="oracle", delta=delta, threshold=thr,
                   result="cycle" if cyc else "infeasible")
         if cyc is not None:
-            return HamiltonCycle(cyc)
+            return cyc
         witness = verify_tough(g, cfg.t)
         if witness is None:
             raise PipelineInternalError(
@@ -429,7 +427,7 @@ def _cover_scattered(g, dec, cfg, trace):
 
     if size_t < size_c:
         u_set = [c for c in sorted(stars) if any(t_set >> l & 1 for l in stars[c])]
-        fillers = [c for c in sorted(stars) if c not in set(u_set)]
+        fillers = sorted(stars.keys() - u_set)
         if len(u_set) > size_t:
             raise PipelineInternalError("more anchored centers than cutset vertices")
         ustar = sorted(u_set + fillers[: size_t + 1 - len(u_set)])
@@ -437,9 +435,7 @@ def _cover_scattered(g, dec, cfg, trace):
         # an induced subgraph of the complete multipartite G1 is one as well
         paths, w_mask = _one_path_cover(multipartite_parts(g, t_set | mask_of(ustar)),
                                         x, y, z, w, "alternating path through T and U* missing")
-        for c in sorted(stars):
-            if c in set(ustar):
-                continue
+        for c in sorted(stars.keys() - ustar):
             ls = stars[c]
             if not all(v2 >> l & 1 for l in ls):
                 raise PipelineInternalError("unanchored center holds a cutset partner")
@@ -494,9 +490,10 @@ def _splice(order, cover_paths) -> tuple[int, ...]:
 
 
 def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: str,
-            replay) -> CycleCert | Certificate:
+            replay) -> Certificate:
     """The step both cases end with: a Hamilton cycle of G2* (G2 plus the
     forced edges L, one joining the ends of each path), paths spliced in.
+    The spliced cycle comes back unvalidated, for ``_finish`` to validate.
 
     It holds the one test of the oracle's precondition, κ(G2*) >= |L| +
     α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).  Each
@@ -529,7 +526,7 @@ def _finish(g: Graph, cyc: CycleCert, trace: Trace, case: str) -> Certificate:
     if not validate_cycle(g, cyc):
         raise PipelineInternalError(f"{case} cycle failed validation")
     trace.add("cycle", stage=case, length=len(cyc.order))
-    return HamiltonCycle(cyc)
+    return cyc
 
 
 def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,

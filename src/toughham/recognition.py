@@ -40,8 +40,10 @@ from typing import NamedTuple
 from .graph import Graph, GraphError, bits, mask_of
 
 
-# The patterns the engine names, as (edges, isolated vertices).
-FORESTS = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
+# The pattern the scan searches for and the checker demands, and the patterns
+# the engine names, as (edges, isolated vertices).
+FORBIDDEN_PATTERN = "2p2+p1"
+FORESTS = {FORBIDDEN_PATTERN: (2, 1), "p2+p1": (1, 1)}
 
 # The graph the 2p2+p1 backtracker prunes against.
 _2P2P1 = Graph.from_edges(5, [(0, 1), (2, 3)])

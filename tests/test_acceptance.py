@@ -11,12 +11,11 @@ from itertools import combinations, permutations
 
 from oracles import (brute_b_matching, naive_components, split_violations,
                      validate_star_matching)
-from toughham.certificates import (HamiltonCycle, RunConfig, Trace, certificate_kind,
-                                   check_certificate)
+from toughham.certificates import RunConfig, Trace, certificate_kind, check_certificate
 from toughham.cli import main as cli_main
 from toughham.generators import case1_synthetic, complete_split_join, random_graph
 from toughham.graph import Graph, bits, mask_of
-from toughham.hamilton import dirac_cycle, ham_cycle_forced, validate_cycle
+from toughham.hamilton import CycleCert, dirac_cycle, ham_cycle_forced, validate_cycle
 from toughham.matchings import StarMatching, _stars
 from toughham.metrics import (INF, connectivity, independence, scattering, toughness,
                               validate_toughness_witness, verify_tough)
@@ -41,7 +40,7 @@ def test_criterion_1_end_to_end_theorem_run():
     assert find_induced(g, "2p2+p1") is None
     cfg = RunConfig()
     cert, trace = run_theorem(g, cfg)
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     ok, reason = check_certificate(g, cert, cfg)
     assert ok, reason
     elapsed = time.time() - started
@@ -362,8 +361,8 @@ def test_criterion_9_stage_level_suite():
             assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                                     expected_cover_size(s_value)) == []
             cert = case1_finish(g, dec, cover, cfg, trace)
-            assert isinstance(cert, HamiltonCycle), (g1p, seed)
-            assert sorted(cert.cycle.order) == list(range(g.n))
+            assert isinstance(cert, CycleCert), (g1p, seed)
+            assert sorted(cert.order) == list(range(g.n))
             assert check_certificate(g, cert, cfg)[0]
             instances += 1
     # the two large balanced shapes complete the sub-case coverage
@@ -378,8 +377,8 @@ def test_criterion_9_stage_level_suite():
             cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover)
             cert = case1_finish(g, dec, cover, cfg, trace)
-            assert isinstance(cert, HamiltonCycle)
-            assert sorted(cert.cycle.order) == list(range(g.n))
+            assert isinstance(cert, CycleCert)
+            assert sorted(cert.order) == list(range(g.n))
             instances += 1
     assert instances >= 100
     # case-2 splicing stays permutation-exact as well
@@ -387,8 +386,8 @@ def test_criterion_9_stage_level_suite():
     spliced = Graph.from_edges(26, list(base.edges())
                                + [(24, 0), (24, 2)] + [(25, 4), (25, 6), (25, 8)])
     cert = case2_run(spliced, RunConfig(cap_oracle=64), Trace())
-    assert isinstance(cert, HamiltonCycle)
-    assert sorted(cert.cycle.order) == list(range(26))
+    assert isinstance(cert, CycleCert)
+    assert sorted(cert.order) == list(range(26))
     announce(9, f"{instances} case-1 instances with valid covers and exact splices")
 
 

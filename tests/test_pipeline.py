@@ -8,14 +8,13 @@ import pytest
 
 from oracles import (all_graphs, blob_with_attachments, case2_instance, plain_record_line,
                      split_violations)
-from toughham.certificates import (ForbiddenWitness, HamiltonCycle, OracleLimit,
-                                   RunConfig, Trace, certificate_from_record,
+from toughham.certificates import (OracleLimit, RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, fmt_q, parse_record, record_line)
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  random_graph, random_in_class)
 from toughham.graph import Graph, GraphError, bits, mask_of
-from toughham.hamilton import CycleCert
+from toughham.hamilton import CycleCert, PathCert
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
                               threshold, validate_toughness_witness)
 from toughham.pipeline import (Decomposition, PathCover, _case1_cut_replay, _case1_edge,
@@ -43,7 +42,7 @@ def run_and_check(g, cfg=None):
 def test_run_theorem_acceptance_instance():
     g = complete_split_join(22, 2)
     cert, trace = run_theorem(g)
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, RunConfig())[0]
     assert any("gate" in line and "dirac" in line for line in trace)
 
@@ -52,7 +51,7 @@ def test_run_theorem_petersen():
     g = petersen()
     cert, _ = run_theorem(g)
     # freeness runs first, so the induced-pattern witness wins
-    assert isinstance(cert, ForbiddenWitness)
+    assert isinstance(cert, InducedWitness)
     assert check_certificate(g, cert, RunConfig())[0]
 
 
@@ -111,7 +110,7 @@ def test_gate_fires_oracle_route():
     # min degree 2 exceeds 6/12 - 1 but stays below n/2: oracle route
     g = Graph.cycle(6)
     cert = min_degree_gate(g, RunConfig(), Trace())
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
 
 
 def test_gate_low_degree_witness():
@@ -187,9 +186,9 @@ def ends_in_the_scans_witness(g, cfg):
     """run_theorem stops at the forbidden-pattern scan: its witness is the
     certificate, it passes the checker, and no stage ran."""
     cert, trace = run_theorem(g, cfg)
-    assert isinstance(cert, ForbiddenWitness)
+    assert isinstance(cert, InducedWitness)
     assert trace[1:] == ["freeness result=witness -- "
-                         + " ".join(map(str, cert.witness.vertices))]
+                         + " ".join(map(str, cert.vertices))]
     assert check_certificate(g, cert, cfg)[0]
 
 
@@ -284,9 +283,9 @@ def test_path_cover_variants(label, g1p, s2, d2p):
     assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                             expected_cover_size(s_value)) == []
     cert = case1_finish(g, dec, cover, cfg, trace)
-    assert isinstance(cert, HamiltonCycle), label
+    assert isinstance(cert, CycleCert), label
     assert check_certificate(g, cert, cfg)[0]
-    assert sorted(cert.cycle.order) == list(range(g.n))
+    assert sorted(cert.order) == list(range(g.n))
 
 
 @pytest.mark.parametrize("label,g1p,s2,d2p", [
@@ -301,7 +300,7 @@ def test_path_cover_large_balanced(label, g1p, s2, d2p):
     assert isinstance(cover, PathCover), label
     assert len(cover.paths) == 1
     cert = case1_finish(g, dec, cover, cfg, trace)
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
 
 
@@ -309,7 +308,7 @@ def test_case2_split_join_direct():
     g = complete_split_join(22, 2)
     cfg = RunConfig()
     cert = case2_run(g, cfg, Trace())
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
 
 
@@ -317,9 +316,9 @@ def test_case2_splice_single_star():
     g = blob_with_attachments([2] * 12, [[0, 2]])
     cfg = RunConfig(cap_oracle=64)
     cert = case2_run(g, cfg, Trace())
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
-    assert g.n - 1 in cert.cycle.order
+    assert g.n - 1 in cert.order
 
 
 def test_case2_with_insertion():
@@ -327,7 +326,7 @@ def test_case2_with_insertion():
     cfg = RunConfig(cap_oracle=64)
     trace = Trace()
     cert = case2_run(g, cfg, trace)
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
     assert any(line.startswith("insertion") for line in trace.lines)
 
@@ -609,7 +608,7 @@ def test_theorem_conformance_on_tough_free_instances():
         assert verify_tough(g, Fraction(11)) is None
         assert find_induced(g, "2p2+p1") is None
         cert, _ = run_theorem(g, cfg)
-        assert isinstance(cert, HamiltonCycle), g
+        assert isinstance(cert, CycleCert), g
         assert check_certificate(g, cert, cfg)[0]
 
 
@@ -619,31 +618,29 @@ def test_large_split_join_runs_to_a_checked_cycle():
     g = complete_split_join(190, 10)
     cfg = RunConfig(t=Fraction(11))
     cert, _ = run_theorem(g, cfg)
-    assert isinstance(cert, HamiltonCycle)
+    assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
 
 
 def test_check_certificate_rejects_bad_cycle():
     c5 = Graph.cycle(5)
-    ok, _ = check_certificate(c5, HamiltonCycle(CycleCert((0, 1, 2, 3, 4))), RunConfig())
+    ok, _ = check_certificate(c5, CycleCert((0, 1, 2, 3, 4)), RunConfig())
     assert ok
-    ok, reason = check_certificate(c5, HamiltonCycle(CycleCert((0, 2, 4, 1, 3))),
-                                   RunConfig())
+    ok, reason = check_certificate(c5, CycleCert((0, 2, 4, 1, 3)), RunConfig())
     assert not ok and "0-2" in reason
     # ids outside 0..n-1 are a failed check, not an error
-    for bad in (HamiltonCycle(CycleCert((0, 1, 2, 3, 9))),
-                ForbiddenWitness(InducedWitness((0, 1, 2, 3, 9), "2p2+p1"))):
+    for bad in (CycleCert((0, 1, 2, 3, 9)), InducedWitness((0, 1, 2, 3, 9), "2p2+p1")):
         ok, reason = check_certificate(c5, bad, RunConfig())
         assert not ok, reason
 
 
 def test_check_certificate_names_a_missing_closing_edge_and_a_repeat():
     p5 = Graph.path(5)
-    assert check_certificate(p5, HamiltonCycle(CycleCert((0, 1, 2, 3, 4))), RunConfig()) == (
+    assert check_certificate(p5, CycleCert((0, 1, 2, 3, 4)), RunConfig()) == (
         False, "edge 4-0 missing from the graph")
     c5 = Graph.cycle(5)
     for order in ((0, 1, 2, 3, 3), (0, 1, 2, 3, 4, 0)):
-        assert check_certificate(c5, HamiltonCycle(CycleCert(order)), RunConfig()) == (
+        assert check_certificate(c5, CycleCert(order), RunConfig()) == (
             False, "cycle is not a permutation of 0..4")
 
 
@@ -659,16 +656,29 @@ def test_check_certificate_toughness_and_limit():
 
 def test_certificate_record_round_trip():
     certs = [
-        HamiltonCycle(CycleCert((0, 1, 2, 3))),
+        CycleCert((0, 1, 2, 3)),
         ToughnessWitness(mask_of([1, 4]), 3),
-        ForbiddenWitness(InducedWitness((0, 1, 2, 3, 4), "2p2+p1")),
+        InducedWitness((0, 1, 2, 3, 4), "2p2+p1"),
         OracleLimit("case2.insert"),
     ]
     for cert in certs:
-        line = certificate_to_record(cert)
-        assert certificate_from_record(line) == cert
+        back = certificate_from_record(certificate_to_record(cert))
+        # a NamedTuple equals any tuple with its fields: pin the type as well
+        assert back == cert and type(back) is type(cert)
     name, fields, ids = parse_record("probe kappa_g2=5 need=4/1 -- 0 2 7")
     assert name == "probe" and fields["need"] == "4/1" and ids == (0, 2, 7)
+
+
+def test_only_the_exact_certificate_types_are_certificates():
+    """A PathCert equals the CycleCert with its order, yet only the exact
+    certificate types are certificates, to the kind lookup and the checker."""
+    c5, order = Graph.cycle(5), (0, 1, 2, 3, 4)
+    assert PathCert(order) == CycleCert(order)
+    assert check_certificate(c5, CycleCert(order), RunConfig())[0]
+    with pytest.raises(TypeError, match="not a certificate"):
+        certificate_kind(PathCert(order))
+    ok, reason = check_certificate(c5, PathCert(order), RunConfig())
+    assert not ok and reason.startswith("unknown certificate")
 
 
 def test_record_line_formats_each_type_as_the_plain_formatter():
