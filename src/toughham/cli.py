@@ -52,12 +52,15 @@ def _positive_int(text: str) -> int:
 def _error_record(index: int, exc: Exception, g: Graph | Graph6Error, config=()) -> str:
     """The ``error`` record of a graph that cannot be certified; a line that
     does not parse (``g`` is its Graph6Error) has no ``n`` and no ``graph6``.
-    After ``graph6`` come the ``config`` fields that reproduce the run."""
-    kind = "internal" if isinstance(exc, PipelineInternalError) else "input"
+    A known stage follows an internal ``kind``; the run's ``config`` comes last."""
+    internal = isinstance(exc, PipelineInternalError)
+    kind = [("kind", "internal" if internal else "input")]
+    if internal and exc.stage:
+        kind.append(("stage", exc.stage))
     reason = ("reason", str(exc).replace(" ", "-"))
     if not isinstance(g, Graph):
-        return record_line("error", [("index", index), ("kind", kind), reason])
-    return record_line("error", [("index", index), ("n", g.n), ("kind", kind), reason,
+        return record_line("error", [("index", index), *kind, reason])
+    return record_line("error", [("index", index), ("n", g.n), *kind, reason,
                                  ("graph6", write_graph6(g)), *config])
 
 

@@ -3,7 +3,8 @@
 Four entry points:
 
 * ``ham_cycle_forced``: exhaustive backtracking oracle for a Hamilton cycle
-  through a prescribed set of independent edges, with bitset pruning.
+  through a prescribed set of independent edges, with bitset pruning; the
+  root is tested, and the first leaf is returned when it closes.
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
@@ -86,6 +87,9 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
     remaining vertex may depend exclusively on the endpoints, no
     independent-twin class may outgrow the interior positions left for
     it, and remaining vertices plus both endpoints must stay connected.
+    The root gets the same test, and a first leaf that closes passed every
+    test on its way, so walking the first branch unpruned before the pruned
+    search from the root answers as the exhaustive search does.
     """
     n = g.n
     if n > cap:
@@ -125,21 +129,40 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
         blob = rest | 1 << last | 1
         return reach(adj, 1, blob) == blob
 
+    def successors(free: int) -> int:
+        """The path end's neighbours in ``free``, only its partner while due; a
+        full path closes when it is 0 (0's partner, if any, is path[1])."""
+        p = partner.get(path[-1])
+        return adj[path[-1]] & free & (1 << p if p is not None and p != path[-2] else -1)
+
     def step(free: int) -> bool:
         """Extend the path over ``free``, the vertices not on it yet."""
-        last = path[-1]
-        p = partner.get(last)
         if not free:
-            return bool(adj[last] & 1) and (p is None or p == path[-2])
-        candidates = adj[last] & free
-        if p is not None and (len(path) < 2 or p != path[-2]):
-            candidates &= 1 << p
-        for _, v in sorted([((adj[v] & free).bit_count(), v) for v in bits(candidates)]):
+            return successors(1) > 0
+        for _, v in sorted([((adj[v] & free).bit_count(), v) for v in bits(successors(free))]):
             path.append(v)
             rest = free & ~(1 << v)
             if (rest == 0 or feasible(v, rest)) and step(rest):
                 return True
             path.pop()
+        return False
+
+    def walk(free: int) -> bool:
+        """``step``'s first leaf, untested; a dead end cuts the path back."""
+        start = len(path)
+        while free and (left := successors(free)):
+            pick, fewest = 0, n
+            while left:
+                low = left & -left
+                left ^= low
+                d = (adj[low.bit_length() - 1] & free).bit_count()
+                if d < fewest:
+                    pick, fewest = low, d
+            path.append(pick.bit_length() - 1)
+            free ^= pick
+        if not free and successors(1):
+            return True
+        del path[start:]
         return False
 
     free = g.full & ~1
@@ -148,7 +171,8 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
         # WLOG the forced edge at vertex 0 is traversed first (cycle reversal)
         path.append(p0)
         free &= ~(1 << p0)
-    return CycleCert(tuple(path)) if step(free) else None
+    found = feasible(path[-1], free) and (walk(free) or step(free))
+    return CycleCert(tuple(path)) if found else None
 
 
 def dirac_cycle(g: Graph) -> CycleCert:
@@ -253,6 +277,8 @@ def multipartite_ham_path(parts, x: int, y: int) -> PathCert | None:
         raise GraphError("path endpoints must lie in the parts")
     a, b = part_of[x], part_of[y]
     counts = [p.bit_count() for p in parts]
+    if max(counts) == 1:  # one vertex a part: the interleaving's order
+        return PathCert((x, *sorted(part_of.keys() - {x, y}), y))
 
     seq = [a]
     counts[a] -= 1

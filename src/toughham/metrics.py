@@ -463,7 +463,7 @@ def independence(g: Graph):
     dense graphs they are tiny).  INDEPENDENCE_CAP applies to each
     component, and the last result is kept, keyed by the graph.
     """
-    co = [g.full & ~row & ~bit(v) for v, row in enumerate(g.adj)]
+    co = [g.full & ~(row | 1 << v) for v, row in enumerate(g.adj)]
     best_size, best_set = 0, 0
     remaining = g.full
     while remaining:
@@ -498,13 +498,13 @@ def _mis_branch_bound(adj, part: int):
         count = 0
         rem = candidates
         while rem:
-            v = (rem & -rem).bit_length() - 1
-            grow = adj[v] & rem
-            rem &= ~bit(v)
+            low = rem & -rem
+            rem ^= low
+            grow = adj[low.bit_length() - 1] & rem
             while grow:
-                u = (grow & -grow).bit_length() - 1
-                rem &= ~bit(u)
-                grow &= adj[u] & rem
+                low = grow & -grow
+                rem ^= low
+                grow &= adj[low.bit_length() - 1] & rem
             count += 1
         return count
 
@@ -518,13 +518,15 @@ def _mis_branch_bound(adj, part: int):
         if size + cover_bound(candidates) <= best_size:
             return
         # branch on a maximum-degree candidate (smallest id on ties)
-        pivot, pivot_deg = -1, -1
-        for v in bits(candidates):
-            d = (adj[v] & candidates).bit_count()
+        pivot, pivot_deg, left = 0, -1, candidates
+        while left:
+            low = left & -left
+            left ^= low
+            d = (adj[low.bit_length() - 1] & candidates).bit_count()
             if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        expand(candidates & ~(adj[pivot] | bit(pivot)), current | bit(pivot), size + 1)
-        expand(candidates & ~bit(pivot), current, size)
+                pivot, pivot_deg = low, d
+        expand(candidates & ~(adj[pivot.bit_length() - 1] | pivot), current | pivot, size + 1)
+        expand(candidates & ~pivot, current, size)
 
     expand(part, 0, 0)
     return best_size, best_set

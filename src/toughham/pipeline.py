@@ -60,6 +60,8 @@ PROVEN_T = Fraction(11)
 class PipelineInternalError(RuntimeError):
     """A state the regime arithmetic rules out was reached: implementation bug."""
 
+    stage: str | None = None  # gate, case1 or case2, set as run_theorem passes it on
+
 
 class Decomposition(NamedTuple):
     """The case-1 split around an edge uv with a small union neighborhood.
@@ -200,6 +202,9 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
     except OracleLimitExceeded as exc:
         # the one place a cap hit ends: probed like any other dead end
         return _salvage_or_limit(g, cfg, trace, f"{where}.{exc.stage}:cap"), trace.lines
+    except PipelineInternalError as exc:
+        exc.stage = where
+        raise
 
 
 def _small_union(g: Graph, size: int) -> bool:

@@ -89,13 +89,14 @@ def reference_holds(g, pattern) -> bool:
     return 2 * edges + solo <= g.n and _holds(g.adj, g.full, edges, solo)
 
 
-def reference_ham_cycle_forced(g, forced=()):
+def reference_ham_cycle_forced(g, forced=(), first_leaf=False):
     """The forced-edge oracle's search with no pruning: a path grows from 0,
     taking 0's forced partner first; a vertex whose forced partner is not
     its predecessor goes on to that partner only; successors are tried by
     (unvisited neighbours, id); a full path closes when its last vertex
     sees 0 and its forced partner, if any, is its predecessor.  The first
-    closed path, as a tuple, or None."""
+    closed path, as a tuple, or None; with ``first_leaf``, only the first
+    successor is tried, so the search's first leaf if it closes, or None."""
     partner = {}
     for u, v in forced:
         partner[u], partner[v] = v, u
@@ -112,8 +113,8 @@ def reference_ham_cycle_forced(g, forced=()):
         nexts = [v for v in range(n) if g.adj[last] >> v & 1 and v not in path]
         if p is not None and (len(path) < 2 or p != path[-2]):
             nexts = [v for v in nexts if v == p]
-        for v in sorted(nexts, key=lambda v: (sum(g.adj[v] >> w & 1 for w in range(n)
-                                                   if w not in path), v)):
+        nexts.sort(key=lambda v: (sum(g.adj[v] >> w & 1 for w in range(n) if w not in path), v))
+        for v in nexts[:1] if first_leaf else nexts:
             path.append(v)
             if grow():
                 return True

@@ -490,6 +490,25 @@ def test_run_internal_error_record_beats_oracle_limit(tmp_path, monkeypatch):
             "graph6=Cl t=11/1 cap_oracle=32") in out.splitlines()
 
 
+def test_run_internal_error_record_names_its_stage(tmp_path, monkeypatch):
+    import random
+
+    from oracles import case2_instance
+    from toughham import pipeline
+    from toughham.pipeline import PipelineInternalError
+
+    def broken(g, cfg, trace):
+        raise PipelineInternalError("unreachable state at test")
+
+    monkeypatch.setattr(pipeline, "case2_run", broken)
+    g = case2_instance(6, 2, 2, random.Random(4))
+    code, out = run_cli(["run", "--t", "3/2", "--input", write_inputs(tmp_path, [g])])
+    assert code == 4
+    assert out.splitlines() == [f"error index=0 n=14 kind=internal stage=case2 reason="
+                                f"unreachable-state-at-test graph6={write_graph6(g)} "
+                                f"t=3/2 cap_oracle=32"]
+
+
 def test_run_rejects_caps_that_are_not_positive(tmp_path):
     inp = write_inputs(tmp_path, [Graph.cycle(5)])
     for value in ("0", "-3"):

@@ -4,8 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from oracles import all_graphs, random_edge_graph, random_matching, reference_ham_cycle_forced
-from toughham import hamilton
+from oracles import (all_graphs, case2_instance, random_edge_graph, random_matching,
+                     reference_ham_cycle_forced)
+from test_golden import CORPORA
+from toughham import hamilton, pipeline
+from toughham.certificates import RunConfig
+from toughham.generators import case1_synthetic, complete_split_join, relabel
 from toughham.graph import Graph, GraphError, bit, mask_of
 from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
                                insert_vertices, multipartite_ham_path,
@@ -94,6 +98,87 @@ def test_oracle_returns_the_unpruned_search_cycle():
         agree(g, random_matching(rng, g.edges(), rng.randrange(3)))
 
 
+def bridge_oracle_inputs(monkeypatch, runs):
+    """(G2*, L, cap) of every oracle call under its cap that ``pipeline._bridge``
+    makes while ``runs()`` runs; the gate's own calls are left out."""
+    seen, inside = [], []
+    bridge, oracle = pipeline._bridge, pipeline.ham_cycle_forced
+
+    def spy_bridge(*args):
+        inside.append(True)
+        try:
+            return bridge(*args)
+        finally:
+            inside.pop()
+
+    def spy_oracle(g, forced=(), cap=hamilton.DEFAULT_ORACLE_CAP):
+        if inside and g.n <= cap:
+            seen.append((g, list(forced), cap))
+        return oracle(g, forced, cap=cap)
+
+    monkeypatch.setattr(pipeline, "_bridge", spy_bridge)
+    monkeypatch.setattr(pipeline, "ham_cycle_forced", spy_oracle)
+    runs()
+    monkeypatch.undo()
+    return seen
+
+
+def count_reach(monkeypatch):
+    """A list that gets one entry per call of the oracle's ``reach``."""
+    calls, reach = [], hamilton.reach
+
+    def spy(*args):
+        calls.append(args)
+        return reach(*args)
+
+    monkeypatch.setattr(hamilton, "reach", spy)
+    return calls
+
+
+def test_oracle_on_the_bridge_inputs_returns_a_closing_first_leaf_untested(monkeypatch):
+    # the bridge's G2* with its forced edges L: from the golden corpora, the
+    # case-1 synthetic draws and the case-2 family at t = 3/2
+    def runs():
+        for corpus in CORPORA.values():
+            list(corpus())
+        rng = random.Random(29)
+        cfg = RunConfig(t=Fraction(3, 2))
+        for shape in (([1, 1], 2, [2] * 3), ([1, 1], 3, [2] * 4), ([1, 1], 4, [2] * 5),
+                      ([2, 1], 3, [2] * 5)):
+            for _ in range(6):
+                pipeline.run_theorem(case1_synthetic(*shape, seed=rng.randrange(1 << 31)), cfg)
+        for pairs in (6, 7, 9):
+            for _ in range(6):
+                pipeline.run_theorem(case2_instance(pairs, 2, 2, rng), cfg)
+
+    inputs = bridge_oracle_inputs(monkeypatch, runs)
+    assert len(inputs) >= 50
+    assert any(forced for _, forced, _ in inputs) and any(not forced for _, forced, _ in inputs)
+    calls = count_reach(monkeypatch)
+    closed = 0
+    for g, forced, cap in inputs:
+        calls.clear()
+        got = ham_cycle_forced(g, forced, cap=cap)
+        assert got is not None and got.order == reference_ham_cycle_forced(g, forced)
+        if reference_ham_cycle_forced(g, forced, first_leaf=True) is not None:
+            # the root's test is the one reach: the first leaf is not tested
+            assert len(calls) == 1, (g.adj, forced)
+            closed += 1
+    assert closed >= 0.8 * len(inputs)
+
+
+def test_oracle_root_test_answers_an_unbalanced_split_join(monkeypatch):
+    g = complete_split_join(8, 10)
+    rng = random.Random(0)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    assert g.adj[0].bit_count() == g.n - 1  # vertex 0 lies on the clique
+    calls = count_reach(monkeypatch)
+    # ten pairwise non-adjacent twins fit at most nine of the 17 places left
+    assert ham_cycle_forced(g) is None and calls == []
+
+
 def test_dirac_examples():
     for g in (Graph.complete(4), Graph.cycle(4), Graph.complete_multipartite([3, 3, 3])):
         cert = dirac_cycle(g)
@@ -175,6 +260,16 @@ def test_multipartite_ham_path_brute_force_agreement():
                         assert validate_path(g, got)
                         assert got.ends == (x, y)
                         assert mask_of(got.order) == g.full
+
+
+def test_multipartite_ham_path_of_singleton_parts_is_in_id_order():
+    # a complete G1 takes this route: x, the other vertices ascending, y
+    rng = random.Random(17)
+    for k in range(2, 12):
+        ids = sorted(rng.sample(range(40), k))
+        for x, y in permutations(ids, 2):
+            got = multipartite_ham_path([1 << v for v in ids], x, y)
+            assert got.order == (x, *[v for v in ids if v not in (x, y)], y)
 
 
 def test_insert_vertices_examples():
