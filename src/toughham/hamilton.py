@@ -2,9 +2,9 @@
 
 Four entry points:
 
-* ``ham_cycle_forced``: exhaustive backtracking oracle for a Hamilton cycle
-  through a prescribed set of independent edges, with bitset pruning; the
-  root is tested, and the first leaf is returned when it closes.
+* ``ham_cycle_forced``: exhaustive oracle for a Hamilton cycle through
+  prescribed independent edges, one bitset-pruned backtracking loop; its
+  first leaf goes untested, and a dead end there restarts it from the root.
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
@@ -77,19 +77,22 @@ def _check_forced(g: Graph, forced) -> dict[int, int]:
 def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> CycleCert | None:
     """Hamilton cycle through every forced edge, or None after exhaustive search.
 
-    Backtracking always extends from the most recently placed endpoint; a
-    vertex whose forced partner is not yet consumed admits only that
-    partner as successor.  Successors are tried fewest-options-first
-    (remaining degree, then id), which keeps high-degree hub vertices in
-    reserve as separators.  Prunes, each necessary for the path to close
-    into a Hamilton cycle, so the first cycle in this order is returned:
-    every remaining vertex must keep two usable neighbors, at most one
-    remaining vertex may depend exclusively on the endpoints, no
-    independent-twin class may outgrow the interior positions left for
-    it, and remaining vertices plus both endpoints must stay connected.
-    The root gets the same test, and a first leaf that closes passed every
-    test on its way, so walking the first branch unpruned before the pruned
-    search from the root answers as the exhaustive search does.
+    One loop grows a path from vertex 0 at its last vertex; a vertex whose
+    forced partner is not yet consumed admits only that partner as
+    successor.  Each depth keeps a mask of the successors tried, and the
+    next is the untried one with the fewest free neighbours, then the
+    lowest id: the (remaining degree, id) order, which keeps high-degree
+    hub vertices in reserve as separators.  Prunes, each necessary for the
+    path to close into a Hamilton cycle, so the first cycle in this order
+    is returned: every remaining vertex must keep two usable neighbors, at
+    most one remaining vertex may depend exclusively on the endpoints, no
+    independent-twin class may outgrow the interior positions left for it,
+    and remaining vertices plus both endpoints must stay connected.  The
+    root is tested; the first leaf is reached untested and returned when
+    it closes, as it passes every test on its way.  At its dead end the
+    loop restarts once from the root (resuming there would test the
+    untested prefix's other children), then tests every child with
+    vertices left and backs up one vertex at each dead end.
     """
     n = g.n
     if n > cap:
@@ -98,7 +101,6 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
     if n < 3:
         return None
     adj = g.adj
-    path = [0]
 
     # identical adjacency rows are automatically pairwise non-adjacent;
     # such a class needs a separator between any two of its members
@@ -129,28 +131,22 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
         blob = rest | 1 << last | 1
         return reach(adj, 1, blob) == blob
 
-    def successors(free: int) -> int:
-        """The path end's neighbours in ``free``, only its partner while due; a
-        full path closes when it is 0 (0's partner, if any, is path[1])."""
-        p = partner.get(path[-1])
-        return adj[path[-1]] & free & (1 << p if p is not None and p != path[-2] else -1)
-
-    def step(free: int) -> bool:
-        """Extend the path over ``free``, the vertices not on it yet."""
-        if not free:
-            return successors(1) > 0
-        for _, v in sorted([((adj[v] & free).bit_count(), v) for v in bits(successors(free))]):
-            path.append(v)
-            rest = free & ~(1 << v)
-            if (rest == 0 or feasible(v, rest)) and step(rest):
-                return True
-            path.pop()
-        return False
-
-    def walk(free: int) -> bool:
-        """``step``'s first leaf, untested; a dead end cuts the path back."""
-        start = len(path)
-        while free and (left := successors(free)):
+    # WLOG the forced edge at vertex 0 is traversed first (cycle reversal)
+    root = [0] if 0 not in partner else [0, partner[0]]
+    root_free = g.full & ~mask_of(root)
+    if not feasible(root[-1], root_free):
+        return None
+    path, free, tried, pruned = root[:], root_free, [0], False
+    while True:
+        # the end's untried neighbours in free, only its partner while due; a
+        # full path closes on 0 (0's partner, if any, is path[1])
+        last = path[-1]
+        p = partner.get(last)
+        due = 1 << p if p is not None and p != path[-2] else -1
+        left = adj[last] & (free or 1) & ~tried[-1] & due
+        if left and not free:
+            return CycleCert(tuple(path))
+        if left:
             pick, fewest = 0, n
             while left:
                 low = left & -left
@@ -158,21 +154,19 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
                 d = (adj[low.bit_length() - 1] & free).bit_count()
                 if d < fewest:
                     pick, fewest = low, d
-            path.append(pick.bit_length() - 1)
-            free ^= pick
-        if not free and successors(1):
-            return True
-        del path[start:]
-        return False
-
-    free = g.full & ~1
-    p0 = partner.get(0)
-    if p0 is not None:
-        # WLOG the forced edge at vertex 0 is traversed first (cycle reversal)
-        path.append(p0)
-        free &= ~(1 << p0)
-    found = feasible(path[-1], free) and (walk(free) or step(free))
-    return CycleCert(tuple(path)) if found else None
+            tried[-1] |= pick
+            v = pick.bit_length() - 1
+            if not pruned or free == pick or feasible(v, free ^ pick):
+                path.append(v)
+                free ^= pick
+                tried.append(0)
+        elif not pruned:
+            path, free, tried, pruned = root[:], root_free, [0], True
+        elif len(path) == len(root):
+            return None
+        else:
+            free |= 1 << path.pop()
+            tried.pop()
 
 
 def dirac_cycle(g: Graph) -> CycleCert:

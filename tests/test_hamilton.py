@@ -179,6 +179,22 @@ def test_oracle_root_test_answers_an_unbalanced_split_join(monkeypatch):
     assert ham_cycle_forced(g) is None and calls == []
 
 
+def test_oracle_restarts_from_the_root_at_the_first_dead_end(monkeypatch):
+    g = complete_split_join(6, 8)
+    rng = random.Random(0)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    assert g.adj[0].bit_count() == 6  # vertex 0 lies on the independent side
+    calls = count_reach(monkeypatch)
+    # seven twins fit the 13 places left, so the root passes; its untested
+    # first leaf dead-ends, and back at the root every child leaves seven
+    # twins for 12 places, so the root's one reach is the only one (resuming
+    # at the dead end would test the untested prefix's children instead)
+    assert reference_ham_cycle_forced(g, first_leaf=True) is None
+    assert ham_cycle_forced(g) is None and len(calls) == 1
+
+
 def test_dirac_examples():
     for g in (Graph.complete(4), Graph.cycle(4), Graph.complete_multipartite([3, 3, 3])):
         cert = dirac_cycle(g)
