@@ -50,13 +50,14 @@ its paths through common neighbours and then from disjoint paths
 s - x - y - t taken greedily, both counted on the masks first, so a pair
 they already bring to its limit copies no residual; augmenting paths come
 from a BFS over masks, and augmenting flips bits.  On a dense graph the
-two families carry nearly all of each pair's flow.  Even's bound limits
-the flows to pairs whose smaller vertex is among the first kappa + 1, and
-a pair stops once its flow reaches the best cut so far.  None of this
-changes the cut that is returned: each pair's cut is the one nearest to
-its smaller vertex, which every maximum flow determines alike, and the
-pair that supplies the answer is still the first pair, in lexicographic
-order, whose cut has kappa vertices (see ``connectivity``).
+two families carry nearly all of each pair's flow.  The best cut starts
+at delta + 1 (kappa <= delta), Even's bound limits the flows to pairs
+whose smaller vertex is at most the best cut, and a pair is skipped when
+its common neighbours reach the best cut and stops once its flow does.
+None of this changes the cut that is returned: each pair's cut is the
+one nearest to its smaller vertex, which every maximum flow determines
+alike, and the pair that supplies the answer is still the first pair, in
+lexicographic order, whose cut has kappa vertices (see ``connectivity``).
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def _cutsets(g: Graph, need):
     each such A once.  With base = N(A) plus the vertices below r and free
     the vertices in neither, each T of k - |base| free vertices gives the
     cutset base | T, as every A grown has |A| < n - k and so leaves a free
-    vertex over; S fixes r and A, so each cutset is found once.  A branch
-    stops growing A when
+    vertex over (a base of exactly k vertices is its own cutset); S fixes
+    r and A, so each cutset is found once.  A branch stops growing A when
       - |A| + need(k) > n - k: a cutset of size k with a larger A leaves
         at most n - k - |A| components besides A, fewer than need(k) (with
         need(k) = 2, no second component);
@@ -161,7 +162,7 @@ def _cutsets(g: Graph, need):
         branch can add at most n - k - 1 - |A| vertices to A.
     The last is tested on each A before it is grown.  So no cutset with
     c(G - S) >= need(k) is skipped: its A has |A| <= n - k + 1 - need(k)."""
-    n, adj = g.n, g.adj
+    n, adj, count = g.n, g.adj, g.component_count
     kappa, _ = _pair_flows(g)
     alpha, _ = independence(g)
 
@@ -169,10 +170,12 @@ def _cutsets(g: Graph, need):
         # size: |A|; ext: the vertices its branch may add next, all in base;
         # base: N(A) and the vertices below r; free: the rest, never empty
         rest = k - base.bit_count()
-        if rest >= 0:
+        if rest == 0:
+            found.append((base, count(base)))
+        elif rest > 0:
             for t in map(sum, combinations([1 << v for v in bits(free)], rest)):
                 s = base | t
-                found.append((s, g.component_count(s)))
+                found.append((s, count(s)))
         # a step whose w has more than spare exclusive neighbours makes a
         # child with |base| + |A| + need(k) > n + 1 and, as size + least
         # <= n - k past the test below, more than k vertices in base: it
@@ -410,28 +413,35 @@ def _pair_flows(g: Graph):
     non-adjacent pair (s, t), in lexicographic order, whose pair cut has
     kappa vertices.
 
-    Even's bound (SIAM J. Comput. 1975) ends the pair loop once s exceeds
-    the best cut size.  That first pair has s <= kappa: a minimum cut C has
-    kappa vertices, so some i <= kappa lies outside it, and i with a vertex
-    of another component of G - C is a pair with smaller vertex at most i
-    whose cut has kappa vertices.  A pair stops augmenting once its flow
-    reaches the best cut size, since it can then no longer beat it, and
-    does not start when its common-neighbour and greedy s - x - y - t paths
-    already reach it (see ``_min_vertex_cut_pair``).  The best cut is
-    replaced only on a strict improvement, so the cut returned is the one a
-    loop over every non-adjacent pair would return.
+    The best cut size starts at delta + 1: a vertex of minimum degree delta
+    has a non-neighbour, which its neighbours separate from it, so kappa <=
+    delta (Whitney, Amer. J. Math. 1932).  Even's bound (SIAM J. Comput.
+    1975) ends the pair loop once s exceeds the best cut size.  That first
+    pair has s <= kappa: a minimum cut C has kappa vertices, so some i <=
+    kappa lies outside it, and i with a vertex of another component of
+    G - C is a pair with smaller vertex at most i whose cut has kappa
+    vertices.  A pair is skipped when its common neighbours already number
+    the best cut size, does not start when those and its greedy
+    s - x - y - t paths reach it (see ``_min_vertex_cut_pair``), and stops
+    augmenting once its flow does: its cut cannot beat the best one, which
+    is replaced only on a strict improvement, so the cut returned is the
+    one a loop over every non-adjacent pair would return.
     """
-    n = g.n
+    adj = g.adj
     base = _split_residual(g)
-    best_cut, size = None, n
-    for s in range(n):
+    best_cut, size = None, g.min_degree() + 1
+    for s in range(g.n):
         if s > size:
             break
-        others = (g.full & ~g.adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
-        for t in bits(others):
-            cut = _min_vertex_cut_pair(base, s, t, size)
-            if cut is not None:
-                best_cut, size = cut, cut.bit_count()
+        others = (g.full & ~adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
+        while others:
+            low = others & -others
+            others ^= low
+            t = low.bit_length() - 1
+            if (adj[s] & adj[t]).bit_count() < size:  # else its s - w - t paths reach it
+                cut = _min_vertex_cut_pair(base, s, t, size)
+                if cut is not None:
+                    best_cut, size = cut, cut.bit_count()
     assert best_cut is not None
     return size, best_cut
 

@@ -246,15 +246,28 @@ def test_dense_family_cuts_are_pinned():
 
 
 def test_connectivity_flows_start_only_below_kappa(monkeypatch):
-    # Even's bound: pairs whose smaller vertex is past kappa are never solved
+    # Even's bound: pairs whose smaller vertex is past kappa are never solved;
+    # Whitney's: no flow asks for more than delta + 1 paths, and a pair whose
+    # common neighbours already reach its limit runs no flow
     from toughham import metrics
 
-    starts = []
+    calls = []
     real = metrics._min_vertex_cut_pair
     monkeypatch.setattr(metrics, "_min_vertex_cut_pair",
-                        lambda base, s, t, limit: starts.append(s) or real(base, s, t, limit))
+                        lambda base, s, t, limit: calls.append((s, t, limit))
+                        or real(base, s, t, limit))
     assert connectivity(Graph.cycle(12)) == (2, 0b100000000010)
-    assert starts and max(starts) <= 2
+    assert calls and max(s for s, _, _ in calls) <= 2
+    assert all(limit <= 3 for _, _, limit in calls)
+
+    # K_{2,2,2} on 0..5 (non-edges 01, 23, 45) and vertex 6 joined to 0 and 2:
+    # delta = 2, and the pairs (0, 1) and (2, 3) have four common neighbours
+    octahedron = [(u, v) for u, v in combinations(range(6), 2) if u // 2 != v // 2]
+    g = Graph.from_edges(7, octahedron + [(0, 6), (2, 6)])
+    calls.clear()
+    assert connectivity(g) == (2, 0b101)
+    assert calls and all(limit <= 3 for _, _, limit in calls)
+    assert all((g.adj[s] & g.adj[t]).bit_count() < limit for s, t, limit in calls)
 
 
 def _pair_corpus():
