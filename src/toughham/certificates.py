@@ -95,7 +95,7 @@ def check_certificate(g: Graph, cert: Certificate, cfg: RunConfig) -> tuple[bool
             return False, f"witness pattern {cert.pattern} is not {FORBIDDEN_PATTERN}"
         if any(not 0 <= v < g.n for v in cert.vertices):
             return False, "witness has out-of-range vertices"
-        if not induces_pattern(g, cert.vertices, FORBIDDEN_PATTERN):
+        if not induces_pattern(g, cert.vertices):
             return False, f"vertices {cert.vertices} do not induce {FORBIDDEN_PATTERN}"
         return True, "forbidden induced pattern verified"
     if kind is OracleLimit:

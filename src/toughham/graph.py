@@ -121,13 +121,6 @@ def lex_key(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
-def edge(u: int, v: int) -> tuple[int, int]:
-    """Normalized edge (u < v)."""
-    if u == v:
-        raise GraphError(f"loop edge at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
     """Immutable simple graph; ``adj[u]`` is the neighbor mask of u."""
 

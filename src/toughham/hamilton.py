@@ -185,23 +185,16 @@ def dirac_cycle(g: Graph) -> CycleCert:
     path = [0]
     inpath = 1
     while True:
-        # extend greedily at the tail, then the head, until maximal
-        extended = True
-        while extended:
-            extended = False
-            free = adj[path[-1]] & ~inpath
-            if free:
-                v = (free & -free).bit_length() - 1
-                path.append(v)
-                inpath |= bit(v)
-                extended = True
-                continue
-            free = adj[path[0]] & ~inpath
-            if free:
-                v = (free & -free).bit_length() - 1
-                path.insert(0, v)
-                inpath |= bit(v)
-                extended = True
+        # extend greedily at the tail, then the head, until maximal: an end
+        # that is stuck stays stuck, as vertices only join the path
+        while free := adj[path[-1]] & ~inpath:
+            v = (free & -free).bit_length() - 1
+            path.append(v)
+            inpath |= bit(v)
+        while free := adj[path[0]] & ~inpath:
+            v = (free & -free).bit_length() - 1
+            path.insert(0, v)
+            inpath |= bit(v)
         k = len(path)
         head, tail = path[0], path[-1]
         if adj[head] >> tail & 1:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import metrics
 from .certificates import Certificate, OracleLimit, RunConfig, Trace
-from .graph import Graph, GraphError, bit, bits, edge, mask_of
+from .graph import Graph, GraphError, bit, bits, mask_of
 from .hamilton import (CycleCert, PathCert, dirac_cycle, ham_cycle_forced, insert_vertices,
                        multipartite_ham_path, validate_cycle, validate_path)
 from .matchings import k1t_matching
@@ -49,8 +49,8 @@ from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       witness_from_independent_set)
 # scattering stays bound: the benchmark harness times pipeline.scattering by name
 from .metrics import scattering  # noqa: F401
-from .recognition import (FORBIDDEN_PATTERN, InducedWitness, Multipartition, find_induced,
-                          multipartite_decompose, multipartite_parts)
+from .recognition import (InducedWitness, Multipartition, find_induced, multipartite_decompose,
+                          multipartite_parts)
 # induces_pattern stays bound: the benchmark harness counts pipeline.induces_pattern by name
 from .recognition import induces_pattern  # noqa: F401
 
@@ -175,7 +175,7 @@ def run_theorem(g: Graph, cfg: RunConfig | None = None) -> tuple[Certificate, li
     trace.add("config", t=cfg.t, n=g.n, cap_oracle=cfg.cap_oracle,
               regime=(cfg.t >= PROVEN_T))
 
-    hit = find_induced(g, FORBIDDEN_PATTERN)
+    hit = find_induced(g)
     if hit is not None:
         trace.add("freeness", result="witness", ids=hit.vertices)
         return hit, trace.lines
@@ -511,7 +511,7 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     if g2.n < 3:
         return _salvage_or_limit(g, cfg, trace, f"{case}.connectivity.tiny")
     inv2 = {orig: i for i, orig in enumerate(map2)}
-    l_local = [edge(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
+    l_local = [(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
     g2star = g2.add_edges(l_local)
     l_size = len(l_local)
     alpha_star, aset_star = independence(g2star)

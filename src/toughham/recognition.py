@@ -1,13 +1,14 @@
 """Induced-pattern detection and complete-multipartite structure.
 
-A graph with no induced edge-plus-isolated-vertex is exactly a complete
-multipartite graph (its complement is a disjoint union of cliques), which is
-the structural fact the whole pipeline leans on.  Every search returns the
-lexicographically smallest ascending vertex tuple inducing its pattern.
+The engine forbids one pattern, ``2p2+p1`` (two disjoint edges plus an
+isolated vertex), and ``holds``, ``find_induced`` and ``induces_pattern``
+answer only it.  A graph with no induced ``p2+p1`` (an edge plus an
+isolated vertex) is exactly a complete multipartite graph (its complement
+is a disjoint union of cliques), which is the structural fact the whole
+pipeline leans on: ``multipartite_parts`` decides it and
+``multipartite_decompose`` also gives the witness.  Every search returns
+the lexicographically smallest ascending vertex tuple inducing its pattern.
 
-The engine names two patterns, both linear forests (disjoint edges plus at
-most one isolated vertex): ``2p2+p1`` and ``p2+p1``; ``FORESTS`` gives
-each as (edges, isolated vertices), and any other name is a ``GraphError``.
 G[X] holds an induced ``p2+p1`` exactly when it is not complete
 multipartite, which one pass over the non-adjacency classes of X decides in
 O(|X|) mask operations.  G holds an induced ``2p2+p1`` exactly when some
@@ -16,34 +17,32 @@ costs O(n*m) mask operations.  Every such X lies inside G - N[a], and a
 superset of a set holding ``p2+p1`` holds it too, so the scan skips a
 after one test when G - N[a] is complete multipartite (one test per
 vertex when every G - N[a] is), and ``holds`` first tests G itself: a
-complete multipartite graph costs that one O(n) test, which also decides
-``p2+p1``.  The ``2p2+p1`` scan runs on one vertex of each distinct row
-(see ``holds``), so the blow-ups of the case split pay once per row.  The
-``p2+p1`` witness is built greedily: each position takes the smallest
-vertex above the previous one for which an exact completion test (a role
-for every chosen vertex, then the missing edges, partners and isolated
-vertex inside masks) still finds a witness, at most n completion tests per
-position.  The same greedy finds ``2p2+p1`` witnesses and is tested on
-them, but ``find_induced`` still takes those from a backtracker over
-ascending 5-tuples once the bitset test has found that one exists (routing
-them through the greedy is open work, ROADMAP item 8).  Rejection sampling
-only asks whether the forest is there, through ``holds``, so it runs no
-witness search.  Checking a claimed witness needs no search at all: the ids
-must be distinct and of the forest's size, and each must see at most one of
-the others, with twice the edge count of such incidences in all.
+complete multipartite graph costs that one O(n) test.  The scan runs on
+one vertex of each distinct row (see ``holds``), so the blow-ups of the
+case split pay once per row.  The ``p2+p1`` witness is built greedily by
+``_forest_witness``: each position takes the smallest vertex above the
+previous one for which an exact completion test (a role for every chosen
+vertex, then the missing edges, partners and isolated vertex inside masks)
+still finds a witness, at most n completion tests per position.  The same
+greedy finds ``2p2+p1`` witnesses and is tested on them, but
+``find_induced`` still takes those from a backtracker over ascending
+5-tuples once the bitset test has found that one exists (routing them
+through the greedy is one line, ROADMAP item 8).  Rejection sampling only
+asks whether the pattern is there, through ``holds``, so it runs no witness
+search.  Checking a claimed witness needs no search at all: the ids must be
+five and distinct, and each must see at most one of the others, with four
+such incidences in all.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graph import Graph, GraphError, bits, mask_of
+from .graph import Graph, bits, mask_of
 
 
-# The pattern the scan searches for and the checker demands, and the patterns
-# the engine names, as (edges, isolated vertices).
+# The pattern the scan searches for and the checker demands.
 FORBIDDEN_PATTERN = "2p2+p1"
-FORESTS = {FORBIDDEN_PATTERN: (2, 1), "p2+p1": (1, 1)}
 
 # The graph the 2p2+p1 backtracker prunes against.
 _2P2P1 = Graph.from_edges(5, [(0, 1), (2, 3)])
@@ -65,13 +64,6 @@ class Multipartition(NamedTuple):
         """Mask of a largest part (ties broken by smallest minimum vertex,
         as ``max`` keeps the first of the parts ordered by minimum vertex)."""
         return max(self.parts, key=int.bit_count)
-
-
-def _forest(pattern: str) -> tuple[int, int]:
-    try:
-        return FORESTS[pattern]
-    except KeyError:
-        raise GraphError(f"unknown pattern id {pattern!r}") from None
 
 
 def _partial_embeddable(rows: list[int], k: int) -> bool:
@@ -261,39 +253,35 @@ def _forest_witness(adj, x: int, edges: int, solo: int) -> tuple[int, ...] | Non
     return tuple(prefix)
 
 
-def holds(g: Graph, pattern: str) -> bool:
-    """Does g induce the named forest?  O(n*m) mask operations, no witness.
+def holds(g: Graph) -> bool:
+    """Does g induce 2p2+p1?  O(n*m) mask operations, no witness.
 
     The scan runs on ``keep``, the lowest vertex of each distinct row: no
-    two vertices of a named forest have equal neighbourhoods inside it, so
-    moving each vertex of an induced copy to the representative of its row
-    is injective and keeps every adjacency, and G[keep] is induced in G.
+    two vertices of 2p2+p1 have equal neighbourhoods inside it, so moving
+    each vertex of an induced copy to the representative of its row is
+    injective and keeps every adjacency, and G[keep] is induced in G.
     """
-    edges, solo = _forest(pattern)
-    # each named forest holds p2+p1, which a complete multipartite G does not
-    if 2 * edges + solo > g.n or _parts(g.adj, g.full) is not None:
+    # 2p2+p1 holds p2+p1, which a complete multipartite G does not
+    if g.n < 5 or _parts(g.adj, g.full) is not None:
         return False
-    if edges == 1:  # the test above decides p2+p1
-        return True
     keep = mask_of({g.adj[v]: v for v in range(g.n - 1, -1, -1)}.values())
-    return _holds(g.adj, keep, edges, solo)
+    return _holds(g.adj, keep, 2, 1)
 
 
-def find_induced(g: Graph, pattern: str) -> InducedWitness | None:
-    """Lexicographically smallest vertex tuple inducing the pattern, or None."""
-    if not holds(g, pattern):
+def find_induced(g: Graph) -> InducedWitness | None:
+    """Lexicographically smallest vertex tuple inducing 2p2+p1, or None."""
+    if not holds(g):
         return None
     # the backtracker stops at its first complete tuple
-    hit = _forest_witness(g.adj, g.full, 1, 1) if pattern == "p2+p1" else _backtrack(g)
-    return InducedWitness(hit, pattern)
+    return InducedWitness(_backtrack(g), FORBIDDEN_PATTERN)
 
 
-def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
-    """Checker-side validation: do these vertices induce the pattern exactly?
-    A shape test: distinct ids, each adjacent to at most one other, `edges` pairs."""
-    edges, solo = _forest(pattern)
+def induces_pattern(g: Graph, vertices) -> bool:
+    """Checker-side validation: do these vertices induce 2p2+p1 exactly?
+    A shape test: five distinct ids, each adjacent to at most one other,
+    two pairs."""
     vs = list(vertices)
-    if len(vs) != 2 * edges + solo or len(set(vs)) != len(vs):
+    if len(vs) != 5 or len(set(vs)) != 5:
         return False
     ends = 0
     for v in vs:
@@ -301,7 +289,7 @@ def induces_pattern(g: Graph, vertices, pattern: str) -> bool:
         if seen > 1:
             return False
         ends += seen
-    return ends == 2 * edges
+    return ends == 4
 
 
 def multipartite_decompose(g: Graph, x: int | None = None) -> Multipartition | InducedWitness:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from toughham.graph import Graph, bit, bits
-from toughham.recognition import FORESTS, _holds
+from toughham.recognition import _holds
 
 
 def all_graphs(n: int):
@@ -81,12 +81,11 @@ def false_twin_blow_up(g, sizes, rng):
                                          if g.adj[owner[a]] >> owner[b] & 1])
 
 
-def reference_holds(g, pattern) -> bool:
-    """Does g induce the named forest, by the mask scan over every vertex
-    of g: no complete-multipartite guard and no quotient by equal rows.
-    The scan itself is held to brute force in ``test_recognition``."""
-    edges, solo = FORESTS[pattern]
-    return 2 * edges + solo <= g.n and _holds(g.adj, g.full, edges, solo)
+def reference_holds(g) -> bool:
+    """Does g induce 2p2+p1, by the mask scan over every vertex of g: no
+    complete-multipartite guard and no quotient by equal rows.  The scan
+    itself is held to brute force in ``test_recognition``."""
+    return g.n >= 5 and _holds(g.adj, g.full, 2, 1)
 
 
 def reference_ham_cycle_forced(g, forced=(), first_leaf=False):

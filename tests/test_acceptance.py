@@ -37,7 +37,7 @@ def test_criterion_1_end_to_end_theorem_run():
     assert verify_tough(g, Fraction(11)) is None
     tau, _ = toughness(g)
     assert tau == Fraction(11)
-    assert find_induced(g, "2p2+p1") is None
+    assert find_induced(g) is None
     cfg = RunConfig()
     cert, trace = run_theorem(g, cfg)
     assert isinstance(cert, CycleCert)

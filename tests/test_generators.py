@@ -29,7 +29,7 @@ def test_random_is_deterministic():
 def test_random_in_class_is_pattern_free():
     for seed in range(12):
         g = random_in_class(12, 0.5, seed)
-        assert find_induced(g, "2p2+p1") is None
+        assert find_induced(g) is None
 
 
 def test_random_in_class_rejection_cap(monkeypatch):
@@ -85,7 +85,7 @@ def test_case1_synthetic_structure():
     assert s_mask == (mask_of(range(n1)) | mask_of(range(n1, n1 + s2))) & ~bit(0) & ~bit(2)
     comps = g.components(s_mask)
     assert len(comps) == 2
-    assert find_induced(g, "2p2+p1") is None
+    assert find_induced(g) is None
 
 
 def test_case1_synthetic_validation():
@@ -128,7 +128,7 @@ def test_dense_families_have_their_shape_and_are_pattern_free():
             side = range(first) if name == "two_cliques" else range(first, g.n)
             other = high if name == "two_cliques" else low
             assert all((g.adj[v] & other).bit_count() == shape[2] for v in side), (name, shape)
-        assert not holds(g, "2p2+p1"), (name, shape)
+        assert not holds(g), (name, shape)
 
 
 def test_dense_families_are_seeded():
@@ -145,7 +145,7 @@ def test_case1_synthetic_relabeling_seed():
     assert base.n == shuffled.n
     assert base.edge_count() == shuffled.edge_count()
     assert base != shuffled
-    assert find_induced(shuffled, "2p2+p1") is None
+    assert find_induced(shuffled) is None
 
 
 def generator_outputs_digest():

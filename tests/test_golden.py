@@ -145,7 +145,7 @@ def corpus_replays():
         yield from _case1_stages(sparse, RunConfig(t=t))
     dense = [g for g in _random_graphs(160, range(8, 20), (0.6, 0.75, 0.85, 0.95), 5000)
              if _case1_edge(g) is None][:60]
-    dense = [g for g in dense if not holds(g, "2p2+p1")]
+    dense = [g for g in dense if not holds(g)]
     for t in (Fraction(1), Fraction(3, 2), Fraction(11)):
         yield from _case2_stage(dense, RunConfig(t=t))
     yield from _theorem([(g, RunConfig(t=Fraction(9, 4)))

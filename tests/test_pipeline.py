@@ -85,7 +85,7 @@ def _pattern_free_graphs():
         pairs = list(combinations(range(n), 2))
         for chosen in range(1 << len(pairs)):
             g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
-            if not holds(g, "2p2+p1"):
+            if not holds(g):
                 yield g
     rng = random.Random(14)
     for i in range(60):
@@ -500,7 +500,7 @@ def test_cut_replays_end_in_a_witness_or_a_named_limit():
     # below its case's bound
     endings = Counter()
     for replay, g in _cut_replay_inputs():
-        assert not holds(g, "2p2+p1")
+        assert not holds(g)
         for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
                   Fraction(5), Fraction(11)):
             got = replay(g, t)
@@ -606,7 +606,7 @@ def test_theorem_conformance_on_tough_free_instances():
     cfg = RunConfig()
     for g in tough_free_corpus():
         assert verify_tough(g, Fraction(11)) is None
-        assert find_induced(g, "2p2+p1") is None
+        assert find_induced(g) is None
         cert, _ = run_theorem(g, cfg)
         assert isinstance(cert, CycleCert), g
         assert check_certificate(g, cert, cfg)[0]

@@ -1,23 +1,24 @@
 import random
 from itertools import combinations, permutations
 
-import pytest
-
 from oracles import (all_graphs, case2_instance, complete_multipartite_graphs, false_twin_blow_up,
                      random_edge_graph, reference_holds)
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class, relabel
-from toughham.graph import Graph, GraphError, bits, mask_of
+from toughham.graph import Graph, bits, mask_of
 from toughham.hamilton import multipartite_ham_path
 from toughham.metrics import independence
-from toughham.recognition import (FORESTS, InducedWitness, Multipartition,
+from toughham.recognition import (FORBIDDEN_PATTERN, InducedWitness, Multipartition,
                                   _backtrack, _forest_witness, find_induced, holds,
                                   induces_pattern, multipartite_decompose,
                                   multipartite_parts)
 
+# each forest the tests search for, as (edges, isolated vertices)
+SHAPES = {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
+
 
 def forest_graph(pattern):
-    edges, solo = FORESTS[pattern]
+    edges, solo = SHAPES[pattern]
     return Graph.from_edges(2 * edges + solo, [(2 * i, 2 * i + 1) for i in range(edges)])
 
 
@@ -34,23 +35,32 @@ def induces_by_permutation(g, vertices, pattern):
 
 
 def brute_find(g, pattern):
-    """Try every vertex subset in lexicographic order with the checker's
-    shape test, which the permutation reference pins below."""
+    """Try every vertex subset in lexicographic order: for 2p2+p1 with the
+    checker's shape test, which the permutation reference pins below, and
+    for p2+p1 with the permutation reference itself."""
     k = forest_graph(pattern).n
     for combo in combinations(range(g.n), k):
-        if induces_pattern(g, combo, pattern):
+        if (induces_pattern(g, combo) if pattern == FORBIDDEN_PATTERN
+                else induces_by_permutation(g, combo, pattern)):
             return combo
     return None
 
 
+def found(g, pattern):
+    """The engine's smallest witness of the forest, or None: 2p2+p1 from
+    ``find_induced``, p2+p1 from ``multipartite_decompose``."""
+    hit = find_induced(g) if pattern == FORBIDDEN_PATTERN else multipartite_decompose(g)
+    return hit.vertices if isinstance(hit, InducedWitness) else None
+
+
 def test_find_induced_examples():
     c5 = Graph.cycle(5)
-    assert find_induced(c5, "2p2+p1") is None  # exhaustive: C5 has 5 edges, not 2
+    assert find_induced(c5) is None  # exhaustive: C5 has 5 edges, not 2
     pattern = Graph.from_edges(5, [(0, 1), (2, 3)])
-    hit = find_induced(pattern, "2p2+p1")
+    hit = find_induced(pattern)
     assert hit is not None and hit.vertices == (0, 1, 2, 3, 4)
     p4 = Graph.path(4)
-    assert find_induced(p4, "p2+p1").vertices == (0, 1, 3)
+    assert _forest_witness(p4.adj, p4.full, 1, 1) == (0, 1, 3)
 
 
 def test_find_induced_is_lexicographically_smallest():
@@ -58,33 +68,26 @@ def test_find_induced_is_lexicographically_smallest():
     for _ in range(120):
         n = rng.randrange(3, 9)
         g = random_edge_graph(rng, n)
-        for pattern in FORESTS:
-            hit = find_induced(g, pattern)
-            want = brute_find(g, pattern)
-            assert (hit.vertices if hit else None) == want
+        for pattern in SHAPES:
+            assert found(g, pattern) == brute_find(g, pattern)
 
 
 def test_find_induced_oracle_equivalence_n10():
     rng = random.Random(5)
     for _ in range(25):
         g = random_edge_graph(rng, 10, rng.choice([0.3, 0.5, 0.7]))
-        for pattern in FORESTS:
-            assert (find_induced(g, pattern) is None) == (brute_find(g, pattern) is None)
+        assert (find_induced(g) is None) == (brute_find(g, "2p2+p1") is None)
+        assert (multipartite_parts(g) is None) == (brute_find(g, "p2+p1") is not None)
 
 
 def assert_scan_agrees(g):
-    """find_induced and the greedy forest search return brute force's
-    witness, and so does the backtracker for 2p2+p1."""
-    for pattern, shape in FORESTS.items():
+    """find_induced, multipartite_decompose and the greedy forest search
+    return brute force's witness, and so does the backtracker for 2p2+p1."""
+    assert _backtrack(g) == brute_find(g, "2p2+p1"), g.adj
+    for pattern, shape in SHAPES.items():
         want = brute_find(g, pattern)
-        if pattern == "2p2+p1":
-            assert _backtrack(g) == want, g.adj
-        hit = find_induced(g, pattern)
-        assert (hit.vertices if hit is not None else None) == want, (g.adj, pattern)
+        assert found(g, pattern) == want, (g.adj, pattern)
         assert _forest_witness(g.adj, g.full, *shape) == want, (g.adj, pattern)
-        if pattern == "p2+p1":
-            mp = multipartite_decompose(g)
-            assert (mp.vertices if isinstance(mp, InducedWitness) else None) == want
 
 
 def test_scan_agrees_on_every_graph_up_to_six_vertices():
@@ -128,27 +131,25 @@ def test_scan_tests_each_vertex_once_on_free_graphs(monkeypatch):
                         lambda adj, x: calls.append(x) or parts(adj, x))
     for g in (Graph.complete_multipartite([5, 5, 5]), complete_split_join(20, 10)):
         calls.clear()
-        assert find_induced(g, "2p2+p1") is None
+        assert find_induced(g) is None
         assert calls == [g.full]
     two_cliques = Graph.from_edges(10, [(u, v) for u, v in combinations(range(10), 2)
                                         if u // 5 == v // 5])
     calls.clear()
-    assert find_induced(two_cliques, "2p2+p1") is None
+    assert find_induced(two_cliques) is None
     assert len(calls) <= two_cliques.n + 1 < two_cliques.edge_count()
 
 
 def test_quotient_scan_matches_the_full_scan():
     for n in range(7):
         for g in all_graphs(n):
-            for pattern in FORESTS:
-                assert holds(g, pattern) == reference_holds(g, pattern), (g.adj, pattern)
+            assert holds(g) == reference_holds(g), g.adj
     rng = random.Random(23)
     for _ in range(1200):
         base = random_edge_graph(rng, rng.randrange(1, 11), rng.choice([0.3, 0.5, 0.7]))
         blow = false_twin_blow_up(base, [rng.randrange(1, 5) for _ in range(base.n)], rng)
-        for pattern in FORESTS:
-            want = reference_holds(blow, pattern)
-            assert holds(blow, pattern) == want == holds(base, pattern), (base.adj, pattern)
+        assert holds(blow) == reference_holds(blow) == holds(base), base.adj
+        assert (multipartite_parts(blow) is None) == (multipartite_parts(base) is None), base.adj
 
 
 def test_scan_pays_once_per_distinct_row(monkeypatch):
@@ -159,14 +160,14 @@ def test_scan_pays_once_per_distinct_row(monkeypatch):
                         lambda adj, x: calls.append(x) or parts(adj, x))
     g = case2_instance(9, 2, 2, random.Random(9))
     assert len(set(g.adj)) == 11
-    assert not holds(g, "2p2+p1")
+    assert not holds(g)
     assert len(calls) == 14
     calls.clear()
-    assert not reference_holds(g, "2p2+p1")
+    assert not reference_holds(g)
     assert len(calls) == 26
-    # the complete-multipartite guard alone answers p2+p1
+    # one complete-multipartite test of G answers p2+p1
     calls.clear()
-    assert holds(g, "p2+p1")
+    assert multipartite_parts(g) is None
     assert calls == [g.full]
 
 
@@ -174,24 +175,30 @@ def test_complete_multipartite_graphs_hold_no_forest():
     graphs = 0
     for g in complete_multipartite_graphs(10, seed=8):
         graphs += 1
-        for pattern in FORESTS:
-            assert not holds(g, pattern) and find_induced(g, pattern) is None, g.adj
+        assert not holds(g) and find_induced(g) is None, g.adj
+        assert multipartite_parts(g) is not None, g.adj
+        assert _forest_witness(g.adj, g.full, 1, 1) is None, g.adj
     assert graphs == 138  # the partitions of n = 1..10
 
 
 def test_holds_decides_what_find_induced_finds():
     # holds is find_induced's first step, so this pins that the witness
-    # search after it always finds one, and brute force pins both
+    # search after it always finds one, and brute force pins both; the
+    # parts test is multipartite_decompose's first step in the same way
+    def assert_agree(g):
+        assert holds(g) == (find_induced(g) is not None), g.adj
+        mp = multipartite_decompose(g)
+        assert (multipartite_parts(g) is None) == isinstance(mp, InducedWitness), g.adj
+
     for n in range(7):
         for g in all_graphs(n):
-            for pattern in FORESTS:
-                want = brute_find(g, pattern) is not None
-                assert holds(g, pattern) == (find_induced(g, pattern) is not None) == want
+            assert_agree(g)
+            assert holds(g) == (brute_find(g, "2p2+p1") is not None), g.adj
+            assert (multipartite_parts(g) is None) == (brute_find(g, "p2+p1") is not None)
     rng = random.Random(43)
     for _ in range(90):
         g = random_edge_graph(rng, rng.randrange(7, 15), rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
-        for pattern in FORESTS:
-            assert holds(g, pattern) == (find_induced(g, pattern) is not None), g.adj
+        assert_agree(g)
 
 
 def test_multipartite_parts_are_the_decomposition():
@@ -263,34 +270,21 @@ def test_largest_part_breaks_ties_by_smallest_minimum_vertex():
     assert tied == 3 * 29
 
 
-def test_find_induced_rejects_unknown_pattern():
-    g = Graph.path(5)
-    for name in ("k33", "p1", "p4", "2p2", "p4+p1", "2P2+P1"):
-        with pytest.raises(GraphError):
-            find_induced(g, name)
-        with pytest.raises(GraphError):
-            holds(g, name)
-        with pytest.raises(GraphError):
-            induces_pattern(g, range(5), name)
-
-
 def test_induces_pattern_matches_isomorphism_reference():
     # every labelled graph on 3 and 5 vertices, its ids in every order
     for n in (3, 5):
         for g in all_graphs(n):
-            for pattern in FORESTS:
-                want = induces_by_permutation(g, range(n), pattern)
-                for order in permutations(range(n)):
-                    assert induces_pattern(g, order, pattern) == want, (g.adj, order, pattern)
+            want = induces_by_permutation(g, range(n), "2p2+p1")
+            for order in permutations(range(n)):
+                assert induces_pattern(g, order) == want, (g.adj, order)
     # repeated ids and wrong counts never pass
     g = Graph.from_edges(6, [(0, 1), (2, 3)])
     for vs in [(0, 1, 2, 3, 3), (0, 1, 2, 2, 4), (0, 0, 4), (1, 0, 1), (0, 1, 2, 3),
                (0, 1, 2, 3, 4, 5), (0, 1), (0, 1, 4, 5), ()]:
-        for pattern in FORESTS:
-            assert not (induces_pattern(g, vs, pattern)
-                        or induces_by_permutation(g, vs, pattern)), (vs, pattern)
-    assert induces_pattern(g, (3, 0, 4, 2, 1), "2p2+p1")
-    assert induces_pattern(g, (4, 0, 1), "p2+p1")
+        assert not (induces_pattern(g, vs) or induces_by_permutation(g, vs, "2p2+p1")), vs
+        assert not induces_by_permutation(g, vs, "p2+p1"), vs
+    assert induces_pattern(g, (3, 0, 4, 2, 1))
+    assert induces_by_permutation(g, (4, 0, 1), "p2+p1")
 
 
 def test_multipartite_decompose_examples():
@@ -314,7 +308,7 @@ def test_multipartition_iff_no_pattern():
         n = rng.randrange(1, 11)
         g = random_edge_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
         got = multipartite_decompose(g)
-        free = find_induced(g, "p2+p1") is None
+        free = brute_find(g, "p2+p1") is None
         assert isinstance(got, Multipartition) == free
         if isinstance(got, Multipartition):
             # parts partition the graph, are independent, and join completely
@@ -330,7 +324,7 @@ def test_multipartition_iff_no_pattern():
             alpha, _ = independence(g)
             assert alpha == max(p.bit_count() for p in got.parts)
         else:
-            assert induces_pattern(g, got.vertices, "p2+p1")
+            assert induces_by_permutation(g, got.vertices, "p2+p1")
 
 
 def test_minimal_cutsets_join_completely():
@@ -353,10 +347,13 @@ def test_minimal_cutsets_join_completely():
 
 
 def test_pattern_library_shapes():
-    # the library is the two forests the engine names
-    assert FORESTS == {"2p2+p1": (2, 1), "p2+p1": (1, 1)}
-    for pattern in FORESTS:
+    # each forest is its own smallest witness, and an edgeless graph one
+    # vertex smaller holds none
+    for pattern in SHAPES:
         pg = forest_graph(pattern)
-        assert find_induced(pg, pattern).vertices == tuple(range(pg.n))
-        assert induces_pattern(pg, range(pg.n), pattern)
-        assert find_induced(Graph.empty(pg.n - 1), pattern) is None
+        assert found(pg, pattern) == tuple(range(pg.n))
+        assert induces_by_permutation(pg, range(pg.n), pattern)
+        assert found(Graph.empty(pg.n - 1), pattern) is None
+    pg = forest_graph(FORBIDDEN_PATTERN)
+    assert find_induced(pg) == InducedWitness(tuple(range(5)), FORBIDDEN_PATTERN)
+    assert induces_pattern(pg, range(5))
