@@ -1,10 +1,10 @@
 """Hamilton cycle and path machinery.
 
-Four entry points:
+Entry points:
 
 * ``ham_cycle_forced``: exhaustive oracle for a Hamilton cycle through
-  prescribed independent edges, one bitset-pruned backtracking loop; its
-  first leaf goes untested, and a dead end there restarts it from the root.
+  prescribed independent edges: its root test, then ``first_leaf``, an
+  untested walk at any n, then under its cap one pruned backtracking loop.
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
@@ -74,29 +74,59 @@ def _check_forced(g: Graph, forced) -> dict[int, int]:
     return partner
 
 
+def _successor(adj, partner, path, free: int, tried: int = 0) -> int:
+    """The search's next vertex as a bit, or 0: of the end's untried
+    neighbours in free (only its partner while due), the one with the fewest
+    free neighbours, then the lowest id.  A full path closing gets bit 1."""
+    last = path[-1]
+    p = partner.get(last)
+    left = adj[last] & (free or 1) & ~tried
+    if p is not None and p != path[-2]:
+        left &= 1 << p
+    pick, fewest = 0, len(adj)
+    while left:
+        low = left & -left
+        left ^= low
+        d = (adj[low.bit_length() - 1] & free).bit_count()
+        if d < fewest:
+            pick, fewest = low, d
+    return pick
+
+
+def first_leaf(g: Graph, forced=()) -> CycleCert | None:
+    """The oracle's first leaf, reached by ``_successor`` alone from vertex 0
+    (its forced partner first, WLOG by reversal): a polynomial walk at any
+    n, and ``ham_cycle_forced``'s answer when it closes.  Else None."""
+    partner = _check_forced(g, forced)
+    if g.n < 3:
+        return None
+    path = [0] if 0 not in partner else [0, partner[0]]
+    free = g.full & ~mask_of(path)
+    while pick := _successor(g.adj, partner, path, free):
+        if not free:
+            return CycleCert(tuple(path))
+        path.append(pick.bit_length() - 1)
+        free ^= pick
+    return None
+
+
 def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> CycleCert | None:
     """Hamilton cycle through every forced edge, or None after exhaustive search.
 
-    One loop grows a path from vertex 0 at its last vertex; a vertex whose
-    forced partner is not yet consumed admits only that partner as
-    successor.  Each depth keeps a mask of the successors tried, and the
-    next is the untried one with the fewest free neighbours, then the
-    lowest id: the (remaining degree, id) order, which keeps high-degree
-    hub vertices in reserve as separators.  Prunes, each necessary for the
-    path to close into a Hamilton cycle, so the first cycle in this order
-    is returned: every remaining vertex must keep two usable neighbors, at
-    most one remaining vertex may depend exclusively on the endpoints, no
-    independent-twin class may outgrow the interior positions left for it,
-    and remaining vertices plus both endpoints must stay connected.  The
-    root is tested; the first leaf is reached untested and returned when
-    it closes, as it passes every test on its way.  At its dead end the
-    loop restarts once from the root (resuming there would test the
-    untested prefix's other children), then tests every child with
-    vertices left and backs up one vertex at each dead end.
+    Four steps: the root test; ``first_leaf``, returned when it closes, as
+    it passes every test on its way; the cap, as only the rest is
+    exponential; one loop from the root that grows the path by
+    ``_successor``, with a per-depth mask of successors tried, and tests
+    every child with vertices left.  The (remaining degree, id) order keeps
+    hub vertices in reserve as separators.  The tests, each necessary for a
+    Hamilton cycle, so the first cycle in this order is returned: every
+    remaining vertex keeps two usable neighbors, at most one depends only
+    on the endpoints, no independent-twin class outgrows the interior
+    positions left for it, and the remaining vertices plus both endpoints
+    stay connected.  Above the cap: the root's None, a closing first leaf,
+    or OracleLimitExceeded.
     """
     n = g.n
-    if n > cap:
-        raise OracleLimitExceeded("ham-cycle-forced")
     partner = _check_forced(g, forced)
     if n < 3:
         return None
@@ -131,37 +161,26 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
         blob = rest | 1 << last | 1
         return reach(adj, 1, blob) == blob
 
-    # WLOG the forced edge at vertex 0 is traversed first (cycle reversal)
     root = [0] if 0 not in partner else [0, partner[0]]
     root_free = g.full & ~mask_of(root)
     if not feasible(root[-1], root_free):
         return None
-    path, free, tried, pruned = root[:], root_free, [0], False
+    if (leaf := first_leaf(g, forced)) is not None:
+        return leaf
+    if n > cap:
+        raise OracleLimitExceeded("ham-cycle-forced")
+    path, free, tried = root[:], root_free, [0]
     while True:
-        # the end's untried neighbours in free, only its partner while due; a
-        # full path closes on 0 (0's partner, if any, is path[1])
-        last = path[-1]
-        p = partner.get(last)
-        due = 1 << p if p is not None and p != path[-2] else -1
-        left = adj[last] & (free or 1) & ~tried[-1] & due
-        if left and not free:
+        pick = _successor(adj, partner, path, free, tried[-1])
+        if pick and not free:
             return CycleCert(tuple(path))
-        if left:
-            pick, fewest = 0, n
-            while left:
-                low = left & -left
-                left ^= low
-                d = (adj[low.bit_length() - 1] & free).bit_count()
-                if d < fewest:
-                    pick, fewest = low, d
+        if pick:
             tried[-1] |= pick
             v = pick.bit_length() - 1
-            if not pruned or free == pick or feasible(v, free ^ pick):
+            if free == pick or feasible(v, free ^ pick):
                 path.append(v)
                 free ^= pick
                 tried.append(0)
-        elif not pruned:
-            path, free, tried, pruned = root[:], root_free, [0], True
         elif len(path) == len(root):
             return None
         else:

@@ -9,11 +9,11 @@ uv has a small union neighborhood; its split (a ``Decomposition``) yields
 a path cover of G1 through outside anchors.  Case 2: no edge does; the
 low-degree vertices form an independent set S, those of lowest degree are
 starred out, and the rest are inserted afterwards.  Both cases end in
-``_bridge``: one test of the oracle's precondition κ(G2*) >= |L| + α(G2*),
-G2* being G2 plus the forced edges L, then a forced-edge Hamilton cycle of
-G2* with the paths spliced in.  Adding edges never lowers κ nor raises α,
-so each case's counting facts on G2 imply the test; only a failed test's
-replay computes them, and the first that fails becomes a certificate.
+``_bridge``: a forced-edge Hamilton cycle of G2* (G2 plus the forced edges
+L) with the paths spliced in, the oracle's polynomial first leaf when it
+closes.  Else one test of its precondition κ(G2*) >= |L| + α(G2*), which
+each case's counting facts on G2 imply; only a failed test's replay
+computes them, and the first that fails becomes a certificate.
 
 ``run_theorem`` is the entry point.  The stage functions are its steps:
 each takes the run's trace and trusts what the dispatcher and the earlier
@@ -41,8 +41,8 @@ from typing import NamedTuple
 from . import metrics
 from .certificates import Certificate, OracleLimit, RunConfig, Trace
 from .graph import Graph, GraphError, bit, bits, mask_of
-from .hamilton import (CycleCert, PathCert, dirac_cycle, ham_cycle_forced, insert_vertices,
-                       multipartite_ham_path, validate_cycle, validate_path)
+from .hamilton import (CycleCert, PathCert, dirac_cycle, first_leaf, ham_cycle_forced,
+                       insert_vertices, multipartite_ham_path, validate_cycle, validate_path)
 from .matchings import k1t_matching
 from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       independence, threshold, validate_toughness_witness, verify_tough,
@@ -500,10 +500,12 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     forced edges L, one joining the ends of each path), paths spliced in.
     The spliced cycle comes back unvalidated, for ``_finish`` to validate.
 
-    It holds the one test of the oracle's precondition, κ(G2*) >= |L| +
-    α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).  Each
-    case's counting facts on G2 imply it, as adding edges never lowers κ
-    (n - 1 when complete) nor raises α; so on failure ``replay(g2, map2,
+    First the oracle's first leaf on (G2*, L), a polynomial walk: when it
+    closes it is the oracle's own answer, and no fact is computed.  Only a
+    dead end pays for the one test of the oracle's precondition, κ(G2*) >=
+    |L| + α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).
+    Each case's counting facts on G2 imply it, as adding edges never lowers
+    κ (n - 1 when complete) nor raises α; so on failure ``replay(g2, map2,
     l_size, alpha_star, aset_star)`` computes G2's facts and returns the
     certificate of the first that fails.
     """
@@ -514,16 +516,20 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     l_local = [(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
     g2star = g2.add_edges(l_local)
     l_size = len(l_local)
-    alpha_star, aset_star = independence(g2star)
-    kappa_star, _ = connectivity(g2star)
-    holds = kappa_star >= l_size + alpha_star
-    trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
-              l_size=l_size, holds=holds, stage=case)
-    if not holds:
-        return replay(g2, map2, l_size, alpha_star, aset_star)
-    cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
-    if cyc is None:
-        raise PipelineInternalError("forced-edge oracle failed with its precondition met")
+    cyc = first_leaf(g2star, l_local)
+    if cyc is not None:
+        trace.add("first-leaf", l_size=l_size, stage=case)
+    else:
+        alpha_star, aset_star = independence(g2star)
+        kappa_star, _ = connectivity(g2star)
+        holds = kappa_star >= l_size + alpha_star
+        trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
+                  l_size=l_size, holds=holds, stage=case)
+        if not holds:
+            return replay(g2, map2, l_size, alpha_star, aset_star)
+        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
+        if cyc is None:
+            raise PipelineInternalError("forced-edge oracle failed with its precondition met")
     return CycleCert(_splice(tuple(map2[i] for i in cyc.order), paths))
 
 

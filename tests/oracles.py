@@ -123,6 +123,38 @@ def reference_ham_cycle_forced(g, forced=(), first_leaf=False):
     return tuple(path) if grow() else None
 
 
+def reference_root_test(g, forced=()) -> bool:
+    """The forced-edge oracle's necessary conditions at its root, on plain
+    sets: with the root path 0 (then 0's forced partner, if any) and R the
+    other vertices, each vertex of R has two neighbours counted in R plus
+    once per end (so a neighbour of a one-vertex root counts it twice), no
+    vertex of R lacks a neighbour in R unless R is that one vertex, no class
+    of vertices with equal neighbourhoods holds more than (|R| + 1) // 2 of
+    R, and R plus the ends induces a connected graph."""
+    partner = {}
+    for u, v in forced:
+        partner[u], partner[v] = v, u
+    n = g.n
+    if n < 3:
+        return False
+    nbrs = [{w for w in range(n) if g.has_edge(v, w)} for v in range(n)]
+    ends = [0, partner.get(0, 0)]
+    rest = set(range(n)) - set(ends)
+    if any(len(nbrs[v] & rest) + sum(e in nbrs[v] for e in ends) < 2 for v in rest):
+        return False
+    if len(rest) > 1 and any(not nbrs[v] & rest for v in rest):
+        return False
+    if any(sum(nbrs[w] == nbrs[v] for w in rest) > (len(rest) + 1) // 2 for v in range(n)):
+        return False
+    seen, stack = {0}, [0]
+    while stack:
+        for w in nbrs[stack.pop()] & (rest | set(ends)):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == rest | set(ends)
+
+
 def naive_components(n, edge_set, removed) -> int:
     """The number of components of the graph on 0..n-1 with edges
     ``edge_set`` (frozenset pairs) once the set ``removed`` is deleted."""

@@ -28,6 +28,11 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+# a 5-cycle 0 2 3 1 4 with the chord 1-2, 1-tough: the oracle's first leaf
+# 0 4 1 2 3 dead-ends at 3, which does not see 0
+CHORDED_C5 = Graph.from_edges(5, [(0, 2), (2, 3), (3, 1), (1, 4), (4, 0), (1, 2)])
+
+
 def write_inputs(tmp_path, graphs, name="in.g6"):
     path = tmp_path / name
     path.write_text("".join(write_graph6(g) + "\n" for g in graphs))
@@ -171,12 +176,12 @@ def test_check_reads_each_graph_block_alone(tmp_path):
 
 
 def test_run_and_check_round_trip_a_mixed_batch(tmp_path):
-    # an unreadable line, K2 (rejected), C5 past the oracle cap with no
-    # witness the salvage probe finds, and K4: run gives error, error,
-    # oracle-limit and cycle
+    # an unreadable line, K2 (rejected), a chorded C5 past the oracle cap
+    # with no witness the salvage probe finds, and K4: run gives error,
+    # error, oracle-limit and cycle
     inp = tmp_path / "in.g6"
     inp.write_text(f"C~~\n{write_graph6(Graph.complete(2))}\n"
-                   f"{write_graph6(Graph.cycle(5))}\n{write_graph6(Graph.complete(4))}\n")
+                   f"{write_graph6(CHORDED_C5)}\n{write_graph6(Graph.complete(4))}\n")
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", str(inp),
                        "--out", cert_path])
@@ -522,9 +527,10 @@ def test_run_rejects_caps_that_are_not_positive(tmp_path):
 
 
 def test_oracle_limit_exit_code(tmp_path):
-    # C5 at t = 1 passes the gate's degree threshold, is too large for an
-    # oracle cap of 4, and no probed cutset breaks 1-toughness: inconclusive
-    inp = write_inputs(tmp_path, [Graph.cycle(5)])
+    # the chorded C5 at t = 1 passes the gate's degree threshold, its first
+    # leaf dead-ends past an oracle cap of 4, and no probed cutset breaks
+    # 1-toughness: inconclusive
+    inp = write_inputs(tmp_path, [CHORDED_C5])
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", inp,
                        "--out", cert_path])
@@ -534,18 +540,19 @@ def test_oracle_limit_exit_code(tmp_path):
 
 
 def test_a_gate_cap_hit_is_salvaged_into_a_checked_witness(tmp_path):
-    # K30,10 at t = 11 is too large for the default oracle cap; its first
-    # open neighbourhood cuts it into 30 pieces with 10 vertices
-    inp = write_inputs(tmp_path, [Graph.complete_multipartite([30, 10])])
+    # K17,16 at t = 11 is too large for the default oracle cap: vertex 0
+    # lies in the part of 17, so the root passes and the first leaf
+    # dead-ends; the part of 16 cuts it into 17 pieces
+    inp = write_inputs(tmp_path, [Graph.complete_multipartite([17, 16])])
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--input", inp, "--out", cert_path])
     assert code == 0
     lines = (tmp_path / "certs.txt").read_text().splitlines()
-    assert "salvage ratio=1/3 stage=gate.ham-cycle-forced:cap" in lines
-    assert lines[-1].startswith("cert kind=toughness-witness components=30 ratio=1/3 ")
+    assert "salvage ratio=16/17 stage=gate.ham-cycle-forced:cap" in lines
+    assert lines[-1].startswith("cert kind=toughness-witness components=17 ratio=16/17 ")
     code, report = run_cli(["check", "--graph", inp, "--cert", cert_path])
     assert (code, report) == (0, "check index=0 result=pass"
-                                 " reason=toughness-violated-at-ratio-1/3\n")
+                                 " reason=toughness-violated-at-ratio-16/17\n")
 
 
 def test_check_fails_an_index_named_by_two_blocks(tmp_path):
@@ -607,13 +614,13 @@ def test_survey_is_deterministic():
 
 SURVEY_PINS = {
     "random_in_class": [
-        "survey t=1/1 graphs=5 forbidden-witness=0 hamilton-cycle=0 oracle-limit=3"
+        "survey t=1/1 graphs=5 forbidden-witness=0 hamilton-cycle=2 oracle-limit=1"
         " toughness-witness=2",
         "survey t=11/1 graphs=5 forbidden-witness=0 hamilton-cycle=3 oracle-limit=0"
         " toughness-witness=2",
     ],
     "random": [
-        "survey t=1/1 graphs=5 forbidden-witness=1 hamilton-cycle=0 oracle-limit=2"
+        "survey t=1/1 graphs=5 forbidden-witness=1 hamilton-cycle=1 oracle-limit=1"
         " toughness-witness=2",
         "survey t=11/1 graphs=5 forbidden-witness=1 hamilton-cycle=2 oracle-limit=0"
         " toughness-witness=2",

@@ -22,7 +22,7 @@ from toughham.certificates import RunConfig, Trace, certificate_to_record
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
                                  random_graph, random_in_class)
 from toughham.graph import Graph
-from toughham.metrics import INF, scattering
+from toughham.metrics import INF, connectivity, independence, scattering
 from toughham.pipeline import (Decomposition, PathCover, _case1_edge, build_path_cover,
                                case1_decompose, case1_finish, case2_run, run_theorem)
 from toughham.recognition import Multipartition, holds
@@ -98,14 +98,22 @@ def corpus_case2():
 
 
 def corpus_caps():
-    """Cap hits under a lowered oracle cap, in the gate and in both cases,
-    each salvaged by run_theorem into a witness or an oracle limit."""
+    """Inputs past a lowered oracle cap.  The first four end without a cap
+    hit: the bridge's first leaf closes in both cases, and the gate's root
+    test refuses K7 joined to ten independent vertices.  The last four have
+    a passing root and a dead-end first leaf, so they hit the cap in the
+    gate and in both cases, each salvaged by run_theorem into a witness or
+    an oracle limit."""
     rng = random.Random(6)
     small = RunConfig(t=Fraction(3, 2), cap_oracle=16)
     yield from _theorem([(case2_instance(9, 2, 2, rng), small),
                          (complete_split_join(7, 10), RunConfig(cap_oracle=16)),
                          (case1_synthetic([2, 1, 2], 6, [2] * 9), small),
-                         (case1_synthetic([2, 1], 3, [2] * 9), small)])
+                         (case1_synthetic([2, 1], 3, [2] * 9), small),
+                         (Graph.complete_multipartite([9, 8]), RunConfig(cap_oracle=16)),
+                         (case2_instance(8, 2, 2, random.Random(5)), small),
+                         (case1_synthetic([2, 1, 2], 6, [2] * 9, seed=10), small),
+                         (case1_synthetic([2, 1], 3, [2] * 9, seed=10), small)])
 
 
 def _random_graphs(count, sizes, densities, seed):
@@ -153,17 +161,17 @@ def corpus_replays():
 
 
 GOLDEN = {
-    "caps": "c9e6d18e5612c817524ee1ed66899be53340873bdf072db816b10b514f10edc7",
-    "case1-cover": "5aaeddce44f6d344bd8c65ad3f91e573590f21c029363f3d03eb3f75f12c508d",
-    "case2": "49f5344cb36a18fc7d6e8cb380ecf30a0fac2725dc935b70fd39ddd23e1cfdbc",
+    "caps": "c80f0dfc968594fbff2ad4742d8fdb77bb4676e83a6f44481d661a999ccbe6d8",
+    "case1-cover": "21b9e57b798ceb20710c8bae1c5250c7e36bb6425856a7e0adb373917a5fdcfa",
+    "case2": "98f81f42095f39f1adb4e0266009ec059b15896003d2e809d609d3a72a3f9844",
     "gate": "abcca8a681ab8d6565ac7087e979626f24221cec3ebb18b7c894b3941fc39c5a",
-    "replays": "7641ff63c6f8b11b965f89af986fdebf96c73e51eacfcb7c3d9c42f2109bf2b0",
+    "replays": "f1c66838307a0e5afc31a4fed729108db76dca6b1a08aa2d52c773173d0b26d1",
 }
 
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 GOLDEN_CERTS = {
-    "caps": "ac337db8a70432e0a1361e7b878d108af505a788af5672337464cf091a77f3a9",
+    "caps": "f34168ed797008247ee91d2ae12b575eb4cdc36d2c557d5e4889373b88e5cfbc",
     "case1-cover": "49ac4add8ea62db3f5851ffb38f98a4daa5ba43696b1b715ac9efecfd7929745",
     "case2": "15294672dbd9ff8be3bfa591e5a7feaaca8f3948595fd50fb853d06220f37f3b",
     "gate": "f126b28fe8ac322c064d9b06f01cdd2ed083f996dbd0442fd5048cc13b92339a",
@@ -203,10 +211,13 @@ def test_golden_certificates(name):
 
 
 def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
-    # each _bridge computes κ and α once, both on G2* (G2 plus the forced
-    # edges), and decides by them alone; only a failed test's replay
-    # computes G2's own facts.  The case-1 and case-2 corpora hold at every
-    # bridge; the t = 1 inputs after them fail some, in both cases.
+    # each _bridge walks the oracle's first leaf on G2* (G2 plus the forced
+    # edges L) first; a closing leaf is the cycle, with no κ or α computed.
+    # Only a dead end computes κ and α, both on G2*, and decides by them
+    # alone; only a failed test's replay computes G2's own facts.  On every
+    # bridge of the case-1 and case-2 corpora the precondition holds, which
+    # the test checks itself as no closing leaf pays for it; the t = 1
+    # inputs after them fail some, in both cases.
     real_bridge = pipeline._bridge
     bridges = []
     calls = None  # the list the spies append to: a bridge's test, or its replay's
@@ -223,7 +234,8 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
     def bridge(g, g2_mask, paths, cfg, trace, case, replay):
         nonlocal calls
         g2star, _ = g.add_edges([p.ends for p in paths]).induced(g2_mask)
-        seen = {"g2": g.induced(g2_mask)[0], "g2star": g2star, "test": [], "replay": []}
+        seen = {"g2": g.induced(g2_mask)[0], "g2star": g2star, "l_size": len(paths),
+                "test": [], "replay": []}
         bridges.append(seen)
 
         def replay_spy(*args):
@@ -239,28 +251,42 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
         finally:
             calls = None
 
-    for name in ("connectivity", "independence", "ham_cycle_forced"):
+    for name in ("connectivity", "independence", "ham_cycle_forced", "first_leaf"):
         monkeypatch.setattr(pipeline, name, spy(name))
     monkeypatch.setattr(pipeline, "_bridge", bridge)
+    for lines in (corpus_case1_cover(), corpus_case2()):
+        for _ in lines:
+            pass
+    golden = len(bridges)
     t1 = RunConfig(t=1)
-    for lines in (corpus_case1_cover(), corpus_case2(),
-                  _case1_stages([case1_synthetic([1, 1], 2, [8, 2]),
+    for lines in (_case1_stages([case1_synthetic([1, 1], 2, [8, 2]),
                                  case1_synthetic([1, 1], 2, [5, 1, 1])], t1),
                   _theorem((random_in_class(9, 0.5, seed=i), t1) for i in range(40))):
         for _ in lines:
             pass
-    held = failed = 0
-    for seen in bridges:
-        facts = [("independence", seen["g2star"]), ("connectivity", seen["g2star"])]
-        assert seen["test"][:2] == facts
-        if seen["test"][2:] == [("ham_cycle_forced", seen["g2star"])]:
+    monkeypatch.undo()
+    closed = held = failed = 0
+    for i, seen in enumerate(bridges):
+        g2star = seen["g2star"]
+        if i < golden:
+            alpha, _ = independence(g2star)
+            kappa, _ = connectivity(g2star)
+            assert kappa >= seen["l_size"] + alpha
+        if seen["test"] == [("first_leaf", g2star)]:
+            closed += 1
+            assert seen["replay"] == []
+            continue
+        # a dead end: the walk, then the facts of G2*
+        facts = [("first_leaf", g2star), ("independence", g2star), ("connectivity", g2star)]
+        assert seen["test"][:3] == facts
+        if seen["test"][3:] == [("ham_cycle_forced", g2star)]:
             held += 1
             assert seen["replay"] == []
         else:
             failed += 1
             assert seen["test"] == facts and seen["replay"]
             assert all(g == seen["g2"] for _, g in seen["replay"])
-    assert (held, failed) == (25, 15)
+    assert (golden, closed, held, failed) == (12, 24, 9, 7)
 
 
 def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):
@@ -290,7 +316,7 @@ def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):
         assert digest(lines) == GOLDEN[name]
         plans += [line for line in lines if line.startswith("cover-plan ")]
     assert callers == {"_bridge"}
-    assert len(plans) == len(decompositions) == 13
+    assert len(plans) == len(decompositions) == 15
     for (g, g1_mask), plan in zip(decompositions, plans):
         s_value, _ = scattering(real_induced(g, g1_mask)[0])
         s_text = "inf" if s_value == INF else s_value

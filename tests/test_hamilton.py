@@ -1,17 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from oracles import (all_graphs, case2_instance, random_edge_graph, random_matching,
-                     reference_ham_cycle_forced)
+                     reference_ham_cycle_forced, reference_root_test)
 from test_golden import CORPORA
 from toughham import hamilton, pipeline
 from toughham.certificates import RunConfig
 from toughham.generators import case1_synthetic, complete_split_join, relabel
 from toughham.graph import Graph, GraphError, bit, mask_of
-from toughham.hamilton import (CycleCert, dirac_cycle, ham_cycle_forced,
+from toughham.hamilton import (CycleCert, dirac_cycle, first_leaf, ham_cycle_forced,
                                insert_vertices, multipartite_ham_path,
                                validate_cycle, validate_path)
 from toughham.metrics import (OracleLimitExceeded, ToughnessWitness,
@@ -52,8 +53,55 @@ def test_forced_preconditions():
         ham_cycle_forced(k4, [(0, 1), (1, 2)])  # shared endpoint
     with pytest.raises(GraphError):
         ham_cycle_forced(Graph.cycle(5), [(0, 2)])  # not an edge
+    # past the cap only the pruned search raises: a sparse 40-vertex graph
+    # whose root passes and whose first leaf dead-ends
+    g = random_edge_graph(random.Random(3), 40, 0.15)
+    assert reference_root_test(g) and reference_ham_cycle_forced(g, first_leaf=True) is None
     with pytest.raises(OracleLimitExceeded):
-        ham_cycle_forced(Graph.cycle(40), cap=32)
+        ham_cycle_forced(g, cap=32)
+
+
+def test_oracle_past_its_cap_returns_a_closing_first_leaf():
+    got = ham_cycle_forced(Graph.cycle(40), cap=32)
+    assert got == first_leaf(Graph.cycle(40)) == CycleCert(tuple(range(40)))
+
+
+def test_oracle_past_its_cap_answers_a_failing_root_without_raising(monkeypatch):
+    g = complete_split_join(30, 40)
+    rng = random.Random(0)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    calls = count_reach(monkeypatch)
+    # 39 or 40 pairwise non-adjacent twins outgrow the 35 places left, so the
+    # root's twin bound answers before its reach, at 70 vertices
+    assert ham_cycle_forced(g, cap=32) is None and calls == []
+
+
+def test_oracle_past_its_cap_is_its_first_leaf_or_its_root_test():
+    # seeded graphs on 33-60 vertices with random forced matchings: a closing
+    # first leaf is the answer, a dead end raises when the root passes and
+    # gives None when it fails
+    rng = random.Random(33)
+    seen = Counter()
+    for _ in range(240):
+        n = rng.randrange(33, 61)
+        g = random_edge_graph(rng, n, rng.choice([0.08, 0.12, 0.2, 0.5, 0.8]))
+        forced = random_matching(rng, g.edges(), rng.randrange(4))
+        leaf = reference_ham_cycle_forced(g, forced, first_leaf=True)
+        walk = first_leaf(g, forced)
+        assert (None if walk is None else walk.order) == leaf
+        if leaf is not None:
+            assert ham_cycle_forced(g, forced, cap=32) == walk
+            seen["leaf"] += 1
+        elif reference_root_test(g, forced):
+            with pytest.raises(OracleLimitExceeded):
+                ham_cycle_forced(g, forced, cap=32)
+            seen["raise"] += 1
+        else:
+            assert ham_cycle_forced(g, forced, cap=32) is None
+            seen["root"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_oracle_equivalence_all_small_graphs():
@@ -99,25 +147,25 @@ def test_oracle_returns_the_unpruned_search_cycle():
 
 
 def bridge_oracle_inputs(monkeypatch, runs):
-    """(G2*, L, cap) of every oracle call under its cap that ``pipeline._bridge``
-    makes while ``runs()`` runs; the gate's own calls are left out."""
-    seen, inside = [], []
-    bridge, oracle = pipeline._bridge, pipeline.ham_cycle_forced
+    """(G2*, L, cap) of every first-leaf walk that ``pipeline._bridge`` makes
+    on a G2* under its cap while ``runs()`` runs."""
+    seen, caps = [], []
+    bridge, walk = pipeline._bridge, pipeline.first_leaf
 
-    def spy_bridge(*args):
-        inside.append(True)
+    def spy_bridge(g, g2_mask, paths, cfg, *args):
+        caps.append(cfg.cap_oracle)
         try:
-            return bridge(*args)
+            return bridge(g, g2_mask, paths, cfg, *args)
         finally:
-            inside.pop()
+            caps.pop()
 
-    def spy_oracle(g, forced=(), cap=hamilton.DEFAULT_ORACLE_CAP):
-        if inside and g.n <= cap:
-            seen.append((g, list(forced), cap))
-        return oracle(g, forced, cap=cap)
+    def spy_walk(g, forced=()):
+        if g.n <= caps[-1]:
+            seen.append((g, list(forced), caps[-1]))
+        return walk(g, forced)
 
     monkeypatch.setattr(pipeline, "_bridge", spy_bridge)
-    monkeypatch.setattr(pipeline, "ham_cycle_forced", spy_oracle)
+    monkeypatch.setattr(pipeline, "first_leaf", spy_walk)
     runs()
     monkeypatch.undo()
     return seen

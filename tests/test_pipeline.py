@@ -11,8 +11,8 @@ from oracles import (all_graphs, blob_with_attachments, case2_instance, plain_re
 from toughham.certificates import (OracleLimit, RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, fmt_q, parse_record, record_line)
-from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
-                                 random_graph, random_in_class)
+from toughham.generators import (GenerationError, case1_synthetic, cobip, complete_split_join,
+                                 random_graph, random_in_class, split, two_cliques)
 from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.hamilton import CycleCert, PathCert
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
@@ -68,12 +68,13 @@ def test_run_theorem_needs_three_vertices():
 
 
 def test_a_cap_hit_is_salvaged_before_it_is_reported():
-    # K2,3 at t = 1 is past an oracle cap of 4; removing its part of two
-    # leaves three components
-    g = Graph.complete_multipartite([2, 3])
+    # K3,2 at t = 1 is past an oracle cap of 4: vertex 0 lies in the part of
+    # three, so the root passes and the first leaf dead-ends; removing the
+    # part of two leaves three components
+    g = Graph.complete_multipartite([3, 2])
     cfg = RunConfig(t=Fraction(1), cap_oracle=4)
     cert, trace = run_theorem(g, cfg)
-    assert cert == ToughnessWitness(mask_of([0, 1]), 3)
+    assert cert == ToughnessWitness(mask_of([3, 4]), 3)
     assert trace[-1] == "salvage ratio=2/3 stage=gate.ham-cycle-forced:cap"
     assert check_certificate(g, cert, cfg)[0]
 
@@ -128,14 +129,16 @@ def test_gate_skips_alpha_past_its_cap():
     # a split graph (no 2p2+p1): K70 plus 10 independent vertices with 6
     # seeded clique neighbors each; at 80 vertices the independence number
     # is past its cap, so the gate records the skip and passes through.
-    # The end stage moves once case 2's bridge has no oracle cap.
+    # Case 2's bridge closes its first leaf on the 80-vertex G2*, past the
+    # oracle cap, and the cycle goes round all ten stars.
     rng = random.Random(70)
     edges = list(combinations(range(70), 2))
     edges += [(70 + i, c) for i in range(10) for c in rng.sample(range(70), 6)]
-    cert, lines = run_theorem(Graph.from_edges(80, edges), RunConfig(t=Fraction(2)))
+    g, cfg = Graph.from_edges(80, edges), RunConfig(t=Fraction(2))
+    cert, lines = run_theorem(g, cfg)
     assert "gate-fact alpha=skipped fact=alpha" in lines
-    assert lines[-1] == "inconclusive stage=case2.ham-cycle-forced:cap"
-    assert cert == OracleLimit("case2.ham-cycle-forced:cap")
+    assert lines[-2:] == ["first-leaf l_size=10 stage=case2", "cycle length=80 stage=case2"]
+    assert isinstance(cert, CycleCert) and check_certificate(g, cert, cfg)[0]
 
 
 def test_case1_edge_selection():
@@ -520,9 +523,9 @@ def test_cut_replays_end_in_a_witness_or_a_named_limit():
 # run_theorem over every labelled graph on 3..n vertices
 EXHAUSTIVE_TALLIES = {
     (Fraction(1), 6): (
-        {"forbidden-witness": 2295, "hamilton-cycle": 5357, "oracle-limit": 5280,
+        {"forbidden-witness": 2295, "hamilton-cycle": 8549, "oracle-limit": 2088,
          "toughness-witness": 20932},
-        {"case2.connectivity.small-component": 834, "case2.connectivity.trivial": 4446}),
+        {"case2.connectivity.small-component": 450, "case2.connectivity.trivial": 1638}),
     (Fraction(11), 6): (
         {"forbidden-witness": 2295, "hamilton-cycle": 10307, "toughness-witness": 21262},
         {}),
@@ -540,9 +543,9 @@ EXHAUSTIVE_TALLIES = {
 # the same runs' bytes: sha256 over every trace line and cert record, each
 # newline-terminated, in enumeration order
 EXHAUSTIVE_DIGESTS = {
-    (Fraction(1), 6): "03565b738126b95bf4a62c92d0f2fcd7224fb22e404204a7e8be8742df4c62a0",
+    (Fraction(1), 6): "767647b09ded64c6b5f051867ecb4c0235b909e791ade97414d88942edf1fa9d",
     (Fraction(11), 6): "ff2016e9026cb14b9a016ea9c0f7a56b533f0415a40b17c7b89fae8faabca382",
-    (Fraction(1, 2), 5): "627cc04f3fef372397637b8b4f0146d5c361a6cfdb40d9f5c169cb1fdc662710",
+    (Fraction(1, 2), 5): "ce457133cac3a2c03e47c29a9b3576d3e459897352f6b2e9bea6138b384e064d",
     (Fraction(3, 2), 5): "15b2ccec151ad4eed2664cf40c94c73b661286bfe431134e4c5dd8e87ccc2a90",
     (Fraction(2), 5): "271cb803883991dc77b546ea5cbb2291998035ade4ab039355ea40eb73052842",
 }
@@ -550,7 +553,7 @@ EXHAUSTIVE_DIGESTS = {
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 EXHAUSTIVE_CERT_DIGESTS = {
-    (Fraction(1), 6): "00b432cb93f9de88041da30c91f59f43a76099351d4e8fbf91ec7b039bf19469",
+    (Fraction(1), 6): "77ba0de098a0e55101edaf5bba89438ac7f1676c6e1345d1be35f65b21f0208f",
     (Fraction(11), 6): "2c5b6c90c7cd6b7821de7d0b9e8b482fd45f23535d7661d84f9c0e8314afd0d1",
     (Fraction(1, 2), 5): "19e694bf863fba251043ef10a34be92ded9d7430af6a5c3db514cbe6d0b84cb3",
     (Fraction(3, 2), 5): "92893355429f460be39f3117f63b69d096f05260d93e8fa068bb7008e9dc954d",
@@ -620,6 +623,33 @@ def test_large_split_join_runs_to_a_checked_cycle():
     cert, _ = run_theorem(g, cfg)
     assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
+
+
+def test_large_family_rows_end_in_checked_cycles():
+    # large pattern-free family members (n = 57-300) that the first leaf
+    # closes past the 32-vertex oracle cap: the gate's walk, and the
+    # bridge's on G2* (K277 plus one forced edge in case 1, K290 plus ten in
+    # case 2)
+    rows = [(two_cliques(23, 277, 2, seed=1), 11), (split(290, 10, 24, seed=1), 11),
+            (two_cliques(30, 80, 24, seed=1), 11)]
+    rows += [(case1_synthetic(*shape), 2) for shape in (
+        ([6, 6], 10, [10] * 4), ([2, 1, 2], 6, [2] * 8 + [10] * 3),
+        ([8, 8], 20, [15] * 8), ([9, 9], 24, [20] * 7))]
+    for g, t in rows:
+        cfg = RunConfig(t=Fraction(t))
+        cert, trace = run_theorem(g, cfg)
+        assert isinstance(cert, CycleCert), (g.n, t, trace[-1])
+        assert check_certificate(g, cert, cfg)[0]
+
+
+def test_large_gate_rows_still_end_at_the_oracle_cap():
+    # family members whose gate walk dead-ends past the cap, where the
+    # exponential search would start: the next target of a polynomial
+    # cycle builder
+    for g in (two_cliques(60, 200, 40, seed=1), cobip(80, 120, 0.05, seed=1),
+              cobip(120, 150, 0.1, seed=1)):
+        cert, trace = run_theorem(g, RunConfig())
+        assert cert == OracleLimit("gate.ham-cycle-forced:cap"), (g.n, trace[-1])
 
 
 def test_check_certificate_rejects_bad_cycle():
