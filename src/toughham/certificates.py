@@ -123,13 +123,15 @@ def record_line(name: str, fields=(), ids=None) -> str:
     parts = [name]
     for key, value in fields:
         kind = type(value)
-        if kind is bool:
+        if kind is int:
+            text = str(value)
+        elif kind is bool:
             text = "true" if value else "false"
         elif kind is Fraction:
-            text = fmt_q(value)
+            text = f"{value.numerator}/{value.denominator}"
         else:
             text = str(value)
-            if kind is not int and _SPACE.search(text):
+            if _SPACE.search(text):
                 raise ValueError(f"record field {key} contains whitespace: {text!r}")
         parts.append(f"{key}={text}")
     if ids is not None:

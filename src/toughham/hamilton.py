@@ -77,10 +77,11 @@ def _check_forced(g: Graph, forced) -> dict[int, int]:
 def _successor(adj, partner, path, free: int, tried: int = 0) -> int:
     """The search's next vertex as a bit, or 0: of the end's untried
     neighbours in free (only its partner while due), the one with the fewest
-    free neighbours, then the lowest id.  A full path closing gets bit 1."""
+    free neighbours, then the lowest id.  A full path closing gets the bit
+    of its start."""
     last = path[-1]
     p = partner.get(last)
-    left = adj[last] & (free or 1) & ~tried
+    left = adj[last] & (free or 1 << path[0]) & ~tried
     if p is not None and p != path[-2]:
         left &= 1 << p
     pick, fewest = 0, len(adj)
@@ -93,15 +94,20 @@ def _successor(adj, partner, path, free: int, tried: int = 0) -> int:
     return pick
 
 
-def first_leaf(g: Graph, forced=()) -> CycleCert | None:
-    """The oracle's first leaf, reached by ``_successor`` alone from vertex 0
-    (its forced partner first, WLOG by reversal): a polynomial walk at any
-    n, and ``ham_cycle_forced``'s answer when it closes.  Else None."""
+def first_leaf(g: Graph, forced=(), within: int | None = None) -> CycleCert | None:
+    """The oracle's first leaf on G[within] (default: every vertex), forced
+    edges inside it, reached by ``_successor`` alone from its lowest vertex
+    (that vertex's forced partner first, WLOG by reversal): a polynomial
+    walk at any n, and ``ham_cycle_forced``'s answer when it closes.  Else
+    None.  Relabelling G[within] ascending keeps every choice, so the walk
+    is the one on the induced subgraph, in G's own ids."""
     partner = _check_forced(g, forced)
-    if g.n < 3:
+    free = g.full if within is None else within
+    if free.bit_count() < 3:
         return None
-    path = [0] if 0 not in partner else [0, partner[0]]
-    free = g.full & ~mask_of(path)
+    start = (free & -free).bit_length() - 1
+    path = [start] if start not in partner else [start, partner[start]]
+    free &= ~mask_of(path)
     while pick := _successor(g.adj, partner, path, free):
         if not free:
             return CycleCert(tuple(path))

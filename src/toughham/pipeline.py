@@ -479,17 +479,19 @@ def _cover_scattered(g, dec, cfg, trace):
 def _splice(order, cover_paths) -> tuple[int, ...]:
     """Replace each endpoint pair occurring consecutively on the cycle with
     the interior of its cover path."""
-    bridge = {frozenset(p.ends): p for p in cover_paths}
+    ends = {}
+    for p in cover_paths:
+        ends[p.order[0]] = p.order[-1], p.order[1:-1]
+        ends[p.order[-1]] = p.order[0], p.order[-2:0:-1]
     out: list[int] = []
-    k = len(order)
-    for i, a in enumerate(order):
+    missed = len(cover_paths)
+    for a, b in zip(order, order[1:] + order[:1]):
         out.append(a)
-        b = order[(i + 1) % k]
-        p = bridge.pop(frozenset((a, b)), None)
-        if p is not None:
-            interior = p.order[1:-1]
-            out.extend(interior if p.order[0] == a else tuple(reversed(interior)))
-    if bridge:
+        end = ends.get(a)
+        if end is not None and end[0] == b:
+            out.extend(end[1])
+            missed -= 1
+    if missed:
         raise PipelineInternalError("spliced cycle missed a cover path")
     return tuple(out)
 
@@ -500,36 +502,39 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     forced edges L, one joining the ends of each path), paths spliced in.
     The spliced cycle comes back unvalidated, for ``_finish`` to validate.
 
-    First the oracle's first leaf on (G2*, L), a polynomial walk: when it
-    closes it is the oracle's own answer, and no fact is computed.  Only a
-    dead end pays for the one test of the oracle's precondition, κ(G2*) >=
-    |L| + α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).
-    Each case's counting facts on G2 imply it, as adding edges never lowers
-    κ (n - 1 when complete) nor raises α; so on failure ``replay(g2, map2,
-    l_size, alpha_star, aset_star)`` computes G2's facts and returns the
-    certificate of the first that fails.
+    First the oracle's first leaf on (G2*, L), a polynomial walk run on
+    G + L inside G2's mask, in G's own ids: when it closes it is the
+    oracle's own answer, and no fact and no induced copy of G2 is built.
+    Only a dead end builds G2 and G2* and pays for the one test of the
+    oracle's precondition, κ(G2*) >= |L| + α(G2*) (Chvátal & Erdős,
+    Discrete Math. 1972, with forced edges).  Each case's counting facts on
+    G2 imply it, as adding edges never lowers κ (n - 1 when complete) nor
+    raises α; so on failure ``replay(g2, map2, l_size, alpha_star,
+    aset_star)`` computes G2's facts and returns the certificate of the
+    first that fails.
     """
-    g2, map2 = g.induced(g2_mask)
-    if g2.n < 3:
+    if g2_mask.bit_count() < 3:
         return _salvage_or_limit(g, cfg, trace, f"{case}.connectivity.tiny")
-    inv2 = {orig: i for i, orig in enumerate(map2)}
-    l_local = [(inv2[a], inv2[b]) for a, b in (p.ends for p in paths)]
-    g2star = g2.add_edges(l_local)
-    l_size = len(l_local)
-    cyc = first_leaf(g2star, l_local)
+    ends = [p.ends for p in paths]
+    l_size = len(ends)
+    cyc = first_leaf(g.add_edges(ends), ends, g2_mask)
     if cyc is not None:
         trace.add("first-leaf", l_size=l_size, stage=case)
-    else:
-        alpha_star, aset_star = independence(g2star)
-        kappa_star, _ = connectivity(g2star)
-        holds = kappa_star >= l_size + alpha_star
-        trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
-                  l_size=l_size, holds=holds, stage=case)
-        if not holds:
-            return replay(g2, map2, l_size, alpha_star, aset_star)
-        cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
-        if cyc is None:
-            raise PipelineInternalError("forced-edge oracle failed with its precondition met")
+        return CycleCert(_splice(cyc.order, paths))
+    g2, map2 = g.induced(g2_mask)
+    inv2 = {orig: i for i, orig in enumerate(map2)}
+    l_local = [(inv2[a], inv2[b]) for a, b in ends]
+    g2star = g2.add_edges(l_local)
+    alpha_star, aset_star = independence(g2star)
+    kappa_star, _ = connectivity(g2star)
+    holds = kappa_star >= l_size + alpha_star
+    trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
+              l_size=l_size, holds=holds, stage=case)
+    if not holds:
+        return replay(g2, map2, l_size, alpha_star, aset_star)
+    cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
+    if cyc is None:
+        raise PipelineInternalError("forced-edge oracle failed with its precondition met")
     return CycleCert(_splice(tuple(map2[i] for i in cyc.order), paths))
 
 

@@ -211,14 +211,16 @@ def test_golden_certificates(name):
 
 
 def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
-    # each _bridge walks the oracle's first leaf on G2* (G2 plus the forced
-    # edges L) first; a closing leaf is the cycle, with no κ or α computed.
-    # Only a dead end computes κ and α, both on G2*, and decides by them
-    # alone; only a failed test's replay computes G2's own facts.  On every
-    # bridge of the case-1 and case-2 corpora the precondition holds, which
-    # the test checks itself as no closing leaf pays for it; the t = 1
-    # inputs after them fail some, in both cases.
-    real_bridge = pipeline._bridge
+    # each _bridge walks the oracle's first leaf on G + L (the forced edges
+    # L joining the ends of each path) inside G2's mask first; a closing
+    # leaf is the cycle, with no induced G2 built and no κ or α computed.
+    # Only a dead end builds G2 (one Graph.induced call) and computes κ and
+    # α, both on G2* (G2 plus L), and decides by them alone; only a failed
+    # test's replay computes G2's own facts.  On every bridge of the case-1
+    # and case-2 corpora the precondition holds, which the test checks
+    # itself as no closing leaf pays for it; the t = 1 inputs after them
+    # fail some, in both cases.
+    real_bridge, real_induced = pipeline._bridge, Graph.induced
     bridges = []
     calls = None  # the list the spies append to: a bridge's test, or its replay's
 
@@ -233,8 +235,9 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
 
     def bridge(g, g2_mask, paths, cfg, trace, case, replay):
         nonlocal calls
-        g2star, _ = g.add_edges([p.ends for p in paths]).induced(g2_mask)
-        seen = {"g2": g.induced(g2_mask)[0], "g2star": g2star, "l_size": len(paths),
+        g_l = g.add_edges([p.ends for p in paths])
+        seen = {"g": g, "g_l": g_l, "g2": real_induced(g, g2_mask)[0],
+                "g2star": real_induced(g_l, g2_mask)[0], "l_size": len(paths),
                 "test": [], "replay": []}
         bridges.append(seen)
 
@@ -251,8 +254,14 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
         finally:
             calls = None
 
+    def induced(g, s):
+        if calls is not None:
+            calls.append(("induced", g))
+        return real_induced(g, s)
+
     for name in ("connectivity", "independence", "ham_cycle_forced", "first_leaf"):
         monkeypatch.setattr(pipeline, name, spy(name))
+    monkeypatch.setattr(Graph, "induced", induced)
     monkeypatch.setattr(pipeline, "_bridge", bridge)
     for lines in (corpus_case1_cover(), corpus_case2()):
         for _ in lines:
@@ -272,14 +281,16 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
             alpha, _ = independence(g2star)
             kappa, _ = connectivity(g2star)
             assert kappa >= seen["l_size"] + alpha
-        if seen["test"] == [("first_leaf", g2star)]:
+        walk = ("first_leaf", seen["g_l"])
+        if seen["test"] == [walk]:
             closed += 1
             assert seen["replay"] == []
             continue
-        # a dead end: the walk, then the facts of G2*
-        facts = [("first_leaf", g2star), ("independence", g2star), ("connectivity", g2star)]
-        assert seen["test"][:3] == facts
-        if seen["test"][3:] == [("ham_cycle_forced", g2star)]:
+        # a dead end: the walk, G2 induced once, then the facts of G2*
+        facts = [walk, ("induced", seen["g"]), ("independence", g2star),
+                 ("connectivity", g2star)]
+        assert seen["test"][:4] == facts
+        if seen["test"][4:] == [("ham_cycle_forced", g2star)]:
             held += 1
             assert seen["replay"] == []
         else:

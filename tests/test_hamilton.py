@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -104,6 +104,32 @@ def test_oracle_past_its_cap_is_its_first_leaf_or_its_root_test():
     assert min(seen.values()) >= 20, seen
 
 
+def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph():
+    # the bridge's walk: G + L inside G2's mask, in G's ids, against the walk
+    # and the unpruned search's first leaf on G2* = G2 + L built alone; the
+    # ascending map keeps every (fewest free neighbours, lowest id) choice
+    rng = random.Random(34)
+    closed = 0
+    for _ in range(800):
+        n = rng.randrange(3, 41)
+        g = random_edge_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        inside = rng.sample(range(n), rng.randrange(3, n + 1))
+        forced = random_matching(rng, combinations(sorted(inside), 2), rng.randrange(4))
+        g_l, within = g.add_edges(forced), mask_of(inside)
+        g2star, vmap = g_l.induced(within)
+        local = {v: i for i, v in enumerate(vmap)}
+        l_local = [(local[a], local[b]) for a, b in forced]
+        walk = first_leaf(g_l, forced, within)
+        alone = first_leaf(g2star, l_local)
+        leaf = reference_ham_cycle_forced(g2star, l_local, first_leaf=True)
+        assert (alone is None) == (walk is None) == (leaf is None)
+        if walk is not None:
+            assert walk.order == tuple(vmap[i] for i in alone.order)
+            assert walk.order == tuple(vmap[i] for i in leaf)
+            closed += 1
+    assert closed == 307
+
+
 def test_oracle_equivalence_all_small_graphs():
     for n in (3, 4, 5):
         for g in all_graphs(n):
@@ -148,7 +174,8 @@ def test_oracle_returns_the_unpruned_search_cycle():
 
 def bridge_oracle_inputs(monkeypatch, runs):
     """(G2*, L, cap) of every first-leaf walk that ``pipeline._bridge`` makes
-    on a G2* under its cap while ``runs()`` runs."""
+    on a G2* under its cap while ``runs()`` runs, in G2*'s own ids: rebuilt
+    from the walk's G + L, L and G2's mask."""
     seen, caps = [], []
     bridge, walk = pipeline._bridge, pipeline.first_leaf
 
@@ -159,10 +186,12 @@ def bridge_oracle_inputs(monkeypatch, runs):
         finally:
             caps.pop()
 
-    def spy_walk(g, forced=()):
-        if g.n <= caps[-1]:
-            seen.append((g, list(forced), caps[-1]))
-        return walk(g, forced)
+    def spy_walk(g, forced, within):
+        g2star, vmap = g.induced(within)
+        if g2star.n <= caps[-1]:
+            local = {v: i for i, v in enumerate(vmap)}
+            seen.append((g2star, [(local[a], local[b]) for a, b in forced], caps[-1]))
+        return walk(g, forced, within)
 
     monkeypatch.setattr(pipeline, "_bridge", spy_bridge)
     monkeypatch.setattr(pipeline, "first_leaf", spy_walk)

@@ -17,8 +17,9 @@ from toughham.graph import Graph, GraphError, bits, mask_of
 from toughham.hamilton import CycleCert, PathCert
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
                               threshold, validate_toughness_witness)
-from toughham.pipeline import (Decomposition, PathCover, _case1_cut_replay, _case1_edge,
-                               _case2_cut_replay, _lift, build_path_cover,
+from toughham.pipeline import (Decomposition, PathCover, PipelineInternalError,
+                               _case1_cut_replay, _case1_edge, _case2_cut_replay, _lift,
+                               _splice, build_path_cover,
                                case1_decompose, case1_finish, case2_run,
                                expected_cover_size, min_degree_gate, run_theorem)
 from toughham.recognition import InducedWitness, holds
@@ -322,6 +323,20 @@ def test_case2_splice_single_star():
     assert isinstance(cert, CycleCert)
     assert check_certificate(g, cert, cfg)[0]
     assert g.n - 1 in cert.order
+
+
+def test_splice_puts_each_cover_path_between_its_consecutive_ends():
+    # ends 0, 1 in the path's orientation, ends 3, 2 against it
+    assert _splice((0, 1, 2, 3), [PathCert((0, 7, 8, 1)), PathCert((3, 9, 2))]) == (
+        0, 7, 8, 1, 2, 9, 3)
+    # ends across the wrap-around (last, first), in both orientations
+    for path in ((6, 10, 11, 4), (4, 11, 10, 6)):
+        assert _splice((4, 5, 6), [PathCert(path)]) == (4, 5, 6, 10, 11)
+    # ends that are not consecutive, alone or after a path that was spliced
+    for cycle, paths in (((0, 1, 2, 3), [PathCert((0, 5, 2))]),
+                         ((0, 1, 2, 3, 4), [PathCert((0, 7, 1)), PathCert((2, 9, 4))])):
+        with pytest.raises(PipelineInternalError, match="spliced cycle missed a cover path"):
+            _splice(cycle, paths)
 
 
 def test_case2_with_insertion():
