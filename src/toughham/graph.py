@@ -10,8 +10,8 @@ component methods run it on a graph's rows, ``metrics.independence`` on its
 complement's rows, so no complement graph is ever built.
 
 There is one bit-matrix primitive, ``transpose``, behind the constructor's
-symmetry check, ``induced``, the graph6 decoder and the generators' random
-draws and relabelling, so none of them loops over edges.  It packs an n x n
+symmetry check, the graph6 decoder and the generators' random draws and
+relabelling, so none of them loops over edges.  It packs an n x n
 matrix into one int, row i at bit i*w for the power-of-two stride w >= n,
 and swaps the row and column index bits in log2(w) word-parallel delta
 swaps; the (shift, mask) table of each of the ten strides up to
@@ -269,18 +269,6 @@ class Graph:
             remaining ^= reach(self.adj, remaining & -remaining, remaining)
             count += 1
         return count
-
-    def induced(self, s: int) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus relabeling map (new id -> original id).
-
-        The map lets certificates computed on the subgraph be lifted back to
-        the parent graph.
-        """
-        self._check_mask(s)
-        vmap = tuple(bits(s))
-        # column v of the chosen rows marks the chosen neighbours of v
-        cols = transpose([self.adj[v] for v in vmap], self.n)
-        return Graph._of_rows(len(vmap), [cols[v] for v in vmap]), vmap
 
     def add_edges(self, edges) -> "Graph":
         """g plus the edges, OR-ed both ways into valid rows: still symmetric."""

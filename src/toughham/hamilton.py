@@ -2,9 +2,9 @@
 
 Entry points:
 
-* ``ham_cycle_forced``: exhaustive oracle for a Hamilton cycle through
-  prescribed independent edges: its root test, then ``first_leaf``, an
-  untested walk at any n, then under its cap one pruned backtracking loop.
+* ``ham_cycle_forced``: exhaustive oracle for a Hamilton cycle of G[within]
+  through prescribed independent edges: its root test, then ``first_leaf``,
+  an untested walk at any n, then under its cap one pruned backtracking loop.
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
@@ -116,8 +116,10 @@ def first_leaf(g: Graph, forced=(), within: int | None = None) -> CycleCert | No
     return None
 
 
-def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> CycleCert | None:
-    """Hamilton cycle through every forced edge, or None after exhaustive search.
+def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP,
+                     within: int | None = None) -> CycleCert | None:
+    """Hamilton cycle of G[within] (default: every vertex) through every
+    forced edge, or None after exhaustive search.
 
     Four steps: the root test; ``first_leaf``, returned when it closes, as
     it passes every test on its way; the cap, as only the rest is
@@ -129,20 +131,23 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
     remaining vertex keeps two usable neighbors, at most one depends only
     on the endpoints, no independent-twin class outgrows the interior
     positions left for it, and the remaining vertices plus both endpoints
-    stay connected.  Above the cap: the root's None, a closing first leaf,
-    or OracleLimitExceeded.
+    stay connected.  Above the cap, which counts within's vertices: the
+    root's None, a closing first leaf, or OracleLimitExceeded.  Like
+    ``first_leaf``, it roots at within's lowest vertex and reads rows inside.
     """
-    n = g.n
     partner = _check_forced(g, forced)
-    if n < 3:
+    within = g.full if within is None else within
+    if within.bit_count() < 3:
         return None
     adj = g.adj
+    start = (within & -within).bit_length() - 1
 
     # identical adjacency rows are automatically pairwise non-adjacent;
     # such a class needs a separator between any two of its members
     row_groups: dict[int, int] = {}
-    for v in range(n):
-        row_groups[adj[v]] = row_groups.get(adj[v], 0) | 1 << v
+    for v in bits(within):
+        row = adj[v] & within
+        row_groups[row] = row_groups.get(row, 0) | 1 << v
     twin_classes = [m for m in row_groups.values() if m.bit_count() >= 2]
 
     def feasible(last: int, rest: int) -> bool:
@@ -154,7 +159,7 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
             one |= row
             left &= left - 1
         lonely = rest & ~one
-        two |= one & (adj[last] | adj[0]) | adj[last] & adj[0]  # then the two ends
+        two |= one & (adj[last] | adj[start]) | adj[last] & adj[start]  # then the two ends
         if rest & ~two:
             return False
         # a vertex adjacent only to both endpoints must be the last one placed
@@ -164,16 +169,16 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP) -> Cycl
         for cls in twin_classes:
             if (cls & rest).bit_count() > limit:
                 return False
-        blob = rest | 1 << last | 1
-        return reach(adj, 1, blob) == blob
+        blob = rest | 1 << last | 1 << start
+        return reach(adj, 1 << start, blob) == blob
 
-    root = [0] if 0 not in partner else [0, partner[0]]
-    root_free = g.full & ~mask_of(root)
+    root = [start] if start not in partner else [start, partner[start]]
+    root_free = within & ~mask_of(root)
     if not feasible(root[-1], root_free):
         return None
-    if (leaf := first_leaf(g, forced)) is not None:
+    if (leaf := first_leaf(g, forced, within)) is not None:
         return leaf
-    if n > cap:
+    if within.bit_count() > cap:
         raise OracleLimitExceeded("ham-cycle-forced")
     path, free, tried = root[:], root_free, [0]
     while True:

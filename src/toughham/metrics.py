@@ -38,11 +38,16 @@ own and needs those of a violator.  Within a size both prefer the most
 components, and each witness is the first optimal cutset in (size,
 lexicographic) order.
 
+Connectivity and independence also answer for G[x], a vertex mask x in
+G's own ids; x keeps the order of G[x]'s own ids, so every lowest-id or
+lexicographic choice is the one on G[x] built as its own graph.
+
 The shared sweep, kappa's pair flows, the closed forms of ``_closed`` and
 alpha each keep their last result (``lru_cache(maxsize=1)``), so a metrics
 line computes each once.  That is sound: a ``Graph`` is immutable and
-hashes by value, the key is every argument, the size caps are module
-constants, and exceptions are never cached.
+hashes by value, the key is every argument (the helpers take x as a mask,
+never None), the size caps are module constants, and exceptions are never
+cached.
 
 Vertex connectivity runs unit max flows on the vertex-split digraph, whose
 residual graph is held as one int mask per node: a pair's flow starts from
@@ -103,20 +108,22 @@ class ScatteringSet(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _closed(g: Graph):
-    """(toughness, witness, scattering, set) in closed form: (inf, None,
-    inf, None) on a complete graph, which has no cutset; on a complete
-    multipartite one, with P a largest part and c = |P| >= 2, the cutset
-    V - P leaving c isolated vertices; None on every other graph."""
-    if g.is_complete():
-        return INF, None, INF, None
-    parts = multipartite_parts(g)
+def _closed(g: Graph, x: int):
+    """(toughness, witness, scattering, set) of G[x] in closed form: (inf,
+    None, inf, None) when G[x] is complete (its parts are single vertices),
+    which has no cutset; when it is complete multipartite, with P a largest
+    part and c = |P| >= 2, the cutset x - P leaving c isolated vertices;
+    None otherwise."""
+    parts = multipartite_parts(g, x)
     if parts is None:
         return None
+    n = x.bit_count()
+    if len(parts) == n:
+        return INF, None, INF, None
     part = Multipartition(parts).largest_part()
-    c, cutset = part.bit_count(), g.full & ~part
-    return (Fraction(g.n - c, c), ToughnessWitness(cutset, c),
-            2 * c - g.n, ScatteringSet(cutset, 2 * c - g.n))
+    c, cutset = part.bit_count(), x & ~part
+    return (Fraction(n - c, c), ToughnessWitness(cutset, c),
+            2 * c - n, ScatteringSet(cutset, 2 * c - n))
 
 
 def _cutsets(g: Graph, need):
@@ -163,7 +170,7 @@ def _cutsets(g: Graph, need):
     The last is tested on each A before it is grown.  So no cutset with
     c(G - S) >= need(k) is skipped: its A has |A| <= n - k + 1 - need(k)."""
     n, adj, count = g.n, g.adj, g.component_count
-    kappa, _ = _pair_flows(g)
+    kappa, _ = _pair_flows(g, g.full)
     alpha, _ = independence(g)
 
     def grow(size, ext, base, free):
@@ -240,7 +247,7 @@ def _optima(g: Graph):
 
 def _exact(g: Graph, stage: str):
     """``_closed`` where it answers, else ``_optima`` within the size cap."""
-    closed = _closed(g)
+    closed = _closed(g, g.full)
     if closed is not None:
         return closed
     if g.n > SUBSET_CAP:
@@ -270,7 +277,7 @@ def probe_tough(g: Graph, t) -> ToughnessWitness | None:
         c = g.component_count(s)
         if c >= 2 and Fraction(s.bit_count(), c) < t:
             return ToughnessWitness(s, c)
-    closed = _closed(g)
+    closed = _closed(g, g.full)
     return closed[1] if closed is not None and closed[0] < t else None
 
 
@@ -282,7 +289,7 @@ def verify_tough(g: Graph, t: Fraction):
     and complete multipartite graphs its answer is exhaustive.
     """
     probe = probe_tough(g, t)
-    if probe is not None or _closed(g) is not None:
+    if probe is not None or _closed(g, g.full) is not None:
         return probe
     if g.n > SUBSET_CAP:
         raise OracleLimitExceeded("verify-tough")
@@ -306,17 +313,17 @@ def scattering(g: Graph):
 
 # --- vertex connectivity via max flow ----------------------------------------
 
-def _split_residual(g: Graph) -> list[int]:
-    """Residual arcs of the flow-free vertex-split digraph, one mask per node.
+def _split_residual(g: Graph, x: int) -> list[int]:
+    """Residual of G[x]'s flow-free vertex-split digraph, one mask per node.
 
     Node 2v is v_in and 2v+1 is v_out.  v_in -> v_out has capacity one and
-    v_out -> w_in, for every edge vw, is uncapacitated, so a minimum cut
-    crosses vertex arcs only.
+    v_out -> w_in, for every edge vw inside x, is uncapacitated, so a
+    minimum cut crosses vertex arcs only.  No arc enters a vertex outside x.
     """
     res = []
     for v in range(g.n):
         res.append(1 << (2 * v + 1))
-        res.append(int(bin(g.adj[v])[2:], 4))  # bit w -> bit 2w
+        res.append(int(bin(g.adj[v] & x)[2:], 4))  # bit w -> bit 2w
     return res
 
 
@@ -408,18 +415,19 @@ def _min_vertex_cut_pair(base: list[int], s: int, t: int, limit: int) -> int | N
 
 
 @lru_cache(maxsize=1)
-def _pair_flows(g: Graph):
-    """(kappa, cut) of a non-complete graph: the cut is that of the first
-    non-adjacent pair (s, t), in lexicographic order, whose pair cut has
-    kappa vertices.
+def _pair_flows(g: Graph, x: int):
+    """(kappa, cut) of a non-complete G[x]: the cut is that of the first
+    non-adjacent pair (s, t) of x, in lexicographic order, whose pair cut
+    has kappa vertices.
 
-    The best cut size starts at delta + 1: a vertex of minimum degree delta
-    has a non-neighbour, which its neighbours separate from it, so kappa <=
-    delta (Whitney, Amer. J. Math. 1932).  Even's bound (SIAM J. Comput.
-    1975) ends the pair loop once s exceeds the best cut size.  That first
-    pair has s <= kappa: a minimum cut C has kappa vertices, so some i <=
+    The best cut size starts at delta + 1, for delta the minimum degree
+    inside x: a vertex of that degree has a non-neighbour, which its
+    neighbours separate from it, so kappa <= delta (Whitney, Amer. J. Math.
+    1932).  Even's bound (SIAM J. Comput. 1975) ends the pair loop once the
+    rank of s in x exceeds the best cut size.  That first pair has rank(s)
+    <= kappa: a minimum cut C has kappa vertices, so some i of rank at most
     kappa lies outside it, and i with a vertex of another component of
-    G - C is a pair with smaller vertex at most i whose cut has kappa
+    G[x] - C is a pair with smaller vertex at most i whose cut has kappa
     vertices.  A pair is skipped when its common neighbours already number
     the best cut size, does not start when those and its greedy
     s - x - y - t paths reach it (see ``_min_vertex_cut_pair``), and stops
@@ -428,17 +436,17 @@ def _pair_flows(g: Graph):
     one a loop over every non-adjacent pair would return.
     """
     adj = g.adj
-    base = _split_residual(g)
-    best_cut, size = None, g.min_degree() + 1
-    for s in range(g.n):
-        if s > size:
+    base = _split_residual(g, x)
+    best_cut, size = None, min((adj[v] & x).bit_count() for v in bits(x)) + 1
+    for rank, s in enumerate(bits(x)):
+        if rank > size:
             break
-        others = (g.full & ~adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
+        others = (x & ~adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
         while others:
             low = others & -others
             others ^= low
             t = low.bit_length() - 1
-            if (adj[s] & adj[t]).bit_count() < size:  # else its s - w - t paths reach it
+            if (adj[s] & adj[t] & x).bit_count() < size:  # else its s - w - t paths reach it
                 cut = _min_vertex_cut_pair(base, s, t, size)
                 if cut is not None:
                     best_cut, size = cut, cut.bit_count()
@@ -446,36 +454,40 @@ def _pair_flows(g: Graph):
     return size, best_cut
 
 
-def connectivity(g: Graph):
-    """(kappa, minimum cutset mask) with the n-1 convention for complete graphs.
+def connectivity(g: Graph, x: int | None = None):
+    """(kappa, minimum cutset mask) of G[x] (x defaults to every vertex),
+    with the n-1 convention for complete graphs.
 
     Complete multipartite graphs give the cut of the closed toughness
     witness, every other graph the cut of ``_pair_flows``, which is empty on
     a disconnected graph.
     """
-    closed = _closed(g)
+    x = g.full if x is None else x
+    closed = _closed(g, x)
     if closed is None:
-        return _pair_flows(g)
+        return _pair_flows(g, x)
     if closed[1] is None:
-        return max(g.n - 1, 0), None
+        return max(x.bit_count() - 1, 0), None
     cut = closed[1].cutset
     return cut.bit_count(), cut
 
 
 @lru_cache(maxsize=1)
-def independence(g: Graph):
-    """Exact independence number and one maximum independent set (as a mask).
+def independence(g: Graph, x: int | None = None):
+    """Exact independence number and one maximum independent set (as a
+    mask) of G[x] (x defaults to every vertex).
 
-    An independent set of g is a clique of the complement, so it lives
+    An independent set of G[x] is a clique of its complement, so it lives
     inside one connected component of the complement.  Those components
     come from ``reach`` over the complement's rows, in order of minimum
     vertex, and branch-and-bound runs on g's own rows within each one (for
     dense graphs they are tiny).  INDEPENDENCE_CAP applies to each
-    component, and the last result is kept, keyed by the graph.
+    component, and the last result is kept, keyed by the arguments.
     """
+    x = g.full if x is None else x
     co = [g.full & ~(row | 1 << v) for v, row in enumerate(g.adj)]
     best_size, best_set = 0, 0
-    remaining = g.full
+    remaining = x
     while remaining:
         part = reach(co, remaining & -remaining, remaining)
         remaining ^= part

@@ -146,11 +146,6 @@ def _tough_or_dead_end(g, cfg, trace, stage, witness,
     return _salvage_or_limit(g, cfg, trace, stage, regime_impossible)
 
 
-def _lift(mask: int, vmap) -> int:
-    """A vertex set of an induced subgraph, in the ids of the parent graph."""
-    return mask_of(vmap[i] for i in bits(mask))
-
-
 def _traced_witness(g: Graph, indep: int, cfg: RunConfig, trace: Trace,
                     stage: str) -> ToughnessWitness | None:
     """Toughness witness from an independent set of g, traced; None when it
@@ -502,40 +497,37 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     forced edges L, one joining the ends of each path), paths spliced in.
     The spliced cycle comes back unvalidated, for ``_finish`` to validate.
 
-    First the oracle's first leaf on (G2*, L), a polynomial walk run on
-    G + L inside G2's mask, in G's own ids: when it closes it is the
-    oracle's own answer, and no fact and no induced copy of G2 is built.
-    Only a dead end builds G2 and G2* and pays for the one test of the
-    oracle's precondition, κ(G2*) >= |L| + α(G2*) (Chvátal & Erdős,
+    Every step runs on G + L inside G2's mask, in G's own ids, so no
+    induced copy of G2 or G2* is built.  First the oracle's first leaf on
+    (G2*, L), a polynomial walk: when it closes it is the oracle's own
+    answer, and no fact is computed.  Only a dead end pays for the one test
+    of the oracle's precondition, κ(G2*) >= |L| + α(G2*) (Chvátal & Erdős,
     Discrete Math. 1972, with forced edges).  Each case's counting facts on
     G2 imply it, as adding edges never lowers κ (n - 1 when complete) nor
-    raises α; so on failure ``replay(g2, map2, l_size, alpha_star,
-    aset_star)`` computes G2's facts and returns the certificate of the
-    first that fails.
+    raises α; so on failure ``replay(alpha_star, aset_star)`` computes G2's
+    facts on (G, G2's mask) and returns the certificate of the first that
+    fails.
     """
     if g2_mask.bit_count() < 3:
         return _salvage_or_limit(g, cfg, trace, f"{case}.connectivity.tiny")
     ends = [p.ends for p in paths]
     l_size = len(ends)
-    cyc = first_leaf(g.add_edges(ends), ends, g2_mask)
+    g_l = g.add_edges(ends)
+    cyc = first_leaf(g_l, ends, g2_mask)
     if cyc is not None:
         trace.add("first-leaf", l_size=l_size, stage=case)
         return CycleCert(_splice(cyc.order, paths))
-    g2, map2 = g.induced(g2_mask)
-    inv2 = {orig: i for i, orig in enumerate(map2)}
-    l_local = [(inv2[a], inv2[b]) for a, b in ends]
-    g2star = g2.add_edges(l_local)
-    alpha_star, aset_star = independence(g2star)
-    kappa_star, _ = connectivity(g2star)
+    alpha_star, aset_star = independence(g_l, g2_mask)
+    kappa_star, _ = connectivity(g_l, g2_mask)
     holds = kappa_star >= l_size + alpha_star
     trace.add("oracle-precondition", kappa_g2star=kappa_star, alpha_g2star=alpha_star,
               l_size=l_size, holds=holds, stage=case)
     if not holds:
-        return replay(g2, map2, l_size, alpha_star, aset_star)
-    cyc = ham_cycle_forced(g2star, l_local, cap=cfg.cap_oracle)
+        return replay(alpha_star, aset_star)
+    cyc = ham_cycle_forced(g_l, ends, cfg.cap_oracle, g2_mask)
     if cyc is None:
         raise PipelineInternalError("forced-edge oracle failed with its precondition met")
-    return CycleCert(_splice(tuple(map2[i] for i in cyc.order), paths))
+    return CycleCert(_splice(cyc.order, paths))
 
 
 def _finish(g: Graph, cyc: CycleCert, trace: Trace, case: str) -> Certificate:
@@ -552,44 +544,45 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
     The counting facts |L|, α(G2) <= n/(t+1) and κ(G2) >= 2n/(t+1) imply
     ``_bridge``'s test, as κ(G2*) >= κ(G2) >= |L| + α(G2) >= |L| + α(G2*);
     its failure replays the first that fails: the paths, α(G2), a small cut
-    of G2.  A step of ``run_theorem``; it writes to that run's trace.
+    of G2, all on G2's mask in G's own ids.  A step of ``run_theorem``; it
+    writes to that run's trace.
     """
     n, t = g.n, cfg.t
     bound, kappa_bound = threshold(n, t), threshold(n, t, 2)
 
-    def replay(g2, map2, l_size, alpha_star, aset_star):
-        alpha2, aset2 = independence(g2)
-        kappa2, cut2 = connectivity(g2)
+    def replay(alpha_star, aset_star):
+        alpha2, aset2 = independence(g, dec.g2_mask)
+        kappa2, cut2 = connectivity(g, dec.g2_mask)
         trace.add("bridge-connectivity", alpha_g2=alpha2, kappa_g2=kappa2, bound=bound)
-        if l_size > bound:
+        if len(cover.paths) > bound:
             w = _traced_witness(g, dec.g1_structure.largest_part(), cfg, trace,
                                 "case1.connectivity.paths")
             if w is not None:
                 return w
         if alpha2 > bound:
-            w = _traced_witness(g, _lift(aset2, map2), cfg, trace, "case1.connectivity.alpha")
+            w = _traced_witness(g, aset2, cfg, trace, "case1.connectivity.alpha")
             if w is not None:
                 return w
         if kappa2 < kappa_bound and cut2 is not None:
-            return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace)
+            return _case1_cut_replay(g, dec, cut2, cfg, trace)
         return _salvage_or_limit(g, cfg, trace, "case1.connectivity")
 
     got = _bridge(g, dec.g2_mask, cover.paths, cfg, trace, "case1", replay)
     return _finish(g, got, trace, "case1") if isinstance(got, CycleCert) else got
 
 
-def _case1_cut_replay(g: Graph, dec: Decomposition, w_global: int, cfg: RunConfig,
+def _case1_cut_replay(g: Graph, dec: Decomposition, cut: int, cfg: RunConfig,
                        trace: Trace) -> Certificate:
-    """A small cutset W of G2 replays the case-1 connectivity analysis.  Once
-    D2 - W holds an edge, its component of G - G1 - W holds all of D2 - W,
-    as the scan found no 2p2+p1 (uv, the edge and a D2 vertex of another
-    component would induce one)."""
-    comps = g.components(dec.g1_mask | w_global)
+    """``cut``, a small cutset W of G2, replays the case-1 connectivity
+    analysis.  Once D2 - W holds an edge, its component of G - G1 - W holds
+    all of D2 - W, as the scan found no 2p2+p1 (uv, the edge and a D2 vertex
+    of another component would induce one)."""
+    comps = g.components(dec.g1_mask | cut)
     if all(c.bit_count() == 1 for c in comps):
-        w = ToughnessWitness(dec.g1_mask | w_global, len(comps))
+        w = ToughnessWitness(dec.g1_mask | cut, len(comps))
         return _tough_or_dead_end(g, cfg, trace, "case1.connectivity.shattered", w,
                                   regime_impossible=True)
-    d2rem = dec.d2_mask & ~w_global
+    d2rem = dec.d2_mask & ~cut
     if metrics.is_independent(g, d2rem):
         w = witness_from_independent_set(g, d2rem, cfg.t)
         return _tough_or_dead_end(g, cfg, trace, "case1.connectivity.bare-remainder", w,
@@ -610,7 +603,7 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     have 12·|N(u) ∪ N(v)| < 5n, an edge ``_case1_edge`` would have picked.
     The counting facts α(G2*) <= n/(t+1) and κ(G2) >= |L| + n/(t+1) imply
     ``_bridge``'s test, as κ(G2*) >= κ(G2); its failure replays the first
-    that fails: α(G2*), then a small cut of G2."""
+    that fails: α(G2*), then a small cut of G2, both in G's own ids."""
     n, t = g.n, cfg.t
     s_mask = 0
     for x in range(n):
@@ -638,19 +631,20 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     star_paths = [PathCert((leaves[0], center, leaves[1])) for center, leaves in stars]
     trace.add("star-matching", centers=s1.bit_count(), stage="case2")
 
-    def replay(g2, map2, l_size, alpha_star, aset_star):
-        kappa2, cut2 = connectivity(g2)
+    g2_mask = g.full & ~s_mask
+
+    def replay(alpha_star, aset_star):
+        kappa2, cut2 = connectivity(g, g2_mask)
         trace.add("bridge-connectivity", kappa_g2=kappa2, bound=thr)
         if alpha_star > thr:
-            w = _traced_witness(g, _lift(aset_star, map2), cfg, trace,
-                                "case2.connectivity.alpha")
+            w = _traced_witness(g, aset_star, cfg, trace, "case2.connectivity.alpha")
             if w is not None:
                 return w
-        if kappa2 < l_size + thr and cut2 is not None:
-            return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), cfg, trace)
+        if kappa2 < len(star_paths) + thr and cut2 is not None:
+            return _case2_cut_replay(g, s_mask, s1, cut2, cfg, trace)
         return _salvage_or_limit(g, cfg, trace, "case2.connectivity")
 
-    got = _bridge(g, g.full & ~s_mask, star_paths, cfg, trace, "case2", replay)
+    got = _bridge(g, g2_mask, star_paths, cfg, trace, "case2", replay)
     if not isinstance(got, CycleCert):
         return got
     pending = s_mask & ~s1
@@ -662,16 +656,16 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     return _finish(g, got, trace, "case2")
 
 
-def _case2_cut_replay(g: Graph, s_mask: int, s1: int, w_global: int, cfg: RunConfig,
+def _case2_cut_replay(g: Graph, s_mask: int, s1: int, cut: int, cfg: RunConfig,
                       trace: Trace) -> Certificate:
-    """A small cutset W of G2 replays the case-2 connectivity analysis.  As
-    the scan found no 2p2+p1, once no component of G - S - W is one vertex
-    there are two (edges of two and a vertex of a third would induce it),
-    each complete multipartite (an edge-plus-vertex in one and an edge of the
-    other would), and each vertex of S1 misses no edge of one of them (it and
-    an edge of each would): so the pairing can only run out."""
+    """``cut``, a small cutset W of G2, replays the case-2 connectivity
+    analysis.  As the scan found no 2p2+p1, once no component of G - S - W
+    is one vertex there are two (edges of two and a vertex of a third would
+    induce it), each complete multipartite (an edge-plus-vertex in one and
+    an edge of the other would), and each vertex of S1 misses no edge of one
+    of them (it and an edge of each would): so the pairing can only run out."""
     n, t = g.n, cfg.t
-    comps = g.components(s_mask | w_global)
+    comps = g.components(s_mask | cut)
     if any(c.bit_count() == 1 for c in comps):
         # both trivial-component subcases contradict verified degree facts
         # once t reaches the proven regime

@@ -21,6 +21,16 @@ def all_graphs(n: int):
         yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
 
 
+def induced(g, mask):
+    """G[mask] built as its own graph from g's edge list, and its
+    relabelling map (new id -> id in g): the reference the solvers that
+    work inside a vertex mask are checked against."""
+    vmap = tuple(bits(mask))
+    index = {v: i for i, v in enumerate(vmap)}
+    return Graph.from_edges(len(vmap), [(index[u], index[v]) for u, v in g.edges()
+                                        if u in index and v in index]), vmap
+
+
 def random_edge_graph(rng, n: int, p: float = 0.5) -> Graph:
     """Each pair u < v, in row-major order, an edge with probability p, drawn
     from the caller's rng (``generators.random_graph`` seeds its own)."""

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oracles import (brute_b_matching, naive_components, split_violations,
+from oracles import (brute_b_matching, induced, naive_components, split_violations,
                      validate_star_matching)
 from toughham.certificates import RunConfig, Trace, certificate_kind, check_certificate
 from toughham.cli import main as cli_main
@@ -356,7 +356,7 @@ def test_criterion_9_stage_level_suite():
             assert split_violations(g, pick, dec) == []
             cover = build_path_cover(g, dec, cfg, trace)
             assert isinstance(cover, PathCover), (g1p, seed)
-            g1, _ = g.induced(dec.g1_mask)
+            g1, _ = induced(g, dec.g1_mask)
             s_value, _ = scattering(g1)
             assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                                     expected_cover_size(s_value)) == []

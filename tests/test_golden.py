@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import blob_with_attachments, case2_instance, split_violations
+from oracles import blob_with_attachments, case2_instance, induced, split_violations
 from toughham import pipeline
 from toughham.certificates import RunConfig, Trace, certificate_to_record
 from toughham.generators import (GenerationError, case1_synthetic, complete_split_join,
@@ -211,16 +211,16 @@ def test_golden_certificates(name):
 
 
 def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
-    # each _bridge walks the oracle's first leaf on G + L (the forced edges
-    # L joining the ends of each path) inside G2's mask first; a closing
-    # leaf is the cycle, with no induced G2 built and no κ or α computed.
-    # Only a dead end builds G2 (one Graph.induced call) and computes κ and
-    # α, both on G2* (G2 plus L), and decides by them alone; only a failed
-    # test's replay computes G2's own facts.  On every bridge of the case-1
-    # and case-2 corpora the precondition holds, which the test checks
-    # itself as no closing leaf pays for it; the t = 1 inputs after them
-    # fail some, in both cases.
-    real_bridge, real_induced = pipeline._bridge, Graph.induced
+    # each _bridge builds one graph, G + L (the forced edges L joining the
+    # ends of each path), and walks the oracle's first leaf on it inside
+    # G2's mask first; a closing leaf is the cycle, with no κ or α computed.
+    # Only a dead end computes κ and α, both on G2* (G + L inside G2's
+    # mask), and decides by them alone; only a failed test's replay computes
+    # G2's own facts, on G inside the same mask.  No step builds another
+    # graph.  On every bridge of the case-1 and case-2 corpora the
+    # precondition holds, which the test checks itself as no closing leaf
+    # pays for it; the t = 1 inputs after them fail some, in both cases.
+    real_bridge, real_of_rows = pipeline._bridge, Graph._of_rows
     bridges = []
     calls = None  # the list the spies append to: a bridge's test, or its replay's
 
@@ -229,15 +229,21 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
 
         def wrapped(g, *args, **kwargs):
             if calls is not None:
-                calls.append((name, g))
+                calls.append((name, g, args[-1]))  # the mask comes last
             return solver(g, *args, **kwargs)
         return wrapped
+
+    def of_rows(cls, n, rows):
+        built = real_of_rows(n, rows)
+        if calls is not None:
+            calls.append(("_of_rows", built, None))
+        return built
 
     def bridge(g, g2_mask, paths, cfg, trace, case, replay):
         nonlocal calls
         g_l = g.add_edges([p.ends for p in paths])
-        seen = {"g": g, "g_l": g_l, "g2": real_induced(g, g2_mask)[0],
-                "g2star": real_induced(g_l, g2_mask)[0], "l_size": len(paths),
+        seen = {"g": g, "g_l": g_l, "mask": g2_mask,
+                "g2star": induced(g_l, g2_mask)[0], "l_size": len(paths),
                 "test": [], "replay": []}
         bridges.append(seen)
 
@@ -254,14 +260,9 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
         finally:
             calls = None
 
-    def induced(g, s):
-        if calls is not None:
-            calls.append(("induced", g))
-        return real_induced(g, s)
-
     for name in ("connectivity", "independence", "ham_cycle_forced", "first_leaf"):
         monkeypatch.setattr(pipeline, name, spy(name))
-    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(Graph, "_of_rows", classmethod(of_rows))
     monkeypatch.setattr(pipeline, "_bridge", bridge)
     for lines in (corpus_case1_cover(), corpus_case2()):
         for _ in lines:
@@ -276,36 +277,38 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
     monkeypatch.undo()
     closed = held = failed = 0
     for i, seen in enumerate(bridges):
-        g2star = seen["g2star"]
+        g_l, mask = seen["g_l"], seen["mask"]
         if i < golden:
-            alpha, _ = independence(g2star)
-            kappa, _ = connectivity(g2star)
+            alpha, _ = independence(seen["g2star"])
+            kappa, _ = connectivity(seen["g2star"])
             assert kappa >= seen["l_size"] + alpha
-        walk = ("first_leaf", seen["g_l"])
-        if seen["test"] == [walk]:
+        walk = [("_of_rows", g_l, None), ("first_leaf", g_l, mask)]
+        if seen["test"] == walk:
             closed += 1
             assert seen["replay"] == []
             continue
-        # a dead end: the walk, G2 induced once, then the facts of G2*
-        facts = [walk, ("induced", seen["g"]), ("independence", g2star),
-                 ("connectivity", g2star)]
+        # a dead end: G + L and the walk, then the facts of G2*
+        facts = walk + [("independence", g_l, mask), ("connectivity", g_l, mask)]
         assert seen["test"][:4] == facts
-        if seen["test"][4:] == [("ham_cycle_forced", g2star)]:
+        if seen["test"][4:] == [("ham_cycle_forced", g_l, mask)]:
             held += 1
             assert seen["replay"] == []
         else:
             failed += 1
             assert seen["test"] == facts and seen["replay"]
-            assert all(g == seen["g2"] for _, g in seen["replay"])
+            assert all(name in ("independence", "connectivity") and (h, x) == (seen["g"], mask)
+                       for name, h, x in seen["replay"])
     assert (golden, closed, held, failed) == (12, 24, 9, 7)
 
 
 def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):
     # every corpus, rerun under two spies with its bytes unchanged: the
     # cover plan's s(G1), read off G1's parts, is the scattering number of
-    # G1 built as its own graph, and no stage but _bridge builds one
-    decompositions, callers = [], set()
-    real_decompose, real_induced = pipeline.multipartite_decompose, Graph.induced
+    # G1 built as its own graph, and no stage builds an induced graph: the
+    # one graph a stage builds is _bridge's G + L, on all of G's vertices
+    decompositions, builds = [], set()
+    real_decompose, real_of_rows, real_init = (pipeline.multipartite_decompose, Graph._of_rows,
+                                               Graph.__init__)
 
     def decompose(g, x):
         got = real_decompose(g, x)
@@ -313,22 +316,35 @@ def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):
             decompositions.append((g, x))
         return got
 
-    def induced(g, s):
-        caller = sys._getframe(1)
-        if caller.f_globals["__name__"].startswith("toughham"):
-            callers.add(caller.f_code.co_name)
-        return real_induced(g, s)
+    def stage_of(n):
+        """(stage, whether the graph built has all of its G's n vertices)
+        for the innermost pipeline frame building it, if any."""
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_globals["__name__"] != "toughham.pipeline":
+            frame = frame.f_back
+        if frame is not None:
+            builds.add((frame.f_code.co_name, n == frame.f_locals["g"].n))
+
+    def of_rows(cls, n, rows):
+        stage_of(n)
+        return real_of_rows(n, rows)
+
+    def init(self, n, adj):
+        stage_of(n)
+        real_init(self, n, adj)
 
     monkeypatch.setattr(pipeline, "multipartite_decompose", decompose)
-    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(Graph, "_of_rows", classmethod(of_rows))
+    monkeypatch.setattr(Graph, "__init__", init)
     plans = []
     for name in sorted(CORPORA):
         lines = tuple(CORPORA[name]())
         assert digest(lines) == GOLDEN[name]
         plans += [line for line in lines if line.startswith("cover-plan ")]
-    assert callers == {"_bridge"}
+    monkeypatch.undo()
+    assert builds == {("_bridge", True)}
     assert len(plans) == len(decompositions) == 15
     for (g, g1_mask), plan in zip(decompositions, plans):
-        s_value, _ = scattering(real_induced(g, g1_mask)[0])
+        s_value, _ = scattering(induced(g, g1_mask)[0])
         s_text = "inf" if s_value == INF else s_value
         assert plan == f"cover-plan g1_size={g1_mask.bit_count()} s={s_text}"

@@ -46,36 +46,6 @@ def test_components_examples():
     assert len(pattern.components()) == 3
 
 
-def test_induced_examples():
-    c5 = Graph.cycle(5)
-    p4 = Graph.path(4)
-    # every 4-subset of a 5-cycle induces a 4-path (exhaustive)
-    for drop in range(5):
-        sub, vmap = c5.induced(c5.full & ~(1 << drop))
-        assert sorted(r.bit_count() for r in sub.adj) == sorted(
-            r.bit_count() for r in p4.adj)
-        assert sub.edge_count() == 3
-        assert len(vmap) == 4
-    k3, _ = Graph.complete(5).induced(mask_of([0, 1, 2]))
-    assert k3 == Graph.complete(3)
-    empty, vmap = c5.induced(0)
-    assert empty.n == 0 and vmap == ()
-
-
-def test_induced_relabel_map_lifts_edges():
-    g = Graph.from_edges(6, [(0, 3), (3, 5), (1, 5)])
-    sub, vmap = g.induced(mask_of([0, 3, 5]))
-    for u, v in sub.edges():
-        assert g.has_edge(vmap[u], vmap[v])
-
-
-def test_induced_idempotent():
-    g = Graph.from_edges(7, [(0, 1), (2, 4), (4, 6), (1, 6)])
-    sub, _ = g.induced(mask_of([0, 1, 4, 6]))
-    again, _ = sub.induced(sub.full)
-    assert again == sub
-
-
 def test_construction_rejects_asymmetry_and_loops():
     with pytest.raises(GraphError):
         Graph(2, [0b10, 0b00])
@@ -109,24 +79,11 @@ def first_one_way_pair(adj):
     return None
 
 
-def induced_by_relabelling(g, s):
-    """Induced subgraph built edge by edge through a relabelling map."""
-    vmap = tuple(bits(s))
-    index = {v: i for i, v in enumerate(vmap)}
-    rows = []
-    for v in vmap:
-        row = 0
-        for w in bits(g.adj[v] & s):
-            row |= 1 << index[w]
-        rows.append(row)
-    return Graph(len(vmap), rows), vmap
-
-
 def test_transpose_matches_per_bit_reference():
     rng = random.Random(10)
     for n in STRIDE_SIZES:
         for p in (0.05, 0.5):
-            # square, then fewer rows than columns (what induced hands it)
+            # square, then fewer rows than columns
             rows = [sum(1 << c for c in range(n) if rng.random() < p) for _ in range(n)]
             assert transpose(rows, n) == columns_by_bit(rows, n), (n, p)
             few = rows[:rng.randrange(n + 1)] if n else []
@@ -152,17 +109,6 @@ def test_constructor_reports_the_first_one_way_pair():
             assert str(err.value) == want
 
 
-def test_induced_matches_edge_relabelling():
-    rng = random.Random(12)
-    for n in (0, 1, 2, 7, 8, 9, 16, 31, 33, 64, 65, 130):
-        for p in (0.2, 0.5, 0.9):
-            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                     if rng.random() < p])
-            sparse = rng.getrandbits(n) & rng.getrandbits(n)
-            for s in (0, g.full, rng.getrandbits(n), sparse):
-                assert g.induced(s) == induced_by_relabelling(g, s), (n, p, s)
-
-
 def agrees_with_checking_constructor(h):
     """The rows of a graph built without checks pass the constructor's
     checks (it raises otherwise) and give the same graph."""
@@ -186,16 +132,12 @@ def test_unchecked_builders_agree_with_checking_constructor(monkeypatch):
     monkeypatch.setattr(generators, "REJECTION_CAP", 2)
     for n in range(6):
         for g in all_graphs(n):
-            for s in range(1 << n):
-                assert agrees_with_checking_constructor(g.induced(s)[0]), (g.adj, s)
             for h in unchecked_builds(g, rng):
                 assert agrees_with_checking_constructor(h), g.adj
     for n in range(41):
         for p in (0.1, 0.5, 0.9):
             g = random_graph(n, p, rng.randrange(1 << 30))
             assert agrees_with_checking_constructor(g), (n, p)
-            for s in (0, g.full, rng.getrandbits(n)):
-                assert agrees_with_checking_constructor(g.induced(s)[0]), (n, p, s)
             for h in unchecked_builds(g, rng):
                 assert agrees_with_checking_constructor(h), (n, p)
             try:

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import (all_graphs, case2_instance, random_edge_graph, random_matching,
+from oracles import (all_graphs, case2_instance, induced, random_edge_graph, random_matching,
                      reference_ham_cycle_forced, reference_root_test)
 from test_golden import CORPORA
 from toughham import hamilton, pipeline
@@ -104,19 +104,27 @@ def test_oracle_past_its_cap_is_its_first_leaf_or_its_root_test():
     assert min(seen.values()) >= 20, seen
 
 
-def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph():
-    # the bridge's walk: G + L inside G2's mask, in G's ids, against the walk
-    # and the unpruned search's first leaf on G2* = G2 + L built alone; the
-    # ascending map keeps every (fewest free neighbours, lowest id) choice
-    rng = random.Random(34)
-    closed = 0
-    for _ in range(800):
-        n = rng.randrange(3, 41)
-        g = random_edge_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
-        inside = rng.sample(range(n), rng.randrange(3, n + 1))
-        forced = random_matching(rng, combinations(sorted(inside), 2), rng.randrange(4))
+def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph(monkeypatch):
+    # the bridge's walk and oracle: G + L inside G2's mask, in G's ids,
+    # against the walk, the unpruned search's first leaf and the oracle on
+    # G2* = G2 + L built alone; the ascending map keeps every (fewest free
+    # neighbours, lowest id) choice, the root and the twin classes, so the
+    # two oracle runs test the same children (as many reach calls)
+    cap = 24
+    calls = count_reach(monkeypatch)
+
+    def oracle(g, forced, *within):
+        calls.clear()
+        try:
+            got = ham_cycle_forced(g, forced, cap, *within)
+        except OracleLimitExceeded:
+            return "cap", len(calls)
+        return got and got.order, len(calls)
+
+    def check(g, inside, forced):
+        """Whether the walk closes, after every comparison."""
         g_l, within = g.add_edges(forced), mask_of(inside)
-        g2star, vmap = g_l.induced(within)
+        g2star, vmap = induced(g_l, within)
         local = {v: i for i, v in enumerate(vmap)}
         l_local = [(local[a], local[b]) for a, b in forced]
         walk = first_leaf(g_l, forced, within)
@@ -126,8 +134,38 @@ def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph():
         if walk is not None:
             assert walk.order == tuple(vmap[i] for i in alone.order)
             assert walk.order == tuple(vmap[i] for i in leaf)
-            closed += 1
+        want, tests = oracle(g2star, l_local)
+        if want not in (None, "cap"):
+            want = tuple(vmap[i] for i in want)
+        assert oracle(g_l, forced, within) == (want, tests), (g.adj, forced, within)
+        if walk is not None:
+            assert want == walk.order
+        outcomes["leaf" if walk is not None else want if want in (None, "cap") else "search"] += 1
+        return walk is not None
+
+    rng = random.Random(34)
+    closed, outcomes = 0, Counter()
+    for _ in range(800):
+        n = rng.randrange(3, 41)
+        g = random_edge_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        inside = rng.sample(range(n), rng.randrange(3, n + 1))
+        forced = random_matching(rng, combinations(sorted(inside), 2), rng.randrange(4))
+        closed += check(g, inside, forced)
     assert closed == 307
+    # G[inside] complete multipartite, its first part often too large for a
+    # cycle, and random edges elsewhere: twin classes of G[inside] that the
+    # rows of G outside it split
+    for _ in range(200):
+        n = rng.randrange(5, 12)
+        inside = rng.sample(range(n), rng.randrange(5, n + 1))
+        part = {v: rng.randrange(4) if rng.random() < 0.5 else 0 for v in inside}
+        g = Graph.from_edges(n, [(u, v) for u, v in random_edge_graph(rng, n).edges()
+                                 if u not in part or v not in part]
+                             + [(u, v) for u, v in combinations(inside, 2) if part[u] != part[v]])
+        forced = random_matching(rng, [(u, v) for u, v in g.edges() if u in part and v in part],
+                                 rng.randrange(3))
+        check(g, inside, forced)
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_oracle_equivalence_all_small_graphs():
@@ -187,7 +225,7 @@ def bridge_oracle_inputs(monkeypatch, runs):
             caps.pop()
 
     def spy_walk(g, forced, within):
-        g2star, vmap = g.induced(within)
+        g2star, vmap = induced(g, within)
         if g2star.n <= caps[-1]:
             local = {v: i for i, v in enumerate(vmap)}
             seen.append((g2star, [(local[a], local[b]) for a, b in forced], caps[-1]))
@@ -450,7 +488,7 @@ def insertion_instances():
                for p in (0.3, 0.5, 0.7) for _ in range(12)]
     for g in graphs:
         for v in range(g.n):
-            sub, vmap = g.induced(g.full & ~bit(v))
+            sub, vmap = induced(g, g.full & ~bit(v))
             cyc = ham_cycle_forced(sub)
             if cyc is not None:
                 yield g, CycleCert(tuple(vmap[i] for i in cyc.order)), v

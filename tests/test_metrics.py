@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from oracles import (all_graphs, complete_multipartite_graphs, cutsets_by_brute_force,
+from oracles import (all_graphs, complete_multipartite_graphs, cutsets_by_brute_force, induced,
                      naive_components, random_edge_graph, reference_pair_cut)
 from toughham import metrics
 from toughham.generators import two_cliques
-from toughham.graph import Graph, bits
+from toughham.graph import Graph, bits, mask_of
 from toughham.metrics import (INF, OracleLimitExceeded, connectivity, independence,
                               probe_tough, scattering, toughness,
                               validate_scattering_set, validate_toughness_witness,
@@ -105,7 +105,7 @@ def _closed_corpus():
     """The graphs the closed forms answer: one complete multipartite graph
     per multiset of part sizes on n <= 7, K_1..K_7 among them."""
     for g in complete_multipartite_graphs(7, seed=5):
-        assert metrics._closed(g) is not None
+        assert metrics._closed(g, g.full) is not None
         yield g
 
 
@@ -290,7 +290,7 @@ def test_pair_flow_matches_reference():
     # flow is the cut's size)
     for g in _pair_corpus():
         kappa = connectivity(g)[0]
-        base = metrics._split_residual(g)
+        base = metrics._split_residual(g, g.full)
         for s in range(g.n):
             for t in bits(g.full & ~g.adj[s] & ~((2 << s) - 1)):
                 cut = reference_pair_cut(g, s, t, g.n + 1)
@@ -353,7 +353,7 @@ def test_cutset_sweep_starts_at_kappa(monkeypatch):
                         or real_count(self, removed))
     real_parts = metrics.multipartite_parts
     monkeypatch.setattr(metrics, "multipartite_parts",
-                        lambda g: decompositions.append(g) or real_parts(g))
+                        lambda g, x: decompositions.append(g) or real_parts(g, x))
     assert toughness(g)[0] == 4
     assert sizes and min(sizes) == 8
     assert len(decompositions) == 1
@@ -443,7 +443,7 @@ def test_sweep_bounds_agree_with_brute_force(monkeypatch):
                 tough = min(cuts, key=lambda cut: cut[0])
                 scat = max(cuts, key=lambda cut: cut[1])
                 assert toughness(g)[0] == tough[0] and scattering(g)[0] == scat[1], g.adj
-                if metrics._closed(g) is None:
+                if metrics._closed(g, g.full) is None:
                     assert toughness(g)[1].cutset == tough[2], g.adj
                     assert scattering(g)[1].cutset == scat[2], g.adj
                 for t in grid:
@@ -452,7 +452,7 @@ def test_sweep_bounds_agree_with_brute_force(monkeypatch):
                     probe = probe_tough(g, t)
                     want = first if probe is None and first is not None else probe
                     assert verify_tough(g, t) == want, (g.adj, t)
-                    if metrics._closed(g) is None:
+                    if metrics._closed(g, g.full) is None:
                         with monkeypatch.context() as patch:
                             patch.setattr(metrics, "probe_tough", lambda g, t: None)
                             assert verify_tough(g, t) == first, (g.adj, t)
@@ -474,20 +474,64 @@ def test_grid_toughness_counts_are_pinned(monkeypatch):
 
 
 def test_split_residual_is_bit_spread():
-    # the out-row of v holds the in-node 2w of every neighbour w
-    def per_bit(g):
+    # the out-row of v holds the in-node 2w of every neighbour w inside x
+    def per_bit(g, x):
         res = []
         for v in range(g.n):
-            res += [1 << (2 * v + 1), sum(1 << (2 * w) for w in bits(g.adj[v]))]
+            res += [1 << (2 * v + 1), sum(1 << (2 * w) for w in bits(g.adj[v] & x))]
         return res
 
     rng = random.Random(4040)
     randoms = (random_edge_graph(rng, rng.randrange(1, 41), rng.random()) for _ in range(1000))
     for n in range(7):
         for g in all_graphs(n):
-            assert metrics._split_residual(g) == per_bit(g)
+            assert metrics._split_residual(g, g.full) == per_bit(g, g.full)
     for g in randoms:
-        assert metrics._split_residual(g) == per_bit(g), g.adj
+        x = rng.getrandbits(g.n)
+        assert metrics._split_residual(g, g.full) == per_bit(g, g.full), g.adj
+        assert metrics._split_residual(g, x) == per_bit(g, x), (g.adj, x)
+
+
+def masked_graphs(rng):
+    """(g, x) with seeded g on at most 16 vertices: a random x, then an x
+    inside which g is redrawn complete multipartite (complete when every
+    part is one vertex), so that the closed forms answer for G[x]."""
+    for _ in range(300):
+        n = rng.randrange(2, 17)
+        g = random_edge_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+        inside = rng.sample(range(n), rng.randrange(2, n + 1))
+        yield g, mask_of(inside)
+        part = {v: rng.randrange(rng.choice([2, 3, len(inside)])) for v in inside}
+        yield Graph.from_edges(n, [(u, v) for u, v in g.edges()
+                                   if u not in part or v not in part or part[u] != part[v]]
+                               + [(u, v) for u, v in combinations(inside, 2)
+                                  if part[u] != part[v]]), mask_of(inside)
+
+
+def test_masked_connectivity_and_independence_are_the_induced_graphs():
+    # kappa and alpha of G[x], read inside the mask x in G's own ids, are
+    # those of G[x] built as its own graph, with the same cut and set mapped
+    # back: x keeps the order of G[x]'s ids, so every choice is the same
+    def lift(mask, vmap):
+        return mask and mask_of(vmap[i] for i in bits(mask))
+
+    def agree(g, x):
+        sub, vmap = induced(g, x)
+        kappa, cut = connectivity(sub)
+        alpha, aset = independence(sub)
+        assert connectivity(g, x) == (kappa, lift(cut, vmap)), (g.adj, x)
+        assert independence(g, x) == (alpha, lift(aset, vmap)), (g.adj, x)
+        return metrics._closed(sub, sub.full) is not None
+
+    closed = Counter()
+    for n in range(6):
+        for g in all_graphs(n):
+            for x in range(1 << n):
+                if x.bit_count() >= 2:
+                    closed[agree(g, x)] += 1
+    for g, x in masked_graphs(random.Random(35)):
+        closed[agree(g, x)] += 1
+    assert min(closed.values()) >= 300, closed
 
 
 def test_independence_witness_is_independent():
@@ -546,7 +590,7 @@ def test_verify_tough_decomposes_once(monkeypatch):
     calls = []
     real = metrics.multipartite_parts
     monkeypatch.setattr(metrics, "multipartite_parts",
-                        lambda g: calls.append(g) or real(g))
+                        lambda g, x: calls.append(g) or real(g, x))
     assert verify_tough(Graph.complete_multipartite([3, 3, 3]), Fraction(1)) is None
     assert len(calls) == 1
 
@@ -606,8 +650,9 @@ def test_memos_keep_graphs_and_caps_apart(monkeypatch):
 
 def test_metrics_line_shares_one_sweep(monkeypatch):
     # the four quantities of a metrics line, in its order, run the cutset
-    # sweep, kappa's pair flows, the completeness test and the multipartite
-    # decomposition once between them: no more often than toughness alone
+    # sweep, kappa's residual and pair flows, alpha's branch and bound and
+    # the multipartite decomposition once between them: no more often than
+    # toughness alone, so no call spells a memo key of g two ways
     counts = Counter()
 
     def spy(name, real):
@@ -618,7 +663,8 @@ def test_metrics_line_shares_one_sweep(monkeypatch):
     monkeypatch.setattr(metrics, "multipartite_parts",
                         spy("decompositions", metrics.multipartite_parts))
     monkeypatch.setattr(Graph, "component_count", spy("counts", Graph.component_count))
-    monkeypatch.setattr(Graph, "is_complete", spy("complete", Graph.is_complete))
+    monkeypatch.setattr(metrics, "_mis_branch_bound", spy("alpha", metrics._mis_branch_bound))
+    monkeypatch.setattr(metrics, "_split_residual", spy("residual", metrics._split_residual))
 
     def tally(*solvers):
         counts.clear()
@@ -631,5 +677,5 @@ def test_metrics_line_shares_one_sweep(monkeypatch):
     line = tally(toughness, connectivity, independence, scattering)
     toughness(Graph.cycle(7))  # a second graph evicts every memo of g
     alone = tally(toughness)
-    assert set(alone) == {"flows", "complete", "decompositions", "counts"}
+    assert set(alone) == {"flows", "residual", "alpha", "decompositions", "counts"}
     assert line == alone

@@ -6,8 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (all_graphs, blob_with_attachments, case2_instance, plain_record_line,
-                     split_violations)
+from oracles import (all_graphs, blob_with_attachments, case2_instance, induced,
+                     plain_record_line, split_violations)
 from toughham.certificates import (OracleLimit, RunConfig, Trace, certificate_from_record,
                                    certificate_kind, certificate_to_record,
                                    check_certificate, fmt_q, parse_record, record_line)
@@ -18,7 +18,7 @@ from toughham.hamilton import CycleCert, PathCert
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
                               threshold, validate_toughness_witness)
 from toughham.pipeline import (Decomposition, PathCover, PipelineInternalError,
-                               _case1_cut_replay, _case1_edge, _case2_cut_replay, _lift,
+                               _case1_cut_replay, _case1_edge, _case2_cut_replay,
                                _splice, build_path_cover,
                                case1_decompose, case1_finish, case2_run,
                                expected_cover_size, min_degree_gate, run_theorem)
@@ -282,7 +282,7 @@ def test_path_cover_variants(label, g1p, s2, d2p):
     assert isinstance(dec, Decomposition)
     cover = build_path_cover(g, dec, cfg, trace)
     assert isinstance(cover, PathCover), label
-    g1, _ = g.induced(dec.g1_mask)
+    g1, _ = induced(g, dec.g1_mask)
     s_value, _ = scattering(g1)
     assert cover.violations(g, dec.g1_mask, dec.g2_mask,
                             expected_cover_size(s_value)) == []
@@ -446,12 +446,11 @@ def _case1_replay_on_the_min_cut(g, t):
     dec = case1_decompose(g, _case1_edge(g), cfg, Trace())
     if not isinstance(dec, Decomposition):
         return None
-    g2, map2 = g.induced(dec.g2_mask)
-    kappa2, cut2 = connectivity(g2)
+    kappa2, cut2 = connectivity(g, dec.g2_mask)
     if cut2 is None or kappa2 >= threshold(g.n, t, 2):
         return None
     trace = Trace()
-    return _case1_cut_replay(g, dec, _lift(cut2, map2), cfg, trace), trace
+    return _case1_cut_replay(g, dec, cut2, cfg, trace), trace
 
 
 def _case2_replay_on_the_min_cut(g, t):
@@ -461,12 +460,11 @@ def _case2_replay_on_the_min_cut(g, t):
     n = g.n
     s_mask = mask_of(x for x in range(n) if 24 * g.adj[x].bit_count() < 5 * n)
     s1 = mask_of(x for x in bits(s_mask) if (t + 1) * g.adj[x].bit_count() < n)
-    g2, map2 = g.induced(g.full & ~s_mask)
-    kappa2, cut2 = connectivity(g2)
+    kappa2, cut2 = connectivity(g, g.full & ~s_mask)
     if cut2 is None or kappa2 >= s1.bit_count() + threshold(n, t):
         return None
     trace = Trace()
-    return _case2_cut_replay(g, s_mask, s1, _lift(cut2, map2), RunConfig(t=t), trace), trace
+    return _case2_cut_replay(g, s_mask, s1, cut2, RunConfig(t=t), trace), trace
 
 
 def _cut_replay_inputs():

@@ -2,7 +2,7 @@ import random
 from itertools import combinations, permutations
 
 from oracles import (all_graphs, case2_instance, complete_multipartite_graphs, false_twin_blow_up,
-                     random_edge_graph, reference_holds)
+                     induced, random_edge_graph, reference_holds)
 from toughham import recognition
 from toughham.generators import complete_split_join, random_in_class, relabel
 from toughham.graph import Graph, bits, mask_of
@@ -213,7 +213,7 @@ def assert_masked_routes_match_the_induced_route(g, x):
     """multipartite_parts, multipartite_decompose and multipartite_ham_path
     inside the mask x give what they give on G[x] built as its own graph,
     mapped back to g's ids."""
-    sub, vmap = g.induced(x)
+    sub, vmap = induced(g, x)
     parts, sub_parts = multipartite_parts(g, x), multipartite_parts(sub)
     assert parts == (None if sub_parts is None else
                      tuple(mask_of(vmap[i] for i in bits(p)) for p in sub_parts)), (g.adj, x)
