@@ -4,7 +4,11 @@ Entry points:
 
 * ``ham_cycle_forced``: exhaustive oracle for a Hamilton cycle of G[within]
   through prescribed independent edges: its root test, then ``first_leaf``,
-  an untested walk at any n, then under its cap one pruned backtracking loop.
+  an untested walk at any n, then under its cap one pruned backtracking
+  loop, and past it ``closure_cycle``.
+* ``closure_cycle``: a Hamilton cycle of G[within] through the forced edges
+  from a complete Bondy–Chvátal (|within| + |forced|)-closure, in
+  polynomial time at any n; None when the closure stays open.
 * ``dirac_cycle``: constructive rotation-extension builder for graphs with
   minimum degree at least n/2; polynomial, never falls back to search.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
@@ -132,8 +136,9 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP,
     on the endpoints, no independent-twin class outgrows the interior
     positions left for it, and the remaining vertices plus both endpoints
     stay connected.  Above the cap, which counts within's vertices: the
-    root's None, a closing first leaf, or OracleLimitExceeded.  Like
-    ``first_leaf``, it roots at within's lowest vertex and reads rows inside.
+    root's None, a closing first leaf, the cycle of a complete
+    ``closure_cycle``, or OracleLimitExceeded.  Like ``first_leaf``, it
+    roots at within's lowest vertex and reads rows inside.
     """
     partner = _check_forced(g, forced)
     within = g.full if within is None else within
@@ -179,6 +184,8 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP,
     if (leaf := first_leaf(g, forced, within)) is not None:
         return leaf
     if within.bit_count() > cap:
+        if (cyc := closure_cycle(g, forced, within)) is not None:
+            return cyc
         raise OracleLimitExceeded("ham-cycle-forced")
     path, free, tried = root[:], root_free, [0]
     while True:
@@ -197,6 +204,94 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP,
         else:
             free |= 1 << path.pop()
             tried.pop()
+
+
+def closure_cycle(g: Graph, forced=(), within: int | None = None) -> CycleCert | None:
+    """Hamilton cycle of G[within] (default: every vertex) through the k
+    forced edges, built from its (m + k)-closure, m = |within|; None when
+    that closure is not complete.  A polynomial constructor at any n.
+
+    The closure adds uv while d(u) + d(v) >= m + k, degrees counted inside
+    within, re-testing only the vertices whose degree just rose.  When it
+    is complete, the vertices laid out in id order, each forced partner
+    right after its mate, are a cycle of it through every forced edge.  The
+    added edges are then undone in reverse order (Bondy & Chvátal, "A
+    method in graph theory", Discrete Math. 1976; the forced-edge form goes
+    back to Pósa 1963 and Kronk 1969).  An undone edge uv on the cycle
+    leaves a path v = x_1 ... x_m = u, where d(u) + d(v) >= m + k held as it
+    was added.  The i in 1..m-1 with v ~ x_{i+1} number d(v), those with
+    u ~ x_i number d(u), so at least k + 1 have both.  At most k path edges
+    are forced, so one such i has x_i x_{i+1} unforced, and x_1 ... x_i
+    x_m ... x_{i+1} is a cycle through every forced edge without uv; the
+    first such i along the path is taken.  The cycle is read from within's
+    lowest vertex towards the lower of its two cycle neighbours.
+    """
+    partner = _check_forced(g, forced)
+    within = g.full if within is None else within
+    if mask_of(partner) & ~within:
+        raise GraphError("forced edges must lie inside the mask")
+    m = within.bit_count()
+    if m < 3:
+        return None
+    need = m + len(partner) // 2
+    row = [a & within for a in g.adj]
+    deg = [r.bit_count() for r in row]
+    added = []
+    todo, queued = list(bits(within)), within
+    while todo:
+        u = todo.pop()
+        queued ^= 1 << u
+        rest = within & ~row[u] & ~(1 << u)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if deg[u] + deg[v] >= need:
+                row[u] |= low
+                row[v] |= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                added.append((u, v))
+                for w in (u, v):
+                    if not queued >> w & 1:
+                        todo.append(w)
+                        queued |= 1 << w
+    if any(deg[v] != m - 1 for v in bits(within)):
+        return None
+    on = [0] * g.n  # each vertex's two neighbours on the cycle, as a mask
+    order = []
+    for v in bits(within):
+        p = partner.get(v, v)
+        if p > v:
+            order += (v, p)
+        elif p == v:
+            order.append(v)
+    for a, b in zip(order, order[1:] + order[:1]):
+        on[a] |= 1 << b
+        on[b] |= 1 << a
+    for u, v in reversed(added):
+        row[u] ^= 1 << v
+        row[v] ^= 1 << u
+        if not on[u] >> v & 1:
+            continue
+        prev, x = u, v
+        while x != u:
+            y = (on[x] ^ 1 << prev).bit_length() - 1
+            if row[u] >> x & 1 and row[v] >> y & 1 and partner.get(x) != y:
+                break
+            prev, x = x, y
+        else:
+            raise AssertionError("crossing pair missing despite the degree sum")
+        on[u] ^= 1 << v | 1 << x
+        on[v] ^= 1 << u | 1 << y
+        on[x] ^= 1 << y | 1 << u
+        on[y] ^= 1 << x | 1 << v
+    start = order[0]
+    cycle, prev, x = [start], start, (on[start] & -on[start]).bit_length() - 1
+    while x != start:
+        cycle.append(x)
+        prev, x = x, (on[x] ^ 1 << prev).bit_length() - 1
+    return CycleCert(tuple(cycle))
 
 
 def dirac_cycle(g: Graph) -> CycleCert:

@@ -437,11 +437,20 @@ def _pair_flows(g: Graph, x: int):
     """
     adj = g.adj
     base = _split_residual(g, x)
-    best_cut, size = None, min((adj[v] & x).bit_count() for v in bits(x)) + 1
-    for rank, s in enumerate(bits(x)):
-        if rank > size:
-            break
-        others = (x & ~adj[s] & ~bit(s)) >> (s + 1) << (s + 1)
+    best_cut, size, left = None, len(adj), x
+    while left:
+        low = left & -left
+        left ^= low
+        d = (adj[low.bit_length() - 1] & x).bit_count()
+        if d < size:
+            size = d
+    size += 1
+    rank, left = 0, x
+    while left and rank <= size:
+        low = left & -left
+        left ^= low  # now the vertices of x above s
+        s = low.bit_length() - 1
+        others = left & ~adj[s]
         while others:
             low = others & -others
             others ^= low
@@ -450,6 +459,7 @@ def _pair_flows(g: Graph, x: int):
                 cut = _min_vertex_cut_pair(base, s, t, size)
                 if cut is not None:
                     best_cut, size = cut, cut.bit_count()
+        rank += 1
     assert best_cut is not None
     return size, best_cut
 

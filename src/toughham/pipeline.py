@@ -11,9 +11,10 @@ low-degree vertices form an independent set S, those of lowest degree are
 starred out, and the rest are inserted afterwards.  Both cases end in
 ``_bridge``: a forced-edge Hamilton cycle of G2* (G2 plus the forced edges
 L) with the paths spliced in, the oracle's polynomial first leaf when it
-closes.  Else one test of its precondition κ(G2*) >= |L| + α(G2*), which
-each case's counting facts on G2 imply; only a failed test's replay
-computes them, and the first that fails becomes a certificate.
+closes, else the cycle of a complete Bondy–Chvátal closure.  Only an open
+closure leads to one test of the oracle's precondition κ(G2*) >= |L| +
+α(G2*), which each case's counting facts on G2 imply; only a failed test's
+replay computes them, and the first that fails becomes a certificate.
 
 ``run_theorem`` is the entry point.  The stage functions are its steps:
 each takes the run's trace and trusts what the dispatcher and the earlier
@@ -41,8 +42,9 @@ from typing import NamedTuple
 from . import metrics
 from .certificates import Certificate, OracleLimit, RunConfig, Trace
 from .graph import Graph, GraphError, bit, bits, mask_of
-from .hamilton import (CycleCert, PathCert, dirac_cycle, first_leaf, ham_cycle_forced,
-                       insert_vertices, multipartite_ham_path, validate_cycle, validate_path)
+from .hamilton import (CycleCert, PathCert, closure_cycle, dirac_cycle, first_leaf,
+                       ham_cycle_forced, insert_vertices, multipartite_ham_path, validate_cycle,
+                       validate_path)
 from .matchings import k1t_matching
 from .metrics import (INF, OracleLimitExceeded, ToughnessWitness, connectivity,
                       independence, threshold, validate_toughness_witness, verify_tough,
@@ -498,25 +500,26 @@ def _bridge(g: Graph, g2_mask: int, paths, cfg: RunConfig, trace: Trace, case: s
     The spliced cycle comes back unvalidated, for ``_finish`` to validate.
 
     Every step runs on G + L inside G2's mask, in G's own ids, so no
-    induced copy of G2 or G2* is built.  First the oracle's first leaf on
-    (G2*, L), a polynomial walk: when it closes it is the oracle's own
-    answer, and no fact is computed.  Only a dead end pays for the one test
-    of the oracle's precondition, κ(G2*) >= |L| + α(G2*) (Chvátal & Erdős,
-    Discrete Math. 1972, with forced edges).  Each case's counting facts on
-    G2 imply it, as adding edges never lowers κ (n - 1 when complete) nor
-    raises α; so on failure ``replay(alpha_star, aset_star)`` computes G2's
-    facts on (G, G2's mask) and returns the certificate of the first that
-    fails.
+    induced copy of G2 or G2* is built.  First two polynomial builders on
+    (G2*, L), each traced as one record and computing no fact when it
+    closes: the oracle's first leaf, then ``closure_cycle``.  Only an open
+    closure pays for the one test of the oracle's precondition, κ(G2*) >=
+    |L| + α(G2*) (Chvátal & Erdős, Discrete Math. 1972, with forced edges).
+    Each case's counting facts on G2 imply it, as adding edges never lowers
+    κ (n - 1 when complete) nor raises α; so on failure
+    ``replay(alpha_star, aset_star)`` computes G2's facts on (G, G2's mask)
+    and returns the certificate of the first that fails.
     """
     if g2_mask.bit_count() < 3:
         return _salvage_or_limit(g, cfg, trace, f"{case}.connectivity.tiny")
     ends = [p.ends for p in paths]
     l_size = len(ends)
     g_l = g.add_edges(ends)
-    cyc = first_leaf(g_l, ends, g2_mask)
-    if cyc is not None:
-        trace.add("first-leaf", l_size=l_size, stage=case)
-        return CycleCert(_splice(cyc.order, paths))
+    for name, build in (("first-leaf", first_leaf), ("closure", closure_cycle)):
+        cyc = build(g_l, ends, g2_mask)
+        if cyc is not None:
+            trace.add(name, l_size=l_size, stage=case)
+            return CycleCert(_splice(cyc.order, paths))
     alpha_star, aset_star = independence(g_l, g2_mask)
     kappa_star, _ = connectivity(g_l, g2_mask)
     holds = kappa_star >= l_size + alpha_star
@@ -542,10 +545,10 @@ def case1_finish(g: Graph, dec: Decomposition, cover: PathCover, cfg: RunConfig,
     """Connect the cover through G2: forced-edge cycle, then splice.
 
     The counting facts |L|, α(G2) <= n/(t+1) and κ(G2) >= 2n/(t+1) imply
-    ``_bridge``'s test, as κ(G2*) >= κ(G2) >= |L| + α(G2) >= |L| + α(G2*);
-    its failure replays the first that fails: the paths, α(G2), a small cut
-    of G2, all on G2's mask in G's own ids.  A step of ``run_theorem``; it
-    writes to that run's trace.
+    ``_bridge``'s test after an open closure, as κ(G2*) >= κ(G2) >= |L| +
+    α(G2) >= |L| + α(G2*); its failure replays the first that fails: the
+    paths, α(G2), a small cut of G2, all on G2's mask in G's own ids.  A
+    step of ``run_theorem``; it writes to that run's trace.
     """
     n, t = g.n, cfg.t
     bound, kappa_bound = threshold(n, t), threshold(n, t, 2)
@@ -602,8 +605,9 @@ def case2_run(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate:
     independent: two adjacent vertices u, v with 24·deg < 5n each would
     have 12·|N(u) ∪ N(v)| < 5n, an edge ``_case1_edge`` would have picked.
     The counting facts α(G2*) <= n/(t+1) and κ(G2) >= |L| + n/(t+1) imply
-    ``_bridge``'s test, as κ(G2*) >= κ(G2); its failure replays the first
-    that fails: α(G2*), then a small cut of G2, both in G's own ids."""
+    ``_bridge``'s test after an open closure, as κ(G2*) >= κ(G2); its
+    failure replays the first that fails: α(G2*), then a small cut of G2,
+    both in G's own ids."""
     n, t = g.n, cfg.t
     s_mask = 0
     for x in range(n):

@@ -28,9 +28,11 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-# a 5-cycle 0 2 3 1 4 with the chord 1-2, 1-tough: the oracle's first leaf
-# 0 4 1 2 3 dead-ends at 3, which does not see 0
-CHORDED_C5 = Graph.from_edges(5, [(0, 2), (2, 3), (3, 1), (1, 4), (4, 0), (1, 2)])
+# the wheel with hub 2 and rim 0 1 3 4 6 5, 4/3-tough: the oracle's first
+# leaf 0 1 3 4 2 5 6 dead-ends at 6, which does not see 0, and its 7-closure
+# adds no edge, as two rim vertices have degree sum 6
+WHEEL = Graph.from_edges(7, [(2, v) for v in (0, 1, 3, 4, 5, 6)]
+                         + [(0, 1), (1, 3), (3, 4), (4, 6), (6, 5), (5, 0)])
 
 
 def write_inputs(tmp_path, graphs, name="in.g6"):
@@ -176,12 +178,12 @@ def test_check_reads_each_graph_block_alone(tmp_path):
 
 
 def test_run_and_check_round_trip_a_mixed_batch(tmp_path):
-    # an unreadable line, K2 (rejected), a chorded C5 past the oracle cap
-    # with no witness the salvage probe finds, and K4: run gives error,
-    # error, oracle-limit and cycle
+    # an unreadable line, K2 (rejected), the wheel past the oracle cap with
+    # an open closure and no witness the salvage probe finds, and K4: run
+    # gives error, error, oracle-limit and cycle
     inp = tmp_path / "in.g6"
     inp.write_text(f"C~~\n{write_graph6(Graph.complete(2))}\n"
-                   f"{write_graph6(CHORDED_C5)}\n{write_graph6(Graph.complete(4))}\n")
+                   f"{write_graph6(WHEEL)}\n{write_graph6(Graph.complete(4))}\n")
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", str(inp),
                        "--out", cert_path])
@@ -527,10 +529,10 @@ def test_run_rejects_caps_that_are_not_positive(tmp_path):
 
 
 def test_oracle_limit_exit_code(tmp_path):
-    # the chorded C5 at t = 1 passes the gate's degree threshold, its first
-    # leaf dead-ends past an oracle cap of 4, and no probed cutset breaks
-    # 1-toughness: inconclusive
-    inp = write_inputs(tmp_path, [CHORDED_C5])
+    # the wheel at t = 1 passes the gate's degree threshold, its first leaf
+    # dead-ends past an oracle cap of 4, its closure stays open, and no
+    # probed cutset breaks 1-toughness: inconclusive
+    inp = write_inputs(tmp_path, [WHEEL])
     cert_path = str(tmp_path / "certs.txt")
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", inp,
                        "--out", cert_path])

@@ -100,10 +100,14 @@ def corpus_case2():
 def corpus_caps():
     """Inputs past a lowered oracle cap.  The first four end without a cap
     hit: the bridge's first leaf closes in both cases, and the gate's root
-    test refuses K7 joined to ten independent vertices.  The last four have
-    a passing root and a dead-end first leaf, so they hit the cap in the
-    gate and in both cases, each salvaged by run_theorem into a witness or
-    an oracle limit."""
+    test refuses K7 joined to ten independent vertices.  The next four have
+    a passing root and a dead-end first leaf: K9,8's closure stays open, so
+    it hits the cap in the gate, and the bridges of the three after it
+    close by their closure in both cases.  The last, at t = 1, keeps an open
+    closure at its case-2 bridge, where the precondition holds, and hits
+    the cap there.  run_theorem salvages each cap hit into a witness or an
+    oracle limit.  No case-1 input is known whose bridge keeps an open
+    closure where the precondition holds, so none hits the cap in case 1."""
     rng = random.Random(6)
     small = RunConfig(t=Fraction(3, 2), cap_oracle=16)
     yield from _theorem([(case2_instance(9, 2, 2, rng), small),
@@ -113,7 +117,8 @@ def corpus_caps():
                          (Graph.complete_multipartite([9, 8]), RunConfig(cap_oracle=16)),
                          (case2_instance(8, 2, 2, random.Random(5)), small),
                          (case1_synthetic([2, 1, 2], 6, [2] * 9, seed=10), small),
-                         (case1_synthetic([2, 1], 3, [2] * 9, seed=10), small)])
+                         (case1_synthetic([2, 1], 3, [2] * 9, seed=10), small),
+                         (random_in_class(8, 0.3, seed=42), RunConfig(t=1, cap_oracle=4))])
 
 
 def _random_graphs(count, sizes, densities, seed):
@@ -161,21 +166,21 @@ def corpus_replays():
 
 
 GOLDEN = {
-    "caps": "c80f0dfc968594fbff2ad4742d8fdb77bb4676e83a6f44481d661a999ccbe6d8",
+    "caps": "6f429e95a7e1cf8002b82197a7ee8029ba0106b42cf4338ff9996e9ec91d765b",
     "case1-cover": "21b9e57b798ceb20710c8bae1c5250c7e36bb6425856a7e0adb373917a5fdcfa",
-    "case2": "98f81f42095f39f1adb4e0266009ec059b15896003d2e809d609d3a72a3f9844",
+    "case2": "d100a5901f0527910a601e3b80f2b3bba7f373980cfa500d26eee71d8f02ae71",
     "gate": "abcca8a681ab8d6565ac7087e979626f24221cec3ebb18b7c894b3941fc39c5a",
-    "replays": "f1c66838307a0e5afc31a4fed729108db76dca6b1a08aa2d52c773173d0b26d1",
+    "replays": "e2b0260d5cb7c331a8bfd08f9382b9e6c30c52e75cf720067231925b4cd7fc36",
 }
 
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 GOLDEN_CERTS = {
-    "caps": "f34168ed797008247ee91d2ae12b575eb4cdc36d2c557d5e4889373b88e5cfbc",
+    "caps": "a5be654909b47e7c2456da4f9928800cc363485fd6e2c944b9d9f327bb0d1fad",
     "case1-cover": "49ac4add8ea62db3f5851ffb38f98a4daa5ba43696b1b715ac9efecfd7929745",
-    "case2": "15294672dbd9ff8be3bfa591e5a7feaaca8f3948595fd50fb853d06220f37f3b",
+    "case2": "4c111982e18dea5133bce15fe321fd5032d49115554fb34ff563d5116c9a5edc",
     "gate": "f126b28fe8ac322c064d9b06f01cdd2ed083f996dbd0442fd5048cc13b92339a",
-    "replays": "78b19d14264a9b9dab874ba0c0ab0bc942883aa57b6e12c5b5c6629c5eef1da2",
+    "replays": "329b8936bd9a204bd99575cb5d103ecb5f26a442e63fb5f6056336d7099ce040",
 }
 
 CORPORA = {
@@ -214,12 +219,14 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
     # each _bridge builds one graph, G + L (the forced edges L joining the
     # ends of each path), and walks the oracle's first leaf on it inside
     # G2's mask first; a closing leaf is the cycle, with no κ or α computed.
-    # Only a dead end computes κ and α, both on G2* (G + L inside G2's
-    # mask), and decides by them alone; only a failed test's replay computes
-    # G2's own facts, on G inside the same mask.  No step builds another
-    # graph.  On every bridge of the case-1 and case-2 corpora the
-    # precondition holds, which the test checks itself as no closing leaf
-    # pays for it; the t = 1 inputs after them fail some, in both cases.
+    # A dead end builds the closure of G2* (G + L inside G2's mask) next; a
+    # complete one gives the cycle, again with no κ or α.  Only an open
+    # closure computes κ and α, both on G2*, and decides by them alone;
+    # only a failed test's replay computes G2's own facts, on G inside the
+    # same mask.  No step builds another graph.  On every bridge of the
+    # case-1 and case-2 corpora the precondition holds, which the test
+    # checks itself as no closed cycle pays for it; the t = 1 inputs after
+    # them fail some, in both cases, and hold one.
     real_bridge, real_of_rows = pipeline._bridge, Graph._of_rows
     bridges = []
     calls = None  # the list the spies append to: a bridge's test, or its replay's
@@ -260,7 +267,8 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
         finally:
             calls = None
 
-    for name in ("connectivity", "independence", "ham_cycle_forced", "first_leaf"):
+    for name in ("connectivity", "independence", "ham_cycle_forced", "first_leaf",
+                 "closure_cycle"):
         monkeypatch.setattr(pipeline, name, spy(name))
     monkeypatch.setattr(Graph, "_of_rows", classmethod(of_rows))
     monkeypatch.setattr(pipeline, "_bridge", bridge)
@@ -271,11 +279,13 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
     t1 = RunConfig(t=1)
     for lines in (_case1_stages([case1_synthetic([1, 1], 2, [8, 2]),
                                  case1_synthetic([1, 1], 2, [5, 1, 1])], t1),
-                  _theorem((random_in_class(9, 0.5, seed=i), t1) for i in range(40))):
+                  _theorem((random_in_class(9, 0.5, seed=i), t1) for i in range(40)),
+                  # an open closure where the precondition holds
+                  _theorem([(random_in_class(8, 0.3, seed=42), t1)])):
         for _ in lines:
             pass
     monkeypatch.undo()
-    closed = held = failed = 0
+    closed = by_closure = held = failed = 0
     for i, seen in enumerate(bridges):
         g_l, mask = seen["g_l"], seen["mask"]
         if i < golden:
@@ -283,14 +293,17 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
             kappa, _ = connectivity(seen["g2star"])
             assert kappa >= seen["l_size"] + alpha
         walk = [("_of_rows", g_l, None), ("first_leaf", g_l, mask)]
-        if seen["test"] == walk:
+        closure = walk + [("closure_cycle", g_l, mask)]
+        if seen["test"] in (walk, closure):
             closed += 1
+            by_closure += seen["test"] == closure
             assert seen["replay"] == []
             continue
-        # a dead end: G + L and the walk, then the facts of G2*
-        facts = walk + [("independence", g_l, mask), ("connectivity", g_l, mask)]
-        assert seen["test"][:4] == facts
-        if seen["test"][4:] == [("ham_cycle_forced", g_l, mask)]:
+        # an open closure: G + L, the walk and the closure, then the facts
+        # of G2*
+        facts = closure + [("independence", g_l, mask), ("connectivity", g_l, mask)]
+        assert seen["test"][:5] == facts
+        if seen["test"][5:] == [("ham_cycle_forced", g_l, mask)]:
             held += 1
             assert seen["replay"] == []
         else:
@@ -298,7 +311,7 @@ def test_bridge_computes_the_facts_of_g2_only_in_a_replay(monkeypatch):
             assert seen["test"] == facts and seen["replay"]
             assert all(name in ("independence", "connectivity") and (h, x) == (seen["g"], mask)
                        for name, h, x in seen["replay"])
-    assert (golden, closed, held, failed) == (12, 24, 9, 7)
+    assert (golden, closed, held, failed) == (12, 37, 1, 3) and by_closure == 13
 
 
 def test_case_stages_read_g1_in_gs_own_ids(monkeypatch):

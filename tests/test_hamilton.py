@@ -12,8 +12,8 @@ from toughham import hamilton, pipeline
 from toughham.certificates import RunConfig
 from toughham.generators import case1_synthetic, complete_split_join, relabel
 from toughham.graph import Graph, GraphError, bit, mask_of
-from toughham.hamilton import (CycleCert, dirac_cycle, first_leaf, ham_cycle_forced,
-                               insert_vertices, multipartite_ham_path,
+from toughham.hamilton import (CycleCert, closure_cycle, dirac_cycle, first_leaf,
+                               ham_cycle_forced, insert_vertices, multipartite_ham_path,
                                validate_cycle, validate_path)
 from toughham.metrics import (OracleLimitExceeded, ToughnessWitness,
                               validate_toughness_witness)
@@ -78,10 +78,11 @@ def test_oracle_past_its_cap_answers_a_failing_root_without_raising(monkeypatch)
     assert ham_cycle_forced(g, cap=32) is None and calls == []
 
 
-def test_oracle_past_its_cap_is_its_first_leaf_or_its_root_test():
+def test_oracle_past_its_cap_is_its_first_leaf_its_closure_or_its_root_test():
     # seeded graphs on 33-60 vertices with random forced matchings: a closing
-    # first leaf is the answer, a dead end raises when the root passes and
-    # gives None when it fails
+    # first leaf is the answer, then a complete closure's cycle; a dead end
+    # with an open closure raises when the root passes and gives None when
+    # it fails
     rng = random.Random(33)
     seen = Counter()
     for _ in range(240):
@@ -94,14 +95,69 @@ def test_oracle_past_its_cap_is_its_first_leaf_or_its_root_test():
         if leaf is not None:
             assert ham_cycle_forced(g, forced, cap=32) == walk
             seen["leaf"] += 1
-        elif reference_root_test(g, forced):
+        elif not reference_root_test(g, forced):
+            assert ham_cycle_forced(g, forced, cap=32) is None
+            seen["root"] += 1
+        elif (closed := closure_cycle(g, forced)) is not None:
+            assert ham_cycle_forced(g, forced, cap=32) == closed
+            seen["closure"] += 1
+        else:
             with pytest.raises(OracleLimitExceeded):
                 ham_cycle_forced(g, forced, cap=32)
             seen["raise"] += 1
-        else:
-            assert ham_cycle_forced(g, forced, cap=32) is None
-            seen["root"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_closure_cycle_is_a_checked_cycle_through_its_forced_edges():
+    # every graph on 3-6 vertices, then seeded ones on 7-40, each with a
+    # random mask and a random forced matching added inside it: a cycle
+    # covers the mask, is a cycle of the induced graph and holds every
+    # forced edge; a complete closure on at most 10 vertices has a cycle by
+    # the unpruned search too, and the degree-sum condition on every
+    # non-adjacent pair closes at once
+    rng = random.Random(36)
+    seen = Counter()
+
+    def check(g, within, forced):
+        g2, vmap = induced(g, within)
+        local = {v: i for i, v in enumerate(vmap)}
+        l_local = [(local[a], local[b]) for a, b in forced]
+        want = g2.n + len(forced)
+        ore = all(g2.adj[a].bit_count() + g2.adj[b].bit_count() >= want
+                  for a, b in combinations(range(g2.n), 2) if not g2.has_edge(a, b))
+        got = closure_cycle(g, forced, within)
+        if got is None:
+            assert not ore, (g.adj, within, forced)
+            seen["open"] += 1
+            return
+        assert mask_of(got.order) == within and len(got.order) == g2.n
+        assert validate_cycle(g2, CycleCert(tuple(local[v] for v in got.order)))
+        edges = {frozenset(e) for e in zip(got.order, got.order[1:] + got.order[:1])}
+        assert all(frozenset(e) in edges for e in forced), (g.adj, within, forced)
+        if g2.n <= 10:
+            assert reference_ham_cycle_forced(g2, l_local) is not None
+        seen["ore" if ore else "closed"] += 1
+
+    def draw(g):
+        inside = rng.sample(range(g.n), rng.randrange(3, g.n + 1))
+        forced = random_matching(rng, combinations(sorted(inside), 2), rng.randrange(4))
+        check(g.add_edges(forced), mask_of(inside), forced)
+
+    for n in range(3, 7):
+        for g in all_graphs(n):
+            draw(g)
+    for _ in range(1500):
+        draw(random_edge_graph(rng, rng.randrange(7, 41), rng.choice([0.3, 0.5, 0.7, 0.9])))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_closure_cycle_preconditions():
+    k5 = Graph.complete(5)
+    assert closure_cycle(k5, (), mask_of([0, 1])) is None
+    with pytest.raises(GraphError):
+        closure_cycle(k5, [(0, 1)], mask_of([0, 2, 3]))  # a forced end outside
+    with pytest.raises(GraphError):
+        closure_cycle(Graph.cycle(5), [(0, 2)])  # not an edge
 
 
 def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph(monkeypatch):

@@ -14,7 +14,7 @@ from toughham.certificates import (OracleLimit, RunConfig, Trace, certificate_fr
 from toughham.generators import (GenerationError, case1_synthetic, cobip, complete_split_join,
                                  random_graph, random_in_class, split, two_cliques)
 from toughham.graph import Graph, GraphError, bits, mask_of
-from toughham.hamilton import CycleCert, PathCert
+from toughham.hamilton import CycleCert, PathCert, first_leaf
 from toughham.metrics import (ToughnessWitness, connectivity, probe_tough, scattering,
                               threshold, validate_toughness_witness)
 from toughham.pipeline import (Decomposition, PathCover, PipelineInternalError,
@@ -536,9 +536,9 @@ def test_cut_replays_end_in_a_witness_or_a_named_limit():
 # run_theorem over every labelled graph on 3..n vertices
 EXHAUSTIVE_TALLIES = {
     (Fraction(1), 6): (
-        {"forbidden-witness": 2295, "hamilton-cycle": 8549, "oracle-limit": 2088,
+        {"forbidden-witness": 2295, "hamilton-cycle": 10167, "oracle-limit": 470,
          "toughness-witness": 20932},
-        {"case2.connectivity.small-component": 450, "case2.connectivity.trivial": 1638}),
+        {"case2.connectivity.small-component": 330, "case2.connectivity.trivial": 140}),
     (Fraction(11), 6): (
         {"forbidden-witness": 2295, "hamilton-cycle": 10307, "toughness-witness": 21262},
         {}),
@@ -556,9 +556,9 @@ EXHAUSTIVE_TALLIES = {
 # the same runs' bytes: sha256 over every trace line and cert record, each
 # newline-terminated, in enumeration order
 EXHAUSTIVE_DIGESTS = {
-    (Fraction(1), 6): "767647b09ded64c6b5f051867ecb4c0235b909e791ade97414d88942edf1fa9d",
+    (Fraction(1), 6): "a6b36eb26264de87b775b893e0099349a2e3b378552f2b9982cc37a83f9ad558",
     (Fraction(11), 6): "ff2016e9026cb14b9a016ea9c0f7a56b533f0415a40b17c7b89fae8faabca382",
-    (Fraction(1, 2), 5): "ce457133cac3a2c03e47c29a9b3576d3e459897352f6b2e9bea6138b384e064d",
+    (Fraction(1, 2), 5): "fc7e3076b5d7a0c84b517c2884cf27bc184c4796de3ef304970741c2ef8af8ec",
     (Fraction(3, 2), 5): "15b2ccec151ad4eed2664cf40c94c73b661286bfe431134e4c5dd8e87ccc2a90",
     (Fraction(2), 5): "271cb803883991dc77b546ea5cbb2291998035ade4ab039355ea40eb73052842",
 }
@@ -566,9 +566,9 @@ EXHAUSTIVE_DIGESTS = {
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 EXHAUSTIVE_CERT_DIGESTS = {
-    (Fraction(1), 6): "77ba0de098a0e55101edaf5bba89438ac7f1676c6e1345d1be35f65b21f0208f",
+    (Fraction(1), 6): "2d85d1476ddc9eb5299af26af3ba8ee1342097a06ddb384e18674fc71134bbad",
     (Fraction(11), 6): "2c5b6c90c7cd6b7821de7d0b9e8b482fd45f23535d7661d84f9c0e8314afd0d1",
-    (Fraction(1, 2), 5): "19e694bf863fba251043ef10a34be92ded9d7430af6a5c3db514cbe6d0b84cb3",
+    (Fraction(1, 2), 5): "48fa2daa68dc11fef36a00fc6c42ca53ffff20d59daeeec460d03f7fee6e977c",
     (Fraction(3, 2), 5): "92893355429f460be39f3117f63b69d096f05260d93e8fa068bb7008e9dc954d",
     (Fraction(2), 5): "0c03d49c220bb1a9f30e6b76f0c67f75d86cc6e3320881ba9d4b69e743fb9fe3",
 }
@@ -655,14 +655,18 @@ def test_large_family_rows_end_in_checked_cycles():
         assert check_certificate(g, cert, cfg)[0]
 
 
-def test_large_gate_rows_still_end_at_the_oracle_cap():
-    # family members whose gate walk dead-ends past the cap, where the
-    # exponential search would start: the next target of a polynomial
-    # cycle builder
+def test_large_gate_rows_end_in_the_closures_checked_cycle():
+    # family members (n = 200-400) whose gate walk dead-ends past the cap,
+    # where the exponential search would start: the complete n-closure
+    # builds the gate's cycle instead
     for g in (two_cliques(60, 200, 40, seed=1), cobip(80, 120, 0.05, seed=1),
-              cobip(120, 150, 0.1, seed=1)):
-        cert, trace = run_theorem(g, RunConfig())
-        assert cert == OracleLimit("gate.ham-cycle-forced:cap"), (g.n, trace[-1])
+              cobip(120, 150, 0.1, seed=1), two_cliques(100, 300, 50, seed=1)):
+        assert first_leaf(g) is None
+        cfg = RunConfig()
+        cert, trace = run_theorem(g, cfg)
+        assert isinstance(cert, CycleCert), (g.n, trace[-1])
+        assert trace[-1].startswith("gate ") and "result=cycle" in trace[-1]
+        assert check_certificate(g, cert, cfg)[0]
 
 
 def test_check_certificate_rejects_bad_cycle():
