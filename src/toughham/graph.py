@@ -227,9 +227,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(row.bit_count() for row in self.adj)
+        return min(map(int.bit_count, self.adj), default=0)
 
     def edges(self):
         for u in range(self.n):

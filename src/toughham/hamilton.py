@@ -8,9 +8,8 @@ Entry points:
   loop, and past it ``closure_cycle``.
 * ``closure_cycle``: a Hamilton cycle of G[within] through the forced edges
   from a complete Bondy–Chvátal (|within| + |forced|)-closure, in
-  polynomial time at any n; None when the closure stays open.
-* ``dirac_cycle``: constructive rotation-extension builder for graphs with
-  minimum degree at least n/2; polynomial, never falls back to search.
+  polynomial time at any n; None when the closure stays open.  The gate's
+  ``dirac_cycle`` is its call on all of G.
 * ``multipartite_ham_path``: Hamiltonian path between two prescribed ends
   of a complete multipartite graph given by its parts, by
   largest-remaining-part interleaving with an exact feasibility lookahead.
@@ -66,13 +65,15 @@ def validate_path(g: Graph, cert: PathCert) -> bool:
     return all(g.adj[u] >> v & 1 for u, v in zip(order, order[1:]))
 
 
-def _check_forced(g: Graph, forced) -> dict[int, int]:
+def _check_forced(g: Graph, forced, within: int) -> dict[int, int]:
     partner: dict[int, int] = {}
     for u, v in forced:
         if not g.has_edge(u, v):
             raise GraphError(f"forced edge ({u},{v}) is not an edge of the graph")
         if u in partner or v in partner:
             raise GraphError("forced edges must be pairwise independent")
+        if not within >> u & within >> v & 1:
+            raise GraphError("forced edges must lie inside the mask")
         partner[u] = v
         partner[v] = u
     return partner
@@ -105,8 +106,8 @@ def first_leaf(g: Graph, forced=(), within: int | None = None) -> CycleCert | No
     walk at any n, and ``ham_cycle_forced``'s answer when it closes.  Else
     None.  Relabelling G[within] ascending keeps every choice, so the walk
     is the one on the induced subgraph, in G's own ids."""
-    partner = _check_forced(g, forced)
     free = g.full if within is None else within
+    partner = _check_forced(g, forced, free)
     if free.bit_count() < 3:
         return None
     start = (free & -free).bit_length() - 1
@@ -140,8 +141,8 @@ def ham_cycle_forced(g: Graph, forced=(), cap: int = DEFAULT_ORACLE_CAP,
     ``closure_cycle``, or OracleLimitExceeded.  Like ``first_leaf``, it
     roots at within's lowest vertex and reads rows inside.
     """
-    partner = _check_forced(g, forced)
     within = g.full if within is None else within
+    partner = _check_forced(g, forced, within)
     if within.bit_count() < 3:
         return None
     adj = g.adj
@@ -225,135 +226,87 @@ def closure_cycle(g: Graph, forced=(), within: int | None = None) -> CycleCert |
     x_m ... x_{i+1} is a cycle through every forced edge without uv; the
     first such i along the path is taken.  The cycle is read from within's
     lowest vertex towards the lower of its two cycle neighbours.
+
+    The Ore case (Ore 1960): when twice the minimum degree is at least
+    m + k, every non-adjacent pair meets the degree sum, so the closure is
+    complete without being built.  Only the layout's consecutive pairs that
+    are not edges of G are then rerouted, against G's own rows, in layout
+    order: those rows lose no edge, so each such pair keeps its degree sum
+    and the count above still gives k + 1 crossings.
     """
-    partner = _check_forced(g, forced)
     within = g.full if within is None else within
-    if mask_of(partner) & ~within:
-        raise GraphError("forced edges must lie inside the mask")
+    partner = _check_forced(g, forced, within) if forced else {}
     m = within.bit_count()
     if m < 3:
         return None
     need = m + len(partner) // 2
-    row = [a & within for a in g.adj]
-    deg = [r.bit_count() for r in row]
-    added = []
-    todo, queued = list(bits(within)), within
-    while todo:
-        u = todo.pop()
-        queued ^= 1 << u
-        rest = within & ~row[u] & ~(1 << u)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if deg[u] + deg[v] >= need:
-                row[u] |= low
-                row[v] |= 1 << u
-                deg[u] += 1
-                deg[v] += 1
-                added.append((u, v))
-                for w in (u, v):
-                    if not queued >> w & 1:
-                        todo.append(w)
-                        queued |= 1 << w
-    if any(deg[v] != m - 1 for v in bits(within)):
-        return None
-    on = [0] * g.n  # each vertex's two neighbours on the cycle, as a mask
-    order = []
-    for v in bits(within):
-        p = partner.get(v, v)
-        if p > v:
-            order += (v, p)
-        elif p == v:
-            order.append(v)
-    for a, b in zip(order, order[1:] + order[:1]):
-        on[a] |= 1 << b
-        on[b] |= 1 << a
-    for u, v in reversed(added):
-        row[u] ^= 1 << v
-        row[v] ^= 1 << u
-        if not on[u] >> v & 1:
+    adj = g.adj
+    if within == g.full:
+        ids, delta = range(g.n), g.min_degree()
+    else:
+        ids = list(bits(within))
+        delta = min((adj[v] & within).bit_count() for v in ids)
+    # id order, each forced partner right after its lower mate
+    order = sorted(ids, key=lambda v: (min(v, partner.get(v, v)), v)) if partner else list(ids)
+    if 2 * delta >= need:
+        row = adj
+        undo = [(u, v) for u, v in zip(order, order[1:] + order[:1]) if not adj[u] >> v & 1]
+    else:
+        row = [a & within for a in adj]
+        deg = [r.bit_count() for r in row]
+        added = []
+        todo, queued = list(ids), within
+        while todo:
+            u = todo.pop()
+            queued ^= 1 << u
+            rest = within & ~row[u] & ~(1 << u)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if deg[u] + deg[v] >= need:
+                    row[u] |= low
+                    row[v] |= 1 << u
+                    deg[u] += 1
+                    deg[v] += 1
+                    added.append((u, v))
+                    for w in (u, v):
+                        if not queued >> w & 1:
+                            todo.append(w)
+                            queued |= 1 << w
+        if any(deg[v] != m - 1 for v in ids):
+            return None
+        undo = reversed(added)
+    cyc = order
+    for u, v in undo:
+        if row is not adj:  # the built closure loses each edge as it is undone
+            row[u] ^= 1 << v
+            row[v] ^= 1 << u
+        a = cyc.index(u)
+        cyc = cyc[a + 1:] + cyc[:a + 1]  # a path ending at u
+        if cyc[-2] == v:
+            cyc = cyc[-2::-1] + [u]
+        elif cyc[0] != v:
             continue
-        prev, x = u, v
-        while x != u:
-            y = (on[x] ^ 1 << prev).bit_length() - 1
-            if row[u] >> x & 1 and row[v] >> y & 1 and partner.get(x) != y:
+        ru, rv = row[u], row[v]
+        for i in range(m - 1):
+            x, y = cyc[i], cyc[i + 1]
+            if ru >> x & 1 and rv >> y & 1 and partner.get(x) != y:
                 break
-            prev, x = x, y
         else:
             raise AssertionError("crossing pair missing despite the degree sum")
-        on[u] ^= 1 << v | 1 << x
-        on[v] ^= 1 << u | 1 << y
-        on[x] ^= 1 << y | 1 << u
-        on[y] ^= 1 << x | 1 << v
-    start = order[0]
-    cycle, prev, x = [start], start, (on[start] & -on[start]).bit_length() - 1
-    while x != start:
-        cycle.append(x)
-        prev, x = x, (on[x] ^ 1 << prev).bit_length() - 1
-    return CycleCert(tuple(cycle))
+        cyc[:i + 1] = cyc[i::-1]
+    a = cyc.index(order[0])
+    if cyc[a - 1] < cyc[a + 1 - m]:
+        return CycleCert(tuple(cyc[a::-1] + cyc[:a:-1]))
+    return CycleCert(tuple(cyc[a:] + cyc[:a]))
 
 
 def dirac_cycle(g: Graph) -> CycleCert:
-    """Hamilton cycle by rotation-extension; requires min degree >= n/2.
-
-    Grow a maximal path, close it into a cycle through a crossing pair
-    (which the degree condition always supplies), then absorb an outside
-    vertex and repeat.  Purely polynomial; raises on precondition failure.
-    """
-    n = g.n
-    if n < 3:
-        raise GraphError("Hamilton cycles need at least three vertices")
-    if 2 * g.min_degree() < n:
-        raise GraphError("minimum degree below n/2")
-    adj = g.adj
-    path = [0]
-    inpath = 1
-    while True:
-        # extend greedily at the tail, then the head, until maximal: an end
-        # that is stuck stays stuck, as vertices only join the path
-        while free := adj[path[-1]] & ~inpath:
-            v = (free & -free).bit_length() - 1
-            path.append(v)
-            inpath |= bit(v)
-        while free := adj[path[0]] & ~inpath:
-            v = (free & -free).bit_length() - 1
-            path.insert(0, v)
-            inpath |= bit(v)
-        k = len(path)
-        head, tail = path[0], path[-1]
-        if adj[head] >> tail & 1:
-            cycle = path
-        else:
-            pos_head = 0
-            pos_tail = 0
-            for i in range(k - 1):
-                if adj[head] >> path[i + 1] & 1:
-                    pos_head |= 1 << i
-                if adj[tail] >> path[i] & 1:
-                    pos_tail |= 1 << i
-            common = pos_head & pos_tail
-            if not common:
-                raise AssertionError("crossing pair missing despite degree condition")
-            i = (common & -common).bit_length() - 1
-            cycle = path[: i + 1] + path[: i:-1]
-        if k == n:
-            return CycleCert(tuple(cycle))
-        outside = g.full & ~inpath
-        attach = -1
-        for w in bits(outside):
-            if adj[w] & inpath:
-                attach = w
-                break
-        if attach < 0:
-            raise AssertionError("graph disconnected despite degree condition")
-        j = 0
-        for idx, v in enumerate(cycle):
-            if adj[attach] >> v & 1:
-                j = idx
-                break
-        path = [attach] + cycle[j:] + cycle[:j]
-        inpath |= bit(attach)
+    """The gate's constructor from minimum degree n/2: ``closure_cycle(g)``, raising on None."""
+    if (cyc := closure_cycle(g)) is None:
+        raise GraphError("the n-closure is open or n < 3")
+    return cyc
 
 
 # --- Hamiltonian paths in complete multipartite graphs ----------------------

@@ -28,7 +28,7 @@ With t below 11 a replay can reach a genuinely inconclusive state (the
 proven-regime arithmetic no longer forces a contradiction); where that
 state is arithmetically unreachable for t at least 11, hitting it raises
 PipelineInternalError instead of guessing.  A solver past its size cap
-raises OracleLimitExceeded, which no stage catches; ``run_theorem``
+raises OracleLimitExceeded, which no stage salvages; ``run_theorem``
 catches it once, around the gate and the two cases, and salvages it as
 ``<gate|case1|case2>.<solver>:cap``.
 """
@@ -224,12 +224,12 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
     """Hamilton cycle when the minimum degree is large; None to pass through.
 
     Above the n/(t+1) - 1 threshold a t-tough graph is Hamiltonian; the
-    constructive route applies from minimum degree n/2 up, below that the
-    exact oracle stands in and a failed search must be matched by a
-    toughness witness.  On pass-through the facts a tough graph must
-    satisfy are checked: minimum degree at least 2t, independence number
-    at most n/(t+1).  A violation is already a certificate.  A step of
-    ``run_theorem``; it writes to that run's trace.
+    closure's Ore case builds the cycle from minimum degree n/2 up, below
+    that the exact oracle stands in (a cap hit traced, then raised) and a
+    failed search must be matched by a toughness witness.  On pass-through
+    the facts a tough graph must satisfy are checked: minimum degree at
+    least 2t, independence number at most n/(t+1).  A violation is already
+    a certificate.  A step of ``run_theorem``; it writes to that run's trace.
     """
     n = g.n
     delta = g.min_degree()
@@ -239,9 +239,13 @@ def min_degree_gate(g: Graph, cfg: RunConfig, trace: Trace) -> Certificate | Non
         if 2 * delta >= n:
             trace.add("gate", fired=True, method="dirac", delta=delta, threshold=thr)
             return dirac_cycle(g)
-        cyc = ham_cycle_forced(g, (), cap=cfg.cap_oracle)
-        trace.add("gate", fired=True, method="oracle", delta=delta, threshold=thr,
-                  result="cycle" if cyc else "infeasible")
+        fields = dict(fired=True, method="oracle", delta=delta, threshold=thr)
+        try:
+            cyc = ham_cycle_forced(g, (), cap=cfg.cap_oracle)
+        except OracleLimitExceeded:
+            trace.add("gate", result="cap", **fields)
+            raise
+        trace.add("gate", result="cycle" if cyc else "infeasible", **fields)
         if cyc is not None:
             return cyc
         witness = verify_tough(g, cfg.t)

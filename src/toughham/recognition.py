@@ -27,7 +27,7 @@ still finds a witness, at most n completion tests per position.  The same
 greedy finds ``2p2+p1`` witnesses and is tested on them, but
 ``find_induced`` still takes those from a backtracker over ascending
 5-tuples once the bitset test has found that one exists (routing them
-through the greedy is one line, ROADMAP item 8).  Rejection sampling only
+through the greedy is one line, ROADMAP item 4).  Rejection sampling only
 asks whether the pattern is there, through ``holds``, so it runs no witness
 search.  Checking a claimed witness needs no search at all: the ids must be
 five and distinct, and each must see at most one of the others, with four

@@ -321,7 +321,7 @@ def test_criterion_8_dirac_constructor():
     for i in range(1000):
         n = rng.randrange(3, 201)
         g = dirac_instance(60_000 + i, n)
-        cert = dirac_cycle(g)  # pure rotation-extension, no search fallback
+        cert = dirac_cycle(g)  # the closure's Ore case, no search fallback
         assert validate_cycle(g, cert), (i, n)
     elapsed = time.time() - started
     assert elapsed < 30

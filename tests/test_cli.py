@@ -34,6 +34,15 @@ def run_cli(argv):
 WHEEL = Graph.from_edges(7, [(2, v) for v in (0, 1, 3, 4, 5, 6)]
                          + [(0, 1), (1, 3), (3, 4), (4, 6), (6, 5), (5, 0)])
 
+# its run at t = 1 past an oracle cap of 4, after its graph record: the
+# gate records the cap hit that the salvage then reports
+WHEEL_CAP_TRACE = [
+    "config cap_oracle=4 n=7 regime=false t=1/1",
+    "freeness result=free",
+    "gate delta=3 fired=true method=oracle result=cap threshold=5/2",
+    "inconclusive stage=gate.ham-cycle-forced:cap",
+    "cert kind=oracle-limit stage=gate.ham-cycle-forced:cap"]
+
 
 def write_inputs(tmp_path, graphs, name="in.g6"):
     path = tmp_path / name
@@ -188,6 +197,8 @@ def test_run_and_check_round_trip_a_mixed_batch(tmp_path):
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", str(inp),
                        "--out", cert_path])
     assert code == 4
+    assert (tmp_path / "certs.txt").read_text().splitlines()[2:8] == [
+        "graph index=2 n=7 t=1/1", *WHEEL_CAP_TRACE]
     code, report = run_cli(["check", "--graph", str(inp), "--cert", cert_path])
     assert code == 1
     assert report.splitlines() == [
@@ -537,8 +548,8 @@ def test_oracle_limit_exit_code(tmp_path):
     code, _ = run_cli(["run", "--t", "1", "--cap-oracle", "4", "--input", inp,
                        "--out", cert_path])
     assert code == 3
-    assert ("cert kind=oracle-limit stage=gate.ham-cycle-forced:cap"
-            in (tmp_path / "certs.txt").read_text().splitlines())
+    assert (tmp_path / "certs.txt").read_text().splitlines() == [
+        "graph index=0 n=7 t=1/1", *WHEEL_CAP_TRACE]
 
 
 def test_a_gate_cap_hit_is_salvaged_into_a_checked_witness(tmp_path):

@@ -166,21 +166,21 @@ def corpus_replays():
 
 
 GOLDEN = {
-    "caps": "6f429e95a7e1cf8002b82197a7ee8029ba0106b42cf4338ff9996e9ec91d765b",
+    "caps": "e3f9b12bb3f9ba1a54b417270fc7371855fb9f487f9da454051373a6148b2f9e",
     "case1-cover": "21b9e57b798ceb20710c8bae1c5250c7e36bb6425856a7e0adb373917a5fdcfa",
-    "case2": "d100a5901f0527910a601e3b80f2b3bba7f373980cfa500d26eee71d8f02ae71",
-    "gate": "abcca8a681ab8d6565ac7087e979626f24221cec3ebb18b7c894b3941fc39c5a",
-    "replays": "e2b0260d5cb7c331a8bfd08f9382b9e6c30c52e75cf720067231925b4cd7fc36",
+    "case2": "7f0c4837fa7adb2f7832e1b2b43399aec83fded4a051fde3f7511d8fceda6932",
+    "gate": "9d28424f62debcdc0d44d4673140075a7c668f1a1794270ccafe6e3866922316",
+    "replays": "5ef34ca6c4d7d9bb46deb7ff9e318ed02b8da22376b101986adaf011023c444c",
 }
 
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 GOLDEN_CERTS = {
-    "caps": "a5be654909b47e7c2456da4f9928800cc363485fd6e2c944b9d9f327bb0d1fad",
+    "caps": "c2e5dd3f6ffaa68b57baea277565a79c8b4b0350a5b8f6816a694d8df7281cb7",
     "case1-cover": "49ac4add8ea62db3f5851ffb38f98a4daa5ba43696b1b715ac9efecfd7929745",
-    "case2": "4c111982e18dea5133bce15fe321fd5032d49115554fb34ff563d5116c9a5edc",
-    "gate": "f126b28fe8ac322c064d9b06f01cdd2ed083f996dbd0442fd5048cc13b92339a",
-    "replays": "329b8936bd9a204bd99575cb5d103ecb5f26a442e63fb5f6056336d7099ce040",
+    "case2": "01e33fe315c98464e0fadc8f3752de091b0a1aef43d296392b4846d4d70468ee",
+    "gate": "4a9ef8ac9c0d527809a0fa1d82f7413784869ae35b8d4ee664235c549772e3d8",
+    "replays": "40e194591bbf6b4323e6d786d9fffb2afba05f4da88474943110c3ef623aa407",
 }
 
 CORPORA = {

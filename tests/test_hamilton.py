@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -108,15 +109,26 @@ def test_oracle_past_its_cap_is_its_first_leaf_its_closure_or_its_root_test():
     assert min(seen.values()) >= 20, seen
 
 
+# sha256 over closure_cycle's answers on the draws below, one line each:
+# those outside the Ore case, taken before the Ore case was split off and
+# so the built closure's cycles; and those in it
+CLOSURE_DIGESTS = {
+    "general": "356144aec11992acf5b83b7f8067a70538d00f05fd89597de6b41779fc1d71ee",
+    "ore-case": "6b5857a1a90a4d662b56118e9180c428920f0f5353e59086c5377ee7a8c41eee",
+}
+
+
 def test_closure_cycle_is_a_checked_cycle_through_its_forced_edges():
     # every graph on 3-6 vertices, then seeded ones on 7-40, each with a
     # random mask and a random forced matching added inside it: a cycle
     # covers the mask, is a cycle of the induced graph and holds every
     # forced edge; a complete closure on at most 10 vertices has a cycle by
     # the unpruned search too, and the degree-sum condition on every
-    # non-adjacent pair closes at once
+    # non-adjacent pair closes at once, as does the Ore case (twice the
+    # minimum degree meets the sum)
     rng = random.Random(36)
     seen = Counter()
+    digests = {name: hashlib.sha256() for name in CLOSURE_DIGESTS}
 
     def check(g, within, forced):
         g2, vmap = induced(g, within)
@@ -125,11 +137,14 @@ def test_closure_cycle_is_a_checked_cycle_through_its_forced_edges():
         want = g2.n + len(forced)
         ore = all(g2.adj[a].bit_count() + g2.adj[b].bit_count() >= want
                   for a, b in combinations(range(g2.n), 2) if not g2.has_edge(a, b))
+        ore_case = 2 * g2.min_degree() >= want
         got = closure_cycle(g, forced, within)
+        digests["ore-case" if ore_case else "general"].update(f"{got and got.order}\n".encode())
         if got is None:
-            assert not ore, (g.adj, within, forced)
+            assert not ore and not ore_case, (g.adj, within, forced)
             seen["open"] += 1
             return
+        seen["ore-case"] += ore_case
         assert mask_of(got.order) == within and len(got.order) == g2.n
         assert validate_cycle(g2, CycleCert(tuple(local[v] for v in got.order)))
         edges = {frozenset(e) for e in zip(got.order, got.order[1:] + got.order[:1])}
@@ -149,15 +164,23 @@ def test_closure_cycle_is_a_checked_cycle_through_its_forced_edges():
     for _ in range(1500):
         draw(random_edge_graph(rng, rng.randrange(7, 41), rng.choice([0.3, 0.5, 0.7, 0.9])))
     assert min(seen.values()) >= 100, seen
+    assert {name: h.hexdigest() for name, h in digests.items()} == CLOSURE_DIGESTS
 
 
 def test_closure_cycle_preconditions():
     k5 = Graph.complete(5)
     assert closure_cycle(k5, (), mask_of([0, 1])) is None
     with pytest.raises(GraphError):
-        closure_cycle(k5, [(0, 1)], mask_of([0, 2, 3]))  # a forced end outside
-    with pytest.raises(GraphError):
         closure_cycle(Graph.cycle(5), [(0, 2)])  # not an edge
+
+
+def test_a_forced_end_outside_the_mask_is_rejected():
+    # one shared check: no solver returns a "cycle of G[within]" through a
+    # vertex outside within
+    k5 = Graph.complete(5)
+    for solve in (first_leaf, ham_cycle_forced, closure_cycle):
+        with pytest.raises(GraphError, match="inside the mask"):
+            solve(k5, [(0, 1)], within=mask_of([0, 2, 3]))
 
 
 def test_first_leaf_inside_a_mask_is_the_walk_on_the_induced_subgraph(monkeypatch):

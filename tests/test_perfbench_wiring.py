@@ -61,6 +61,20 @@ def test_traced_bridge_pass_reaches_every_stage(monkeypatch):
         assert tracer.counts[name + ".calls"] > 0, name
 
 
+def test_traced_free_dense_pass_times_the_gates_constructor(monkeypatch):
+    # the harness times the gate's polynomial constructor by the name
+    # dirac_cycle, a call of closure_cycle: a gate that built its cycle some
+    # other way would leave that metric reading zero
+    run = _load_harness(monkeypatch)
+    tk = SimpleNamespace(**{m: importlib.import_module("toughham." + m) for m in run.MODULES})
+    groups = run.workloads.WORKLOADS["free-dense"](tk, run.workloads.pass_seed(7, 0))
+    tracer = run.spans.Tracer()
+    with tracer.installed(lambda tr: run.install_wrappers(tr, tk)):
+        outputs = run.run_pass(tk, groups, run.configs_for(tk, groups))
+    assert not any(isinstance(out, run.ErrorOut) for out in outputs)
+    assert tracer.counts["hamilton.dirac_cycle.calls"] > 0
+
+
 def test_insertion_hook_reads_the_rotation_count(monkeypatch):
     # no workload inserts a vertex, so a return shape the harness's
     # fallbacks hook cannot read would go unseen without this call

@@ -556,21 +556,21 @@ EXHAUSTIVE_TALLIES = {
 # the same runs' bytes: sha256 over every trace line and cert record, each
 # newline-terminated, in enumeration order
 EXHAUSTIVE_DIGESTS = {
-    (Fraction(1), 6): "a6b36eb26264de87b775b893e0099349a2e3b378552f2b9982cc37a83f9ad558",
-    (Fraction(11), 6): "ff2016e9026cb14b9a016ea9c0f7a56b533f0415a40b17c7b89fae8faabca382",
-    (Fraction(1, 2), 5): "fc7e3076b5d7a0c84b517c2884cf27bc184c4796de3ef304970741c2ef8af8ec",
-    (Fraction(3, 2), 5): "15b2ccec151ad4eed2664cf40c94c73b661286bfe431134e4c5dd8e87ccc2a90",
-    (Fraction(2), 5): "271cb803883991dc77b546ea5cbb2291998035ade4ab039355ea40eb73052842",
+    (Fraction(1), 6): "a66ab5e9aa88b437c2fb0df25bd360acff30a1dbaf43445b4245b2df73748829",
+    (Fraction(11), 6): "5687952110ea17f8e551719dabf76849a4fa2452b6add2730fa13988c6e4b5e8",
+    (Fraction(1, 2), 5): "d25bd94c2eb8d9eaa5d9fdc3f751b3d596a52a018b49e644f9276c84234a974e",
+    (Fraction(3, 2), 5): "ef7dc9d61f0be14d8455d3dc5d307268b8de48a227c1a0c9dc58f63d4c64b87c",
+    (Fraction(2), 5): "d232e784b7acf15d1b394de6fd55a4ef7a707387b9dff9353bb390c15c199947",
 }
 
 # the cert records alone, so that a change which moves only trace bytes
 # shows that every certificate stayed as it was
 EXHAUSTIVE_CERT_DIGESTS = {
-    (Fraction(1), 6): "2d85d1476ddc9eb5299af26af3ba8ee1342097a06ddb384e18674fc71134bbad",
-    (Fraction(11), 6): "2c5b6c90c7cd6b7821de7d0b9e8b482fd45f23535d7661d84f9c0e8314afd0d1",
-    (Fraction(1, 2), 5): "48fa2daa68dc11fef36a00fc6c42ca53ffff20d59daeeec460d03f7fee6e977c",
-    (Fraction(3, 2), 5): "92893355429f460be39f3117f63b69d096f05260d93e8fa068bb7008e9dc954d",
-    (Fraction(2), 5): "0c03d49c220bb1a9f30e6b76f0c67f75d86cc6e3320881ba9d4b69e743fb9fe3",
+    (Fraction(1), 6): "986cc00c66ed6f7f827878fe537bebff0321bd23a99836786937e53ce703cdbc",
+    (Fraction(11), 6): "80f3f32c0d5ac15265c800e60cc8059482d2d1f46a1642b1f7851a371b431cdd",
+    (Fraction(1, 2), 5): "ab7e51e4476577affdf4149373a7d91b775e9b9c84ca7814bab2a64dbc4519ab",
+    (Fraction(3, 2), 5): "dc129258be7115ceb257d58ea975cee6349657231b031ff657797c0ee6a385c5",
+    (Fraction(2), 5): "334c2368377ac156cf9820ea59c9519e55d3b8c03413040737c0b28a4f892825",
 }
 
 
